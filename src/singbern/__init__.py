@@ -55,7 +55,6 @@ from .weight import (
     delta_n,
     grid_points,
     phi,
-    weight_eval,
     weighted_sup_norm,
     weighted_values,
 )
@@ -72,6 +71,6 @@ __all__ = [
     "kfunctional_upper", "ksum", "linear_joiner", "min_valid_n", "omega2",
     "omega2_mainpart", "phi", "psi", "psi_bar", "psi_derivatives",
     "second_difference_backward", "second_difference_forward",
-    "second_difference_symmetric", "surrogate_eval", "weight_eval",
+    "second_difference_symmetric", "surrogate_eval",
     "weighted_operator_norm_ratio", "weighted_sup_norm", "weighted_values",
 ]

@@ -12,9 +12,6 @@ where stirlerr is the log-factorial Stirling remainder and
 D(a, m) = a log(a/m) + m - a is evaluated by a series when a is close
 to m.  Every quantity that is actually summed stays O(log n), which keeps
 the relative error of the weight near machine precision for n up to 1e6.
-
-A degree-raising recurrence evaluator is kept as an independent
-cross-check of the log-space path.
 """
 
 from __future__ import annotations
@@ -234,22 +231,6 @@ def basis_matrix(n: int, xs: np.ndarray, chunk: int = 256) -> np.ndarray:
         blk[xc[:, 0] == 0.0, 0] = 1.0
         blk[xc[:, 0] == 1.0, n] = 1.0
     return out
-
-
-def _basis_row_recurrence(n: int, x: float) -> np.ndarray:
-    """Degree-raising recurrence row, independent of the log-space path.
-
-    b(m, k) = (1-x) b(m-1, k) + x b(m-1, k-1), starting from b(0, 0) = 1.
-    All terms are non-negative convex combinations, so the recurrence is
-    forward stable; used only as a cross-check oracle.
-    """
-    n, x = _validate_nx(n, x)
-    row = np.zeros(n + 1)
-    row[0] = 1.0
-    for m in range(1, n + 1):
-        row[1:m + 1] = (1.0 - x) * row[1:m + 1] + x * row[0:m]
-        row[0] *= 1.0 - x
-    return row
 
 
 def ksum(a: np.ndarray, axis: int = -1, block: int = 64):

@@ -199,18 +199,3 @@ def surrogate_eval(f: Callable, nodes: BridgeNodes, x):
         s = psi_bar(nodes, 2, x[ramp2])
         out[ramp2] = (1.0 - s) * P(x[ramp2]) + s * f(x[ramp2])
     return float(out[0]) if scalar else out
-
-
-def surrogate_eval_oneline(f: Callable, nodes: BridgeNodes, x):
-    """Single-expression form of the blend; requires f evaluable everywhere.
-
-    Algebraically equal to ``surrogate_eval`` because the ramps saturate
-    outside their spans; kept as a cross-check, not a production path.
-    """
-    nodes.require_valid()
-    P = linear_joiner(f, nodes)
-    x = np.asarray(x, dtype=float)
-    s1 = psi_bar(nodes, 1, x)
-    s2 = psi_bar(nodes, 2, x)
-    out = f(x) * (1.0 - s1 + s2) + s1 * (1.0 - s2) * P(x)
-    return float(out) if out.ndim == 0 else out

@@ -20,7 +20,6 @@ from .experiments import (
     DEFAULT_N_VALUES,
     DEFAULT_T_VALUES,
     DEFAULT_WEIGHT,
-    SweepSpec,
     check_direct,
     check_inverse,
     check_lemma1,
@@ -34,7 +33,7 @@ from .experiments import (
     run_function_sweep,
     w2_members,
 )
-from .moduli import ModulusQuery, omega2, omega2_mainpart
+from .moduli import ladder_moduli
 from .operators import bbar_apply
 from .reporting import SCHEMAS, json_dumps, table_header, write_csv
 from .weight import (
@@ -159,6 +158,15 @@ def _t_values(opt: Options) -> tuple:
     return ts
 
 
+def _n_values(opt: Options) -> tuple:
+    ns = _parse_values(opt.get("n-values", DEFAULT_N_VALUES), int, "--n-values")
+    if not ns or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ConfigError(
+            f"invalid --n-values: {list(ns)} (need a strictly increasing list of degrees >= 1)"
+        )
+    return ns
+
+
 def _degree(opt: Options) -> int:
     n = opt.get("n")
     if n is None:
@@ -228,10 +236,9 @@ def cmd_modulus(opt: Options) -> int:
     h_steps = int(opt.get("h-steps", 32))
     if h_steps < 1:
         raise ConfigError(f"invalid --h-steps: {h_steps} (must be positive)")
-    rows = []
-    for t in sorted(t_values):
-        q = ModulusQuery(f=f, w=w, lam=lam, t=t, h_steps=h_steps, g=g)
-        rows.append({"t": t, "omega2": omega2(q), "omega2_mainpart": omega2_mainpart(q)})
+    ts = sorted(t_values)
+    moduli = ladder_moduli(f, w, lam, ts, h_steps, g) if ts else []
+    rows = [{"t": t, "omega2": om, "omega2_mainpart": mp} for t, (om, mp, _) in zip(ts, moduli)]
     if str(opt.get("format", "csv")) == "json":
         doc = {
             "schema_version": SCHEMAS["schema_version"], "command": "modulus",
@@ -302,7 +309,7 @@ def cmd_check(opt: Options) -> int:
     w = _weight(opt)
     lam = _lam(opt)
     g = _grid(opt)
-    n_values = _parse_values(opt.get("n-values", DEFAULT_N_VALUES), int, "--n-values")
+    n_values = _n_values(opt)
     t_values = _t_values(opt)
     which = str(opt.get("which", "all"))
     names = CHECK_NAMES if which == "all" else tuple(tok.strip() for tok in which.split(","))
@@ -347,12 +354,11 @@ def cmd_sweep(opt: Options) -> int:
     w = _weight(opt)
     lam = _lam(opt)
     g = _grid(opt)
-    n_values = _parse_values(opt.get("n-values", DEFAULT_N_VALUES), int, "--n-values")
+    n_values = _n_values(opt)
     t_values = _t_values(opt)
-    try:
-        SweepSpec(n_values=n_values, lam=lam, weight=w, grid=g)
-    except ValueError as exc:
-        raise ConfigError(f"invalid --n-values: {exc}") from exc
+    bad = [n for n in n_values if not compute_nodes(n, w.xi).valid]
+    if bad:
+        raise ConfigError(f"invalid --n-values: bridge nodes invalid for n={bad}; raise the minimum n")
     members = corpus(w, lam)
     sel = str(opt.get("functions", "all"))
     if sel == "all":

@@ -8,6 +8,14 @@ at most ``max_slope``) and the ratios must hug their own fitted trend
 ratios that decay (an over-generous majorant) would otherwise fail a raw
 max/median test despite being the strongest form of boundedness.
 
+All bounded-ratio checkers share one sweep skeleton, ``_check``: it keeps
+the degrees with valid bridge nodes (when the check involves the
+singularity), builds one row per degree with the checker's row function,
+notes the skipped degrees, and hands the rows to a trend rule, by default
+``trend_summary`` on the rows' ``ratio``.  A checker is its parameters,
+its row function and, where it differs, its trend rule.  The direct-rate
+check reuses the same degree filter and row loop.
+
 Rate targets carry no externally given numbers; they are self-calibrated
 by scripts/calibrate_rates.py and frozen in data/rate_targets.json.  Every
 report states this in its header.
@@ -16,12 +24,13 @@ report states this in its header.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
-from .bridge import compute_nodes
-from .moduli import ModulusQuery, h_ladder, ladder_band_sups, omega2, omega2_mainpart
+from .bridge import InvalidNodesError, compute_nodes, linear_joiner, min_valid_n
+from .moduli import ladder_moduli
 from .operators import (
     bbar_apply,
     bbar_second_derivative,
@@ -34,7 +43,6 @@ from .weight import (
     GridSpec,
     SingularWeight,
     TestFunction,
-    corpus,
     delta_n,
     grid_points,
     phi,
@@ -46,7 +54,6 @@ __all__ = [
     "DEFAULT_N_VALUES",
     "DEFAULT_T_VALUES",
     "DEFAULT_WEIGHT",
-    "SweepSpec",
     "CheckReport",
     "RateReport",
     "fit_rate",
@@ -82,29 +89,14 @@ INVERSE_SLOPE_SLACK = 0.15
 CONSISTENCY_TOLERANCE = 0.2
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A degree sweep against one weight/function/grid combination."""
-
-    n_values: tuple = DEFAULT_N_VALUES
-    lam: float = 0.0
-    weight: SingularWeight = DEFAULT_WEIGHT
-    function: str = "abs_beta_1.0"
-    grid: GridSpec = GridSpec()
-
-    def __post_init__(self):
-        ns = tuple(self.n_values)
-        if any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ValueError("n_values must be strictly increasing")
-        bad = [n for n in ns if not compute_nodes(n, self.weight.xi).valid]
-        if bad:
-            raise ValueError(f"bridge nodes invalid for n={bad}; raise the minimum n")
-        if not (0.0 <= self.lam <= 1.0):
-            raise ValueError("lam must lie in [0, 1]")
+class _Report:
+    def to_dict(self) -> dict:
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "extras"}
+        return {**out, **self.extras}
 
 
 @dataclass
-class CheckReport:
+class CheckReport(_Report):
     """One checker outcome: per-n rows plus a trend summary."""
 
     name: str
@@ -119,24 +111,9 @@ class CheckReport:
     header: str = REPORT_HEADER
     extras: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "header": self.header,
-            "params": self.params,
-            "rows": self.rows,
-            "slope": self.slope,
-            "residual": self.residual,
-            "spread": self.spread,
-            "passed": self.passed,
-            "trivial": self.trivial,
-            "notes": self.notes,
-            **self.extras,
-        }
-
 
 @dataclass
-class RateReport:
+class RateReport(_Report):
     """Rate-fit outcome: per-point rows, fitted decay exponent, target check."""
 
     name: str
@@ -153,24 +130,6 @@ class RateReport:
     notes: str = ""
     header: str = REPORT_HEADER
     extras: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "header": self.header,
-            "params": self.params,
-            "pairs": self.pairs,
-            "rows": self.rows,
-            "slope": self.slope,
-            "residual": self.residual,
-            "fitted_alpha0": self.fitted_alpha0,
-            "target": self.target,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "trivial": self.trivial,
-            "notes": self.notes,
-            **self.extras,
-        }
 
 
 def fit_rate(pairs) -> tuple[float, float]:
@@ -220,20 +179,6 @@ def trend_summary(
     return {"slope": slope, "residual": residual, "spread": spread, "passed": passed, "trivial": False}
 
 
-def _valid_sweep(n_values, xi: float):
-    """Split a sweep into usable degrees and skipped (invalid-node) ones."""
-    good, skipped = [], []
-    for n in n_values:
-        (good if compute_nodes(int(n), xi).valid else skipped).append(int(n))
-    if not good:
-        from .bridge import InvalidNodesError, min_valid_n
-
-        raise InvalidNodesError(
-            f"no usable degree in {list(n_values)}; need n >= {min_valid_n(xi)}"
-        )
-    return good, skipped
-
-
 def w2_members(members, w: SingularWeight) -> list:
     """Members usable by smooth-class checks: analytic, non-singular f''."""
     return [
@@ -243,53 +188,59 @@ def w2_members(members, w: SingularWeight) -> list:
     ]
 
 
-def _report(name, params, rows, summary, notes="", extras=None) -> CheckReport:
-    return CheckReport(
-        name=name,
-        params=params,
-        rows=rows,
-        slope=summary["slope"],
-        residual=summary["residual"],
-        spread=summary["spread"],
-        passed=summary["passed"],
-        trivial=summary["trivial"],
-        notes=notes,
-        extras=extras or {},
-    )
+def _sweep_rows(n_values, row, xi: float | None = None):
+    """Usable degrees, one ``row(n)`` per degree, and a note on skipped ones.
+
+    With ``xi`` given, degrees without valid bridge nodes around it are
+    skipped, and a sweep with none left raises InvalidNodesError.
+    """
+    ns = [int(n) for n in n_values]
+    good = [n for n in ns if xi is None or compute_nodes(n, xi).valid]
+    if xi is not None and not good:
+        raise InvalidNodesError(f"no usable degree in {list(n_values)}; need n >= {min_valid_n(xi)}")
+    skipped = [n for n in ns if n not in good]
+    return good, [row(n) for n in good], f"skipped invalid n={skipped}" if skipped else ""
+
+
+def _ratio_trend(ns, rows, key: str = "ratio", **bounds) -> dict:
+    return trend_summary(ns, [r[key] for r in rows], **bounds)
+
+
+def _check(name, params, n_values, row, xi=None, trend=_ratio_trend) -> CheckReport:
+    """The bounded-ratio sweep: rows over the usable degrees, then a trend verdict."""
+    good, rows, notes = _sweep_rows(n_values, row, xi)
+    return CheckReport(name=name, params=params, rows=rows, notes=notes, **trend(good, rows))
+
+
+def _interior_grid(g: GridSpec, xi: float | None = None) -> np.ndarray:
+    xs = grid_points(g, xi)
+    return xs[(xs > 0.0) & (xs < 1.0)]
 
 
 def check_lemma1(n_values=DEFAULT_N_VALUES, g: GridSpec = GridSpec(), u: float = 1.0, v: float = 0.0) -> CheckReport:
     """Inverse-power moment sums against x^-u (1-x)^-v, ratio per degree."""
-    xs = grid_points(g)
-    xs = xs[(xs > 0.0) & (xs < 1.0)]
-    rows, ratios = [], []
-    for n in n_values:
-        n = int(n)
+    xs = _interior_grid(g)
+
+    def row(n):
         k = np.arange(1, n)
         weights_k = (k / n) ** (-u) * ((n - k) / n) ** (-v)
         sums = ksum(collocation_matrix(n, xs)[:, 1:n] * weights_k[None, :], axis=1)
-        ratio = float(np.max(sums / (xs ** (-u) * (1.0 - xs) ** (-v))))
-        rows.append({"n": n, "ratio": ratio})
-        ratios.append(ratio)
-    summary = trend_summary(n_values, ratios)
-    return _report("lemma1", {"u": u, "v": v, "grid": g.key()}, rows, summary)
+        return {"n": n, "ratio": float(np.max(sums / (xs ** (-u) * (1.0 - xs) ** (-v))))}
+
+    return _check("lemma1", {"u": u, "v": v, "grid": g.key()}, n_values, row)
 
 
 def check_lemma4(n_values=DEFAULT_N_VALUES, g: GridSpec = GridSpec(), gamma: float = 2.0) -> CheckReport:
     """Central absolute moments against (n^(1/2) phi)^gamma, ratio per degree."""
-    xs = grid_points(g)
-    xs = xs[(xs > 0.0) & (xs < 1.0)]
-    rows, ratios = [], []
-    for n in n_values:
-        n = int(n)
+    xs = _interior_grid(g)
+
+    def row(n):
         k = np.arange(n + 1, dtype=float)
         dev = np.abs(k[None, :] - n * xs[:, None]) ** gamma
         sums = ksum(collocation_matrix(n, xs) * dev, axis=1)
-        ratio = float(np.max(sums / (n ** (gamma / 2.0) * phi(xs) ** gamma)))
-        rows.append({"n": n, "ratio": ratio})
-        ratios.append(ratio)
-    summary = trend_summary(n_values, ratios)
-    return _report("lemma4", {"gamma": gamma, "grid": g.key()}, rows, summary)
+        return {"n": n, "ratio": float(np.max(sums / (n ** (gamma / 2.0) * phi(xs) ** gamma)))}
+
+    return _check("lemma4", {"gamma": gamma, "grid": g.key()}, n_values, row)
 
 
 def _window(n: int, xi: float) -> np.ndarray:
@@ -304,17 +255,14 @@ def check_lemma5(w: SingularWeight, n_values=DEFAULT_N_VALUES, g: GridSpec = Gri
     within the standard bound.
     """
     xs = grid_points(g, w.xi)
-    rows, scaled = [], []
-    good, skipped = _valid_sweep(n_values, w.xi)
-    for n in good:
-        win = _window(n, w.xi)
-        mass = ksum(collocation_matrix(n, xs)[:, win], axis=1)
+
+    def row(n):
+        mass = ksum(collocation_matrix(n, xs)[:, _window(n, w.xi)], axis=1)
         a_max = float(np.max(w(xs) * mass))
-        rows.append({"n": n, "max_weighted_mass": a_max, "scaled": a_max * n ** (w.alpha / 2.0)})
-        scaled.append(a_max * n ** (w.alpha / 2.0))
-    summary = trend_summary(good, scaled, max_slope=0.15, min_slope=-0.3)
-    notes = f"skipped invalid n={skipped}" if skipped else ""
-    return _report("lemma5", {"xi": w.xi, "alpha": w.alpha, "grid": g.key()}, rows, summary, notes)
+        return {"n": n, "max_weighted_mass": a_max, "scaled": a_max * n ** (w.alpha / 2.0)}
+
+    params = {"xi": w.xi, "alpha": w.alpha, "grid": g.key()}
+    return _check("lemma5", params, n_values, row, w.xi, partial(_ratio_trend, key="scaled", min_slope=-0.3))
 
 
 def check_lemma6(
@@ -326,22 +274,17 @@ def check_lemma6(
     """Windowed absolute moments against n^((beta-alpha)/2) phi^beta."""
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    xs = grid_points(g, w.xi)
-    xs = xs[(xs > 0.0) & (xs < 1.0)]
-    rows, ratios = [], []
-    good, skipped = _valid_sweep(n_values, w.xi)
-    for n in good:
+    xs = _interior_grid(g, w.xi)
+
+    def row(n):
         win = _window(n, w.xi)
         dev = np.abs(win[None, :].astype(float) - n * xs[:, None]) ** beta
         sums = ksum(collocation_matrix(n, xs)[:, win] * dev, axis=1)
         ratio = float(np.max(w(xs) * sums / (n ** ((beta - w.alpha) / 2.0) * phi(xs) ** beta)))
-        rows.append({"n": n, "ratio": ratio})
-        ratios.append(ratio)
-    summary = trend_summary(good, ratios)
-    notes = f"skipped invalid n={skipped}" if skipped else ""
-    return _report(
-        "lemma6", {"xi": w.xi, "alpha": w.alpha, "beta": beta, "grid": g.key()}, rows, summary, notes
-    )
+        return {"n": n, "ratio": ratio}
+
+    params = {"xi": w.xi, "alpha": w.alpha, "beta": beta, "grid": g.key()}
+    return _check("lemma6", params, n_values, row, w.xi)
 
 
 def check_lemma7(
@@ -357,32 +300,25 @@ def check_lemma7(
     curv_norm = float(
         np.max(np.abs(weighted_values(lambda x: phi(x) ** (2.0 * lam) * f.second_derivative(x), w, grid_points(g, w.xi))))
     )
-    rows, ratios = [], []
-    good, skipped = _valid_sweep(n_values, w.xi)
-    for n in good:
-        nd = compute_nodes(n, w.xi)
-        from .bridge import linear_joiner
 
+    def row(n):
+        nd = compute_nodes(n, w.xi)
         P = linear_joiner(f, nd)
         xs = np.unique(np.concatenate([np.linspace(nd.x1, nd.x4, 257), [nd.x2, nd.x3]]))
         defect = np.abs(weighted_values(lambda x: f(x) - P(x), w, xs))
         if curv_norm == 0.0:
             # curvature-free f: the chord reproduces it up to rounding
-            ratio = 0.0 if float(np.max(defect)) <= 1e-12 else math.inf
-        else:
-            majorant = (delta_n(n, xs) / (math.sqrt(n) * phi(xs) ** lam)) ** 2 * curv_norm
-            ratio = float(np.max(defect / majorant))
-        rows.append({"n": n, "ratio": ratio})
-        ratios.append(ratio)
-    summary = trend_summary(good, ratios)
-    notes = f"skipped invalid n={skipped}" if skipped else ""
-    return _report(
-        "lemma7",
-        {"function": f.name, "xi": w.xi, "alpha": w.alpha, "lambda": lam, "grid": g.key()},
-        rows,
-        summary,
-        notes,
-    )
+            return {"n": n, "ratio": 0.0 if float(np.max(defect)) <= 1e-12 else math.inf}
+        majorant = (delta_n(n, xs) / (math.sqrt(n) * phi(xs) ** lam)) ** 2 * curv_norm
+        return {"n": n, "ratio": float(np.max(defect / majorant))}
+
+    params = {"function": f.name, "xi": w.xi, "alpha": w.alpha, "lambda": lam, "grid": g.key()}
+    return _check("lemma7", params, n_values, row, w.xi)
+
+
+def _node_grid(g: GridSpec, nd) -> np.ndarray:
+    """The grid of ``g`` plus the four bridge nodes."""
+    return grid_points(g, nd.xi, extra=(nd.x1, nd.x2, nd.x3, nd.x4))
 
 
 def check_lemma2(
@@ -393,20 +329,13 @@ def check_lemma2(
 ) -> CheckReport:
     """Operator stability: the weighted norm ratio of image to input."""
     fnorm = weighted_sup_norm(f, w, g)
-    rows, ratios = [], []
-    good, skipped = _valid_sweep(n_values, w.xi)
-    for n in good:
-        nd = compute_nodes(n, w.xi)
-        xs = grid_points(g, w.xi, extra=(nd.x1, nd.x2, nd.x3, nd.x4))
-        img = float(np.max(np.abs(w(xs) * bbar_apply(f, n, w, xs))))
-        ratio = img / fnorm
-        rows.append({"n": n, "ratio": ratio})
-        ratios.append(ratio)
-    summary = trend_summary(good, ratios)
-    notes = f"skipped invalid n={skipped}" if skipped else ""
-    return _report(
-        "lemma2", {"function": f.name, "xi": w.xi, "alpha": w.alpha, "grid": g.key()}, rows, summary, notes
-    )
+
+    def row(n):
+        xs = _node_grid(g, compute_nodes(n, w.xi))
+        return {"n": n, "ratio": float(np.max(np.abs(w(xs) * bbar_apply(f, n, w, xs)))) / fnorm}
+
+    params = {"function": f.name, "xi": w.xi, "alpha": w.alpha, "grid": g.key()}
+    return _check("lemma2", params, n_values, row, w.xi)
 
 
 def check_theorem1(
@@ -416,17 +345,12 @@ def check_theorem1(
     g: GridSpec = GridSpec(),
 ) -> CheckReport:
     """Second-derivative norm against n^2 times the input norm."""
-    rows, ratios = [], []
-    good, skipped = _valid_sweep(n_values, w.xi)
-    for n in good:
-        ratio = weighted_operator_norm_ratio(f, n, w, 0.0, g, branch="cw")
-        rows.append({"n": n, "ratio": ratio})
-        ratios.append(ratio)
-    summary = trend_summary(good, ratios, max_slope=0.1)
-    notes = f"skipped invalid n={skipped}" if skipped else ""
-    return _report(
-        "theorem1", {"function": f.name, "xi": w.xi, "alpha": w.alpha, "grid": g.key()}, rows, summary, notes
-    )
+
+    def row(n):
+        return {"n": n, "ratio": weighted_operator_norm_ratio(f, n, w, 0.0, g, branch="cw")}
+
+    params = {"function": f.name, "xi": w.xi, "alpha": w.alpha, "grid": g.key()}
+    return _check("theorem1", params, n_values, row, w.xi, partial(_ratio_trend, max_slope=0.1))
 
 
 def check_theorem2(
@@ -445,28 +369,22 @@ def check_theorem2(
     """
     if branch not in ("cw", "w2"):
         raise ValueError(f"unknown branch {branch!r}")
-    rows = []
-    good, skipped = _valid_sweep(n_values, w.xi)
-    notes = f"skipped invalid n={skipped}" if skipped else ""
     params = {
         "function": f.name, "xi": w.xi, "alpha": w.alpha, "lambda": lam,
         "branch": branch, "grid": g.key(),
     }
     if branch == "w2":
-        ratios = []
-        for n in good:
-            ratio = weighted_operator_norm_ratio(f, n, w, lam, g, branch="w2")
-            rows.append({"n": n, "ratio": ratio})
-            ratios.append(ratio)
-        summary = trend_summary(good, ratios)
-        return _report("theorem2", params, rows, summary, notes)
+
+        def w2_row(n):
+            return {"n": n, "ratio": weighted_operator_norm_ratio(f, n, w, lam, g, branch="w2")}
+
+        return _check("theorem2", params, n_values, w2_row, w.xi)
 
     fnorm = weighted_sup_norm(f, w, g)
-    point_rs, small_rs, large_rs = [], [], []
-    for n in good:
+
+    def row(n):
         coeffs = build_surrogate(f, n, w)
-        nd = coeffs.nodes
-        xs = grid_points(g, w.xi, extra=(nd.x1, nd.x2, nd.x3, nd.x4))
+        xs = _node_grid(g, coeffs.nodes)
         num = np.abs(w(xs) * phi(xs) ** (2.0 * lam) * bbar_second_derivative(coeffs, xs))
         with np.errstate(divide="ignore"):
             majorant = n * np.maximum(n ** (1.0 - lam), phi(xs) ** (2.0 * (lam - 1.0))) * fnorm
@@ -475,24 +393,15 @@ def check_theorem2(
         small = phi(xs) <= 1.0 / math.sqrt(n)
         r_small = float(np.max(num[small]) / uniform_major) if small.any() else 0.0
         r_large = float(np.max(num[~small]) / uniform_major) if (~small).any() else 0.0
-        rows.append(
-            {"n": n, "ratio": pointwise, "ratio_small_phi": r_small, "ratio_large_phi": r_large}
-        )
-        point_rs.append(pointwise)
-        small_rs.append(r_small)
-        large_rs.append(r_large)
-    summary = trend_summary(good, point_rs)
-    sub_small = trend_summary(good, small_rs)
-    sub_large = trend_summary(good, large_rs)
-    summary["passed"] = summary["passed"] and sub_small["passed"] and sub_large["passed"]
-    return _report(
-        "theorem2",
-        params,
-        rows,
-        summary,
-        notes,
-        extras={"regime_small_phi": sub_small, "regime_large_phi": sub_large},
-    )
+        return {"n": n, "ratio": pointwise, "ratio_small_phi": r_small, "ratio_large_phi": r_large}
+
+    def trend(ns, rows):
+        summary = _ratio_trend(ns, rows)
+        regimes = {f"regime_{k}": _ratio_trend(ns, rows, f"ratio_{k}") for k in ("small_phi", "large_phi")}
+        summary["passed"] = summary["passed"] and all(s["passed"] for s in regimes.values())
+        return {**summary, "extras": regimes}
+
+    return _check("theorem2", params, n_values, row, w.xi, trend)
 
 
 def _representative_points(xi: float) -> list:
@@ -516,30 +425,26 @@ def check_direct(
     log rate factor at representative points) must match the frozen target.
     """
     target = f.expected_alpha0 if target is None else target
-    good, skipped = _valid_sweep(n_values, w.xi)
     x_rep = _representative_points(w.xi)
     params = {
         "function": f.name, "xi": w.xi, "alpha": w.alpha, "lambda": lam,
         "grid": g.key(), "x_rep": x_rep,
     }
-    pairs, rows, e_max_seq = [], [], []
-    fnorm = weighted_sup_norm(f, w, g)
-    for n in good:
-        nd = compute_nodes(n, w.xi)
-        xs = grid_points(g, w.xi, extra=(nd.x1, nd.x2, nd.x3, nd.x4))
+
+    def row(n):
+        xs = _node_grid(g, compute_nodes(n, w.xi))
         err = np.abs(weighted_values(lambda x: f(x) - bbar_apply(f, n, w, x), w, xs))
-        e_max = float(np.max(err))
-        row = {"n": n, "max_weighted_error": e_max}
+        out = {"n": n, "max_weighted_error": float(np.max(err))}
         if target is not None:
             with np.errstate(divide="ignore"):
                 factor = (phi(xs) ** (-lam) * delta_n(n, xs) / math.sqrt(n)) ** target
-            normalized = np.where(np.isfinite(factor), err / factor, 0.0)
-            row["normalized_error"] = float(np.max(normalized))
-        rows.append(row)
-        pairs.append((n, e_max))
-        e_max_seq.append(e_max)
+            out["normalized_error"] = float(np.max(np.where(np.isfinite(factor), err / factor, 0.0)))
+        return out
 
-    notes = f"skipped invalid n={skipped}" if skipped else ""
+    good, rows, notes = _sweep_rows(n_values, row, w.xi)
+    fnorm = weighted_sup_norm(f, w, g)
+    e_max_seq = [r["max_weighted_error"] for r in rows]
+    pairs = list(zip(good, e_max_seq))
     if max(e_max_seq) <= 1e-13 * max(fnorm, 1.0):
         return RateReport(
             name="direct", params=params, pairs=pairs, rows=rows, slope=None,
@@ -587,41 +492,16 @@ def check_inverse(
     """
     target = f.expected_alpha0 if target_alpha0 is None else target_alpha0
     t_values = sorted(float(t) for t in t_values)
-    t_max = t_values[-1]
-    hs = h_ladder(t_max, h_steps)  # descending
-    three_band, mainpart = ladder_band_sups(f, w, lam, hs, g)
-    # running sups give the moduli at every ladder width in one pass
-    omega_at = np.maximum.accumulate(three_band[::-1])[::-1]
-    mainpart_at = np.maximum.accumulate(mainpart[::-1])[::-1]
-
-    def at_width(t, arr):
-        idx = np.where(hs <= t)[0]
-        return float(arr[idx[0]]) if idx.size else 0.0
-
-    pairs, rows = [], []
-    omega_vals, main_vals, sandwich1, sandwich2 = [], [], [], []
-    dlog = np.abs(np.diff(np.log(hs))).mean() if hs.size > 1 else math.log(2.0)
-    for t in t_values:
-        om = at_width(t, omega_at)
-        mp = at_width(t, mainpart_at)
-        sel = hs <= t
-        # d(log tau) quadrature of the running main-part modulus
-        integral = float(np.sum(mainpart_at[sel]) * dlog)
-        row = {"t": t, "omega2": om, "omega2_mainpart": mp, "mainpart_log_integral": integral}
-        rows.append(row)
-        pairs.append((t, om))
-        omega_vals.append(om)
-        main_vals.append(mp)
-        if om > 0.0:
-            sandwich1.append(mp / om)
-        if integral > 0.0:
-            sandwich2.append(om / integral)
-
+    rows = [
+        {"t": t, "omega2": om, "omega2_mainpart": mp, "mainpart_log_integral": integral}
+        for t, (om, mp, integral) in zip(t_values, ladder_moduli(f, w, lam, t_values, h_steps, g))
+    ]
+    pairs = [(r["t"], r["omega2"]) for r in rows]
     params = {
         "function": f.name, "xi": w.xi, "alpha": w.alpha, "lambda": lam,
         "grid": g.key(), "h_steps": h_steps,
     }
-    scale = max(max(omega_vals), 1e-300)
+    scale = max(max(om for _, om in pairs), 1e-300)
     if scale <= 1e-13:
         return RateReport(
             name="inverse", params=params, pairs=pairs, rows=rows, slope=None,
@@ -630,20 +510,23 @@ def check_inverse(
             notes="modulus identically zero",
         )
     positive_pairs = [(t, v) for t, v in pairs if v > 0.0]
-    if len(positive_pairs) < 3 or sum(v > 0.0 for v in main_vals) < 3:
+    main_pairs = [(r["t"], r["omega2_mainpart"]) for r in rows if r["omega2_mainpart"] > 0.0]
+    if len(positive_pairs) < 3 or len(main_pairs) < 3:
         raise ValueError(
             f"{f.name!r}: too few positive modulus values to fit a rate over {t_values}"
         )
     slope_omega, res_omega = fit_rate(positive_pairs)
-    slope_main, res_main = fit_rate(
-        [(t, v) for t, v in zip(t_values, main_vals) if v > 0.0]
-    )
+    slope_main, res_main = fit_rate(main_pairs)
     # main part under the full modulus: the three-band sum bounds it up to
     # a factor 3, a structural constant, so a hard cap is the right check;
     # the integral direction has an existential constant and is trend-based
-    s1 = {"max_ratio": max(sandwich1), "passed": max(sandwich1) <= 3.0}
+    sandwich1 = max(r["omega2_mainpart"] / r["omega2"] for r in rows if r["omega2"] > 0.0)
+    s1 = {"max_ratio": sandwich1, "passed": sandwich1 <= 3.0}
+    integral = [r for r in rows if r["mainpart_log_integral"] > 0.0]
     s2 = trend_summary(
-        [1.0 / r["t"] for r in rows if r["mainpart_log_integral"] > 0.0], sandwich2, max_spread=3.0
+        [1.0 / r["t"] for r in integral],
+        [r["omega2"] / r["mainpart_log_integral"] for r in integral],
+        max_spread=3.0,
     )
     sandwich_ok = s1["passed"] and s2["passed"]
     slopes_ok = target is None or (

@@ -3,7 +3,9 @@
 The modulus takes a sup over step sizes h <= t.  The h values are drawn
 from a fixed global geometric ladder (not rescaled per t), so enlarging t
 only adds candidate steps; this makes the computed modulus exactly
-non-decreasing in t.  The weight always multiplies from outside the
+non-decreasing in t above the ladder floor 2^-12 (a smaller width has
+the single step h = t), and lets ``ladder_moduli`` read every width off
+one pass over the ladder.  The weight always multiplies from outside the
 difference stencil; stencil points may approach the singular point xi,
 but any stencil that lands exactly on xi (or leaves the domain) is
 treated as undefined and excluded from the sup.
@@ -26,6 +28,7 @@ __all__ = [
     "second_difference_backward",
     "h_ladder",
     "ladder_band_sups",
+    "ladder_moduli",
     "omega2",
     "omega2_mainpart",
     "kfunctional_upper",
@@ -186,18 +189,44 @@ def ladder_band_sups(f, w: SingularWeight, lam: float, hs, g: GridSpec):
     return three_band, mainpart
 
 
+def ladder_moduli(f, w: SingularWeight, lam: float, t_values, h_steps: int = 32,
+                  g: GridSpec = GridSpec()) -> list:
+    """Both moduli at every width in ``t_values`` from one pass over the ladder.
+
+    The ladder below the largest width is swept once; running sups from
+    its small end give both moduli at every ladder width, and a width
+    reads them off the first step at or below it.  A width below every
+    ladder step (below 2^-12) has the single step h = t and costs one more
+    call.  Returns one (omega2, omega2_mainpart, log-integral) triple per
+    width; the last is the d(log tau) quadrature of the running main-part
+    modulus over the ladder steps at or below t.
+    """
+    hs = h_ladder(max(t_values), h_steps)  # descending
+    three_band, mainpart = ladder_band_sups(f, w, lam, hs, g)
+    omega_run = np.maximum.accumulate(three_band[::-1])[::-1]
+    main_run = np.maximum.accumulate(mainpart[::-1])[::-1]
+    dlog = np.abs(np.diff(np.log(hs))).mean() if hs.size > 1 else math.log(2.0)
+    out = []
+    for t in t_values:
+        below = hs <= t
+        if below.any():
+            i = int(np.argmax(below))  # the largest step at or below t
+            om, mp = omega_run[i], main_run[i]
+        else:
+            single_band, single_main = ladder_band_sups(f, w, lam, np.array([t]), g)
+            om, mp = single_band[0], single_main[0]
+        out.append((float(om), float(mp), float(np.sum(main_run[below]) * dlog)))
+    return out
+
+
 def omega2(q: ModulusQuery) -> float:
     """Three-band weighted modulus at width t (sup over the h ladder)."""
-    hs = h_ladder(q.t, q.h_steps)
-    three_band, _ = ladder_band_sups(q.f, q.w, q.lam, hs, q.g)
-    return float(np.max(three_band))
+    return ladder_moduli(q.f, q.w, q.lam, [q.t], q.h_steps, q.g)[0][0]
 
 
 def omega2_mainpart(q: ModulusQuery) -> float:
     """Modulus restricted to x whose full symmetric stencil stays inside (0, 1)."""
-    hs = h_ladder(q.t, q.h_steps)
-    _, mainpart = ladder_band_sups(q.f, q.w, q.lam, hs, q.g)
-    return float(np.max(mainpart))
+    return ladder_moduli(q.f, q.w, q.lam, [q.t], q.h_steps, q.g)[0][1]
 
 
 def kfunctional_upper(

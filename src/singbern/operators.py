@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import basis_matrix, basis_row, ksum
-from .bridge import BridgeNodes, compute_nodes, linear_joiner, psi_bar
+from .bridge import BridgeNodes, compute_nodes, surrogate_eval
 from .weight import (
     EvaluationError,
     GridSpec,
@@ -96,26 +96,9 @@ class SurrogateCoefficients:
 
 
 def _surrogate_values(f: Callable, nodes: BridgeNodes) -> np.ndarray:
-    """Node values branch-by-branch; f is never sampled on [x2, x3]."""
-    n = nodes.n
-    P = linear_joiner(f, nodes)
-    k = np.arange(n + 1)
-    t = k / float(n)
-    values = np.empty(n + 1)
-
-    outer = (k <= nodes.k1) | (k >= nodes.k4)
-    ramp1 = (nodes.k1 < k) & (k < nodes.k2)
-    mid = (nodes.k2 <= k) & (k <= nodes.k3)
-    ramp2 = (nodes.k3 < k) & (k < nodes.k4)
-
-    values[outer] = f(t[outer])
-    values[mid] = P(t[mid])
-    if ramp1.any():
-        s = psi_bar(nodes, 1, t[ramp1])
-        values[ramp1] = (1.0 - s) * f(t[ramp1]) + s * P(t[ramp1])
-    if ramp2.any():
-        s = psi_bar(nodes, 2, t[ramp2])
-        values[ramp2] = (1.0 - s) * P(t[ramp2]) + s * f(t[ramp2])
+    """The surrogate blend at the nodes k/n; f is never sampled on [x2, x3]."""
+    t = np.arange(nodes.n + 1) / float(nodes.n)
+    values = surrogate_eval(f, nodes, t)
     if not np.isfinite(values).all():
         bad = t[~np.isfinite(values)]
         raise EvaluationError(f"non-finite surrogate value at k/n={bad[0]!r}")

@@ -22,7 +22,6 @@ __all__ = [
     "GridSpec",
     "TestFunction",
     "EvaluationError",
-    "weight_eval",
     "phi",
     "delta_n",
     "grid_points",
@@ -59,11 +58,6 @@ class SingularWeight:
             raise ValueError("x must lie in [0, 1]")
         out = np.abs(x - self.xi) ** self.alpha
         return float(out) if out.ndim == 0 else out
-
-
-def weight_eval(w: SingularWeight, x):
-    """|x - xi|^alpha; exactly 0 at x = xi."""
-    return w(x)
 
 
 def phi(x):

@@ -26,7 +26,6 @@ from singbern.experiments import (
     w2_members,
 )
 from singbern.basis import basis_matrix, ksum
-from singbern.moduli import ModulusQuery, omega2, omega2_mainpart
 from singbern.operators import (
     bbar_apply,
     bbar_second_derivative,

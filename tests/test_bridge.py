@@ -15,8 +15,20 @@ from singbern.bridge import (
     psi_bar,
     psi_derivatives,
     surrogate_eval,
-    surrogate_eval_oneline,
 )
+
+
+def surrogate_eval_oneline(f, nodes, x):
+    """Single-expression form of the blend; requires f evaluable everywhere.
+
+    Algebraically equal to ``surrogate_eval`` because the ramps saturate
+    outside their spans.
+    """
+    P = linear_joiner(f, nodes)
+    x = np.asarray(x, dtype=float)
+    s1 = psi_bar(nodes, 1, x)
+    s2 = psi_bar(nodes, 2, x)
+    return f(x) * (1.0 - s1 + s2) + s1 * (1.0 - s2) * P(x)
 
 
 class TestPsi:

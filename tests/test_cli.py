@@ -91,6 +91,22 @@ class TestModulus:
             sink.append(float(out.strip().splitlines()[1].split(",")[2]))
         assert scaled[0] <= 0.25 * base[0]
 
+    def test_one_ladder_pass_for_all_widths(self, capsys, monkeypatch):
+        # one pass for the whole ladder, plus one per width below 2^-12
+        import singbern.moduli as moduli
+
+        real, steps = moduli.ladder_band_sups, []
+        monkeypatch.setattr(
+            moduli, "ladder_band_sups", lambda *a: steps.append(len(a[3])) or real(*a)
+        )
+        code, out, _ = run_cli(
+            capsys, "modulus", "--f", "square", "--grid-count", "129",
+            "--t-values", "0.25,0.1,0.03,0.007,0.0002,0.0001",
+        )
+        assert code == 0
+        assert len(out.strip().splitlines()) == 7
+        assert steps[1:] == [1, 1] and steps[0] > 1
+
     def test_invalid_lambda_exit_2(self, capsys):
         code, _, err = run_cli(
             capsys, "modulus", "--f", "square", "--lambda", "1.5",
@@ -190,6 +206,25 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--n-values", "4,8,16")
         assert code == 2
         assert "minimum n" in err
+
+
+@pytest.mark.parametrize("command", ["check", "sweep"])
+@pytest.mark.parametrize(
+    "n_values",
+    ["512,64,128", "64,64,64", "", "0,64,128", "4,8,16"],
+    ids=["unsorted", "repeated", "empty", "zero", "no-valid-nodes"],
+)
+def test_degree_sweep_contract(capsys, command, n_values):
+    extra = ("--which", "lemma4") if command == "check" else ("--functions", "abs_beta_1.0")
+    code, out, err = run_cli(capsys, command, "--n-values", n_values, "--grid-count", "129", *extra)
+    if n_values == "4,8,16":
+        # only sweep needs valid bridge nodes at every degree; check skips
+        # invalid ones, and lemma4 needs none
+        assert (code, "minimum n" in err) == ((2, True) if command == "sweep" else (0, False))
+        return
+    assert code == 2
+    assert out == ""
+    assert "invalid --n-values" in err
 
 
 class TestMisc:

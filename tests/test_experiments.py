@@ -9,7 +9,6 @@ from singbern.basis import ksum
 from singbern.bridge import compute_nodes, linear_joiner
 from singbern.experiments import (
     DEFAULT_WEIGHT,
-    SweepSpec,
     check_direct,
     check_inverse,
     check_lemma1,
@@ -25,6 +24,7 @@ from singbern.experiments import (
     trend_summary,
     w2_members,
 )
+from singbern.moduli import ModulusQuery, omega2, omega2_mainpart
 from singbern.operators import collocation_matrix
 from singbern.weight import GridSpec, SingularWeight, corpus, corpus_member
 
@@ -83,19 +83,6 @@ class TestTrendSummary:
     def test_spike_fails(self):
         s = trend_summary([64, 128, 256, 512, 1024], [1.0, 1.0, 30.0, 1.0, 1.0])
         assert not s["passed"]
-
-
-class TestSweepSpec:
-    def test_valid_default(self):
-        SweepSpec()
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            SweepSpec(n_values=(128, 64))
-
-    def test_rejects_invalid_nodes(self):
-        with pytest.raises(ValueError, match="minimum n"):
-            SweepSpec(n_values=(4, 8, 16))
 
 
 class TestLemmaCheckers:
@@ -256,6 +243,17 @@ class TestRatePipeline:
         r = check_inverse(f, DEFAULT_WEIGHT, 0.0, 2.0, ts, G)
         assert abs(r.extras["omega_slope"] - 2.0) <= 0.1
         assert abs(r.extras["mainpart_slope"] - 2.0) <= 0.1
+
+    def test_inverse_below_ladder_floor_matches_modulus(self):
+        # below the 2^-12 ladder floor the modulus has the single step h = t
+        f = corpus_member("abs_beta_1.0", DEFAULT_WEIGHT)
+        g = GridSpec(count=257)
+        r = check_inverse(f, DEFAULT_WEIGHT, 0.0, None, (0.125, 0.0625, 0.03125, 1e-4), g)
+        row = r.rows[0]
+        q = ModulusQuery(f=f, w=DEFAULT_WEIGHT, t=1e-4, g=g)
+        assert row["t"] == 1e-4
+        assert row["omega2"] == omega2(q) > 0.0
+        assert row["omega2_mainpart"] == omega2_mainpart(q) > 0.0
 
     def test_inverse_linear_trivial(self):
         r = check_inverse(corpus_member("linear", DEFAULT_WEIGHT), DEFAULT_WEIGHT, 0.0, None, g=G)

@@ -1,7 +1,5 @@
 """Tests for weighted moduli of smoothness and the K-functional bound."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -9,6 +7,7 @@ from singbern.moduli import (
     ModulusQuery,
     h_ladder,
     kfunctional_upper,
+    ladder_moduli,
     omega2,
     omega2_mainpart,
     second_difference_backward,
@@ -124,6 +123,17 @@ class TestOmega2:
         assert omega2(q) == pytest.approx(
             brute_omega2(f, W, 0.0, 0.1, GridSpec(count=129)), rel=1e-12
         )
+
+    def test_ladder_moduli_match_brute_force_at_every_width(self):
+        # one pass serves all widths; 1e-4 lies below the 2^-12 ladder floor
+        # and gets the single step h = t, as omega2 gives it on its own
+        f = corpus_member("abs_beta_0.5", W)
+        g = GridSpec(count=129)
+        ts = [0.05, 2.0 ** -12, 1e-4]
+        for t, (om, mp, _) in zip(ts, ladder_moduli(f, W, 0.0, ts, 32, g)):
+            q = ModulusQuery(f=f, w=W, t=t, g=g)
+            assert om == omega2(q) == pytest.approx(brute_omega2(f, W, 0.0, t, g), rel=1e-12)
+            assert mp == omega2_mainpart(q)
 
     def test_square_bounded_by_closed_form(self):
         # symmetric/one-sided differences of x^2 are exactly 2 h^2

@@ -15,7 +15,6 @@ from singbern.weight import (
     delta_n,
     grid_points,
     phi,
-    weight_eval,
     weighted_sup_norm,
     weighted_values,
 )
@@ -24,9 +23,9 @@ from singbern.weight import (
 class TestSingularWeight:
     def test_point_values(self):
         w = SingularWeight(xi=0.5, alpha=1.0)
-        assert weight_eval(w, 0.75) == pytest.approx(0.25, abs=1e-15)
-        assert weight_eval(SingularWeight(0.5, 2.0), 0.5) == 0.0
-        assert weight_eval(SingularWeight(0.3, 0.5), 0.7) == pytest.approx(
+        assert w(0.75) == pytest.approx(0.25, abs=1e-15)
+        assert SingularWeight(0.5, 2.0)(0.5) == 0.0
+        assert SingularWeight(0.3, 0.5)(0.7) == pytest.approx(
             math.sqrt(0.4), rel=1e-14
         )
 
