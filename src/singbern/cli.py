@@ -153,8 +153,10 @@ def _member(name: str, w: SingularWeight, lam: float):
 def _t_values(opt: Options) -> tuple:
     ts = _parse_values(opt.get("t-values", DEFAULT_T_VALUES), float, "--t-values")
     bad = [t for t in ts if not 0.0 < t <= 0.25]
-    if bad:
-        raise ConfigError(f"invalid --t-values: {bad} (each width must lie in (0, 0.25])")
+    if not ts or bad:
+        raise ConfigError(
+            f"invalid --t-values: {bad or list(ts)} (need at least one width, each in (0, 0.25])"
+        )
     return ts
 
 
@@ -237,7 +239,7 @@ def cmd_modulus(opt: Options) -> int:
     if h_steps < 1:
         raise ConfigError(f"invalid --h-steps: {h_steps} (must be positive)")
     ts = sorted(t_values)
-    moduli = ladder_moduli(f, w, lam, ts, h_steps, g) if ts else []
+    moduli = ladder_moduli(f, w, lam, ts, h_steps, g)
     rows = [{"t": t, "omega2": om, "omega2_mainpart": mp} for t, (om, mp, _) in zip(ts, moduli)]
     if str(opt.get("format", "csv")) == "json":
         doc = {
@@ -254,6 +256,9 @@ def cmd_modulus(opt: Options) -> int:
         write_csv(buf, ["t", "omega2", "omega2_mainpart"], rows)
         _emit(buf.getvalue(), opt.get("out"))
     return EXIT_OK
+
+
+_NO_RATE_TARGET = "no rate target: the closed form covers abs_beta_* at --lambda 0"
 
 
 def _rate_members(members):
@@ -295,13 +300,13 @@ def _run_checker(which: str, opt: Options, w, lam, g, n_values, t_values):
     if which == "direct":
         usable = _rate_members(members)
         if not usable:
-            raise ConfigError(f"--f {sel}: no calibrated rate target on file")
+            raise ConfigError(f"--f {sel}: {_NO_RATE_TARGET}")
         return [check_direct(tf, w, lam, n_values, g) for tf in usable]
     if which == "inverse":
         usable = _rate_members(members)
         if not usable:
-            raise ConfigError(f"--f {sel}: no calibrated rate target on file")
-        return [check_inverse(tf, w, lam, tf.expected_alpha0, t_values, g) for tf in usable]
+            raise ConfigError(f"--f {sel}: {_NO_RATE_TARGET}")
+        return [check_inverse(tf, w, lam, t_values, g) for tf in usable]
     raise ConfigError(f"unknown check {which!r}; known: {', '.join(CHECK_NAMES)}")
 
 
@@ -365,6 +370,9 @@ def cmd_sweep(opt: Options) -> int:
         chosen = _rate_members(members)
     else:
         chosen = [_member(nm.strip(), w, lam) for nm in sel.split(",")]
+        missing = [tf.name for tf in chosen if tf not in _rate_members(chosen)]
+        if missing:
+            raise ConfigError(f"--functions {','.join(missing)}: {_NO_RATE_TARGET}")
     results = [run_function_sweep(tf, w, lam, n_values, t_values, g) for tf in chosen]
     passed = all(r["passed"] for r in results)
     doc = {

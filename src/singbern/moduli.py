@@ -199,7 +199,8 @@ def ladder_moduli(f, w: SingularWeight, lam: float, t_values, h_steps: int = 32,
     ladder step (below 2^-12) has the single step h = t and costs one more
     call.  Returns one (omega2, omega2_mainpart, log-integral) triple per
     width; the last is the d(log tau) quadrature of the running main-part
-    modulus over the ladder steps at or below t.
+    modulus over the ladder steps at or below t, or a single cell of the
+    ladder's log spacing for a width below every ladder step.
     """
     hs = h_ladder(max(t_values), h_steps)  # descending
     three_band, mainpart = ladder_band_sups(f, w, lam, hs, g)
@@ -212,10 +213,12 @@ def ladder_moduli(f, w: SingularWeight, lam: float, t_values, h_steps: int = 32,
         if below.any():
             i = int(np.argmax(below))  # the largest step at or below t
             om, mp = omega_run[i], main_run[i]
+            integral = np.sum(main_run[below]) * dlog
         else:
             single_band, single_main = ladder_band_sups(f, w, lam, np.array([t]), g)
             om, mp = single_band[0], single_main[0]
-        out.append((float(om), float(mp), float(np.sum(main_run[below]) * dlog)))
+            integral = mp * dlog
+        out.append((float(om), float(mp), float(integral)))
     return out
 
 

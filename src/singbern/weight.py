@@ -7,10 +7,8 @@ ever evaluated at xi through the helpers in this module.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -29,10 +27,7 @@ __all__ = [
     "weighted_sup_norm",
     "corpus",
     "corpus_member",
-    "rate_targets",
 ]
-
-_DATA_DIR = Path(__file__).parent / "data"
 
 
 class EvaluationError(RuntimeError):
@@ -150,9 +145,11 @@ def weighted_sup_norm(f: Callable, w: SingularWeight, g: GridSpec, extra=()) -> 
 class TestFunction:
     """Named function on [0,1] (minus the singular point) with rate metadata.
 
-    ``expected_alpha0`` is the frozen empirical decay exponent recovered by
-    the calibration run for this function under a given weight; None means
-    no rate target is on file.  ``second_derivative`` is analytic where
+    ``expected_alpha0`` is the decay exponent of the weighted error in
+    powers of n^(-1/2): beta + alpha for |x - xi|^beta under the weight
+    |x - xi|^alpha at lambda = 0, whose error peaks at the bridge nodes
+    |x - xi| ~ n^(-1/2).  None means no closed form applies (smooth
+    members, lambda > 0).  ``second_derivative`` is analytic where
     provided and is required by the smooth-class checkers.
     """
 
@@ -172,19 +169,6 @@ class TestFunction:
     @property
     def has_second_derivative(self) -> bool:
         return self.second_derivative is not None
-
-
-def rate_targets() -> dict:
-    """Frozen calibration targets keyed by 'name|xi=..|alpha=..|lambda=..'."""
-    path = _DATA_DIR / "rate_targets.json"
-    if not path.exists():
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh).get("targets", {})
-
-
-def _target_key(name: str, w: SingularWeight, lam: float) -> str:
-    return f"{name}|xi={w.xi:g}|alpha={w.alpha:g}|lambda={lam:g}"
 
 
 def _smoothed_step(xi: float, half_width: float = 0.2):
@@ -208,7 +192,6 @@ def corpus(w: SingularWeight, lam: float = 0.0) -> list[TestFunction]:
     steep smoothed step crossing the singular point.
     """
     xi = w.xi
-    targets = rate_targets()
     members: list[TestFunction] = []
 
     members.append(
@@ -235,7 +218,7 @@ def corpus(w: SingularWeight, lam: float = 0.0) -> list[TestFunction]:
                 name=name,
                 f=f,
                 singularity_exponent=beta,
-                expected_alpha0=targets.get(_target_key(name, w, lam)),
+                expected_alpha0=beta + w.alpha if lam == 0.0 else None,
                 lam=lam,
                 second_derivative=d2,
                 description=f"|x - xi|^{beta}; derivative singularity at xi",
@@ -246,7 +229,6 @@ def corpus(w: SingularWeight, lam: float = 0.0) -> list[TestFunction]:
         TestFunction(
             name="square",
             f=lambda x: np.asarray(x, dtype=float) ** 2,
-            expected_alpha0=targets.get(_target_key("square", w, lam)),
             lam=lam,
             second_derivative=lambda x: np.full(np.shape(x), 2.0),
             description="x^2; smooth reference with closed-form differences",
@@ -256,7 +238,6 @@ def corpus(w: SingularWeight, lam: float = 0.0) -> list[TestFunction]:
         TestFunction(
             name="cubic",
             f=lambda x: np.asarray(x, dtype=float) ** 3,
-            expected_alpha0=targets.get(_target_key("cubic", w, lam)),
             lam=lam,
             second_derivative=lambda x: 6.0 * np.asarray(x, dtype=float),
             description="x^3; smooth-class member",

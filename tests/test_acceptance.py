@@ -186,7 +186,7 @@ def test_criterion_06_bounded_ratio_checks():
 
 
 def test_criterion_07_direct_rate(rate_sweeps):
-    with criterion(7, "direct rates match frozen calibration targets"):
+    with criterion(7, "direct rates match the closed-form targets beta + alpha"):
         for name, sweep in rate_sweeps.items():
             direct = sweep["direct"]
             assert direct["passed"], (name, direct["fitted_alpha0"], direct["target"])
@@ -204,7 +204,7 @@ def test_criterion_08_inverse_rate(rate_sweeps):
             assert inverse["passed"], name
         f = corpus_member("square", DEFAULT_WEIGHT)
         ts = [2.0**-j for j in range(3, 9)]
-        rep = check_inverse(f, DEFAULT_WEIGHT, 0.0, 2.0, ts, GRID)
+        rep = check_inverse(f, DEFAULT_WEIGHT, 0.0, ts, GRID)
         assert abs(rep.extras["omega_slope"] - 2.0) <= 0.1
         assert abs(rep.extras["mainpart_slope"] - 2.0) <= 0.1
 

@@ -142,7 +142,7 @@ class TestCheck:
         )
         assert code == 0
 
-    def test_direct_with_frozen_target(self, capsys):
+    def test_direct_with_closed_form_target(self, capsys):
         code, out, _ = run_cli(
             capsys, "check", "--which", "direct", "--f", "abs_beta_1.0",
             "--n-values", "64,128,256,512", "--grid-count", "513", "--format", "json",
@@ -150,7 +150,28 @@ class TestCheck:
         assert code == 0
         doc = json.loads(out)
         rep = doc["reports"][0]
+        assert rep["target"] == 1.5
         assert abs(rep["fitted_alpha0"] - rep["target"]) <= rep["tolerance"]
+
+    def test_direct_off_centre(self, capsys):
+        # the closed-form target exists at any xi, not only at xi = 0.5
+        code, out, _ = run_cli(
+            capsys, "check", "--which", "direct", "--xi", "0.37", "--f", "abs_beta_1.0",
+            "--n-values", "64,128,256,512", "--grid-count", "513", "--format", "json",
+        )
+        assert code == 0
+        rep = json.loads(out)["reports"][0]
+        assert rep["target"] == 1.5
+        assert rep["passed"] and not rep["beyond_saturation"]
+
+    @pytest.mark.parametrize("command", ["check", "sweep"])
+    @pytest.mark.parametrize("name", ["square", "smoothed_step"])
+    def test_member_without_target_exit_2(self, capsys, command, name):
+        which = ("--which", "direct", "--f", name) if command == "check" else ("--functions", name)
+        code, out, err = run_cli(capsys, command, *which, "--n-values", "64,128,256", "--grid-count", "129")
+        assert code == 2
+        assert out == ""
+        assert "no rate target" in err
 
     def test_unknown_checker_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "check", "--which", "lemma99")
@@ -225,6 +246,16 @@ def test_degree_sweep_contract(capsys, command, n_values):
     assert code == 2
     assert out == ""
     assert "invalid --n-values" in err
+
+
+@pytest.mark.parametrize("command", ["modulus", "check"])
+@pytest.mark.parametrize("t_values", ["", "0.125,0", "0.5"], ids=["empty", "zero", "too-wide"])
+def test_width_contract(capsys, command, t_values):
+    extra = ("--f", "square") if command == "modulus" else ("--which", "inverse", "--f", "square")
+    code, out, err = run_cli(capsys, command, "--t-values", t_values, "--grid-count", "129", *extra)
+    assert code == 2
+    assert out == ""
+    assert "invalid --t-values" in err
 
 
 class TestMisc:

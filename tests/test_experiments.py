@@ -215,7 +215,7 @@ class TestAsymmetricWeight:
         assert check_lemma6(w, 2.0, ns, g).passed
         assert check_theorem1(corpus_member("abs_beta_0.5", w), w, ns, g).passed
         assert check_lemma2(corpus_member("abs_beta_1.0", w), w, ns, g).passed
-        r = check_inverse(corpus_member("square", w), w, 0.0, None, g=g)
+        r = check_inverse(corpus_member("square", w), w, 0.0, g=g)
         assert abs(r.extras["mainpart_slope"] - 2.0) <= 0.15
         assert r.passed
 
@@ -230,17 +230,37 @@ class TestRatePipeline:
         with pytest.raises(ValueError, match="target"):
             check_direct(f, DEFAULT_WEIGHT, 0.0, NS, G)
 
-    def test_direct_hits_frozen_target(self):
+    def test_direct_hits_closed_form_target(self):
         f = corpus_member("abs_beta_1.0", DEFAULT_WEIGHT)
-        assert f.expected_alpha0 is not None
+        assert f.expected_alpha0 == 1.5  # beta + alpha
         r = check_direct(f, DEFAULT_WEIGHT, 0.0, NS, G)
         assert r.passed
+        assert r.target == 1.5
         assert abs(r.fitted_alpha0 - r.target) <= r.tolerance
+
+    def test_targets_only_for_the_singular_family_at_lambda_zero(self):
+        w = SingularWeight(0.37, 0.7)
+        targets = {tf.name: tf.expected_alpha0 for tf in corpus(w)}
+        assert targets == {
+            "linear": None, "abs_beta_0.5": 0.5 + 0.7, "abs_beta_1.0": 1.0 + 0.7,
+            "abs_beta_1.5": 1.5 + 0.7, "square": None, "cubic": None, "smoothed_step": None,
+        }
+        assert all(tf.expected_alpha0 is None for tf in corpus(w, 0.5))
+
+    @pytest.mark.parametrize("w, beyond", [(W1, True), (DEFAULT_WEIGHT, False)], ids=["alpha1", "alpha0.5"])
+    def test_beyond_saturation_marks_targets_above_two(self, w, beyond):
+        # abs_beta_1.5 at alpha = 1 has target 2.5, past the direct theorem's 0 < alpha0 < 2
+        f = corpus_member("abs_beta_1.5", w)
+        direct = check_direct(f, w, 0.0, NS, G)
+        inverse = check_inverse(f, w, 0.0, g=G)
+        assert direct.target == inverse.target == 1.5 + w.alpha
+        assert direct.beyond_saturation is inverse.beyond_saturation is beyond
+        assert direct.to_dict()["beyond_saturation"] is beyond
 
     def test_inverse_square_slope_two(self):
         f = corpus_member("square", DEFAULT_WEIGHT)
         ts = tuple(2.0**-j for j in range(3, 9))
-        r = check_inverse(f, DEFAULT_WEIGHT, 0.0, 2.0, ts, G)
+        r = check_inverse(f, DEFAULT_WEIGHT, 0.0, ts, G)
         assert abs(r.extras["omega_slope"] - 2.0) <= 0.1
         assert abs(r.extras["mainpart_slope"] - 2.0) <= 0.1
 
@@ -248,15 +268,19 @@ class TestRatePipeline:
         # below the 2^-12 ladder floor the modulus has the single step h = t
         f = corpus_member("abs_beta_1.0", DEFAULT_WEIGHT)
         g = GridSpec(count=257)
-        r = check_inverse(f, DEFAULT_WEIGHT, 0.0, None, (0.125, 0.0625, 0.03125, 1e-4), g)
+        r = check_inverse(f, DEFAULT_WEIGHT, 0.0, (0.125, 0.0625, 0.03125, 1e-4), g)
         row = r.rows[0]
         q = ModulusQuery(f=f, w=DEFAULT_WEIGHT, t=1e-4, g=g)
         assert row["t"] == 1e-4
         assert row["omega2"] == omega2(q) > 0.0
         assert row["omega2_mainpart"] == omega2_mainpart(q) > 0.0
+        # its log-integral is one quadrature cell of the ladder's log spacing
+        # (h_steps = 32: 8 steps per octave), not 0
+        cell = math.log(2.0) / 8
+        assert row["mainpart_log_integral"] == pytest.approx(row["omega2_mainpart"] * cell, rel=1e-12)
 
     def test_inverse_linear_trivial(self):
-        r = check_inverse(corpus_member("linear", DEFAULT_WEIGHT), DEFAULT_WEIGHT, 0.0, None, g=G)
+        r = check_inverse(corpus_member("linear", DEFAULT_WEIGHT), DEFAULT_WEIGHT, 0.0, g=G)
         assert r.passed and r.trivial
 
     def test_sweep_consistency(self):
