@@ -11,25 +11,38 @@ log is assembled from the saddle-point decomposition
 where stirlerr is the log-factorial Stirling remainder and
 D(a, m) = a log(a/m) + m - a is evaluated by a series when a is close
 to m.  Every quantity that is actually summed stays O(log n), which keeps
-the relative error of the weight near machine precision for n up to 1e6.
+the relative error of the weight below 1e-12 for n up to 1e6.
+
+One broadcast evaluator, ``basis_values(n, x, k)``, computes every
+weight.  On a grid only a band of each row is kept: the mass of row x
+lies within a few sqrt(n) of nx, so ``basis_matrix`` stores the
+2W+1 indices around round(nx), W = ceil(sqrt(n ln(2/eps) / 2)) with
+eps = 1e-20 (Hoeffding), and inside that band computes only the entries
+within Bernstein's radius L/3 + sqrt((L/3)^2 + 2 L n x(1-x)) + 1,
+L = ln(2/eps), which is far narrower near the ends.  Each row drops less
+than 1e-20 of its mass, and the block costs O(G sqrt(n)) memory for a
+grid of G points instead of O(G n).
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
+    "basis_values",
     "basis_eval",
     "basis_row",
     "basis_matrix",
+    "band_start",
     "central_moment_sum",
     "inverse_moment_sum",
     "ksum",
 ]
 
+BAND_EPS = 1e-20
+_BAND_LOG = math.log(2.0 / BAND_EPS)
 _LN_2PI = math.log(2.0 * math.pi)
 
 # stirlerr(n) = log(n!) - (0.5*log(2*pi*n) + n*log(n) - n), n = 1..15.
@@ -63,15 +76,15 @@ _S4 = 1.0 / 1188.0
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker split constant
 
 
-def _stirlerr(n: np.ndarray) -> np.ndarray:
+def _stirlerr(n) -> np.ndarray:
     """Stirling remainder of log(n!) for integer-valued n >= 1."""
     n = np.asarray(n, dtype=float)
-    out = np.empty(n.shape)
-    small = n < 16
-    out[small] = _STIRLERR_SMALL[n[small].astype(np.int64)]
-    nb = n[~small]
+    nb = np.maximum(n, 16.0)
     n2 = 1.0 / (nb * nb)
-    out[~small] = (_S0 - n2 * (_S1 - n2 * (_S2 - n2 * (_S3 - n2 * _S4)))) / nb
+    out = (_S0 - n2 * (_S1 - n2 * (_S2 - n2 * (_S3 - n2 * _S4)))) / nb
+    small = n < 16
+    if small.any():
+        out = np.where(small, _STIRLERR_SMALL[np.minimum(n, 15.0).astype(np.int64)], out)
     return out
 
 
@@ -86,18 +99,39 @@ def _two_prod(a, b):
     return p, err
 
 
+def _series_terms(v2max: float) -> int:
+    """Terms of the deviance series that settle every entry with v^2 <= v2max.
+
+    Term j is 2a v^(2j+1)/(2j+1), and the sum is at least 0.9 (a+m) v^2
+    when |v| < 1/4, so term j sits below 2^-60 of the sum once
+    |v|^(2j-1) < 2^-60.  Later terms cannot move a settled sum: they
+    shrink and keep their sign, and rounding is monotone.
+    """
+    if v2max <= 0.0:
+        return 1
+    return max(1, math.ceil((120.0 * math.log(2.0) / -math.log(v2max) + 1.0) / 2.0))
+
+
 def _bd0(a, m, mlo=0.0):
     """Deviance term a*log(a/m) + m - a for a, m > 0.
 
     Near a == m the direct formula cancels badly, so a series in
-    v = (a-m)/(a+m) is used there (on the compacted subset only).
-    ``mlo`` is a low-order correction to ``m`` (from an exact product
-    split); it enters through the first derivative d/dm = (m-a)/m.
+    v = (a-m)/(a+m) is used there, with a term count fixed up front from
+    the largest v^2; elsewhere v is set to 0, so the series contributes
+    nothing and the direct formula fills in.  ``mlo`` is a low-order
+    correction to ``m`` (from an exact product split); it enters through
+    the first derivative d/dm = (m-a)/m.
     """
     a, m = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(m, dtype=float))
     d = a - m
-    out = np.empty(a.shape)
     near = np.abs(d) < 0.25 * (a + m)
+    v = np.where(near, d / (a + m), 0.0)
+    out = d * v
+    ej = 2.0 * a * v
+    v2 = v * v
+    for j in range(1, _series_terms(float(v2.max(initial=0.0))) + 1):
+        ej *= v2
+        out += ej / (2 * j + 1)
     far = ~near
     if far.any():
         af = a[far]
@@ -105,33 +139,9 @@ def _bd0(a, m, mlo=0.0):
         with np.errstate(over="ignore"):
             # a/m can overflow for subnormal m; inf is the right limit here
             out[far] = af * np.log(af / mf) + mf - af
-    if near.any():
-        an = a[near]
-        dn = d[near]
-        v = dn / (an + m[near])
-        s = dn * v
-        ej = 2.0 * an * v
-        v2 = v * v
-        for j in range(1, 1000):
-            ej = ej * v2
-            s_new = s + ej / (2 * j + 1)
-            if np.all(s_new == s):
-                s = s_new
-                break
-            s = s_new
-        out[near] = s
     if np.any(mlo):
         out -= (np.asarray(mlo) / m) * d
     return out
-
-
-@lru_cache(maxsize=64)
-def _row_const(n: int) -> np.ndarray:
-    """x-independent part of log b(n, k, x) for interior k = 1..n-1."""
-    k = np.arange(1, n, dtype=float)
-    se = _stirlerr(np.arange(n + 1, dtype=float))
-    lc = 0.5 * (math.log(n) - _LN_2PI - np.log(k) - np.log(n - k))
-    return se[n] - se[1:n] - se[n - 1:0:-1] + lc
 
 
 def _split_moments(n: int, x):
@@ -143,14 +153,16 @@ def _split_moments(n: int, x):
     return hi, lo, m2, e2 - lo
 
 
-def _interior_log(n: int, k: np.ndarray, x):
-    """log b(n, k, x) for interior 1 <= k <= n-1 and scalar/column x."""
+def _interior_log(n: int, k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """log b(n, k, x) for interior 1 <= k <= n-1 and 0 < x < 1, elementwise."""
+    k = k.astype(float)
+    nk = n - k
     nx, nx_lo, n1x, n1x_lo = _split_moments(n, x)
-    return (
-        _row_const(n)[..., k - 1]
-        - _bd0(k, nx, nx_lo)
-        - _bd0(n - k, n1x, n1x_lo)
+    const = (
+        _stirlerr(n) - _stirlerr(k) - _stirlerr(nk)
+        + 0.5 * (math.log(n) - _LN_2PI - np.log(k) - np.log(nk))
     )
+    return const - _bd0(k, nx, nx_lo) - _bd0(nk, n1x, n1x_lo)
 
 
 def _validate_nx(n, x) -> tuple[int, float]:
@@ -163,47 +175,104 @@ def _validate_nx(n, x) -> tuple[int, float]:
     return n, x
 
 
-def basis_eval(n: int, k: int, x: float) -> float:
-    """Bernstein basis weight C(n, k) x^k (1-x)^(n-k).
+def basis_values(n: int, x, k) -> np.ndarray:
+    """Basis weights b(n, k, x) = C(n, k) x^k (1-x)^(n-k), broadcast over x and k.
 
-    Relative error stays below 1e-12 for n up to 1e6.  Endpoints are
-    exact: x=0 gives 1 iff k=0, x=1 gives 1 iff k=n.
+    The one evaluator behind every row, band and window.  Relative error
+    stays below 1e-12 for n up to 1e6.  Endpoints are exact: x=0 gives 1
+    iff k=0, x=1 gives 1 iff k=n; the k=0 and k=n weights are direct
+    powers.
     """
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"degree n must be >= 1, got {n}")
+    x, k = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(k))
+    if not np.issubdtype(k.dtype, np.integer):
+        raise ValueError("indices k must be integers")
+    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
+        raise ValueError("x must lie in [0, 1]")
+    if k.size and not (k.min() >= 0 and k.max() <= n):
+        raise ValueError(f"index k must lie in [0, {n}]")
+    return _values(n, x, k)
+
+
+def _values(n: int, x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``basis_values`` for checked arguments: x in [0, 1], integer k in [0, n], one shape."""
+    shape = x.shape
+    x, k = x.ravel(), k.ravel()
+    inside = (x > 0.0) & (x < 1.0)
+    mid = inside & (k > 0) & (k < n)
+    if mid.all():
+        return np.exp(_interior_log(n, k, x)).reshape(shape)
+    out = np.zeros(x.shape)
+    out[mid] = np.exp(_interior_log(n, k[mid], x[mid]))
+    out[((x == 0.0) & (k == 0)) | ((x == 1.0) & (k == n))] = 1.0
+    first = inside & (k == 0)
+    out[first] = np.exp(n * np.log1p(-x[first]))
+    last = inside & (k == n)
+    out[last] = np.exp(n * np.log(x[last]))
+    return out.reshape(shape)
+
+
+def basis_eval(n: int, k: int, x: float) -> float:
+    """One basis weight b(n, k, x); see ``basis_values``."""
     n, x = _validate_nx(n, x)
-    k = int(k)
-    if not (0 <= k <= n):
-        raise ValueError(f"index k must lie in [0, {n}], got {k}")
-    if x == 0.0:
-        return 1.0 if k == 0 else 0.0
-    if x == 1.0:
-        return 1.0 if k == n else 0.0
-    if k == 0:
-        return math.exp(n * math.log1p(-x))
-    if k == n:
-        return math.exp(n * math.log(x))
-    lp = _interior_log(n, np.array([k]), x)[0]
-    return float(math.exp(lp))
+    return float(basis_values(n, x, int(k)))
 
 
 def basis_row(n: int, x: float) -> np.ndarray:
-    """All n+1 basis weights at x; components sum to 1 within 1e-12."""
+    """All n+1 basis weights at one x; components sum to 1 within 1e-12.
+
+    The only full-row builder: grids go through the band of ``basis_matrix``.
+    """
     n, x = _validate_nx(n, x)
-    if x == 0.0 or x == 1.0:
-        out = np.zeros(n + 1)
-        out[n if x == 1.0 else 0] = 1.0
-        return out
-    out = np.empty(n + 1)
-    out[0] = math.exp(n * math.log1p(-x))
-    out[n] = math.exp(n * math.log(x))
-    if n >= 2:
-        out[1:n] = np.exp(_interior_log(n, np.arange(1, n), x))
-    return out
+    return basis_values(n, x, np.arange(n + 1))
+
+
+def _band_radius(n: int) -> int:
+    """Hoeffding radius W: all but BAND_EPS of each row's mass lies within W of nx."""
+    return math.ceil(math.sqrt(n * _BAND_LOG / 2.0))
+
+
+def band_start(n: int, xs) -> np.ndarray:
+    """First index k of each row's band; the band is start + [0, 2W] inside [0, n].
+
+    The band is centred on round(n x) and shifted inward at the ends.
+    When 2W >= n it is the whole row and every start is 0.
+    """
+    n = int(n)
+    return _band_start(n, np.asarray(xs, dtype=float), _band_radius(n))
+
+
+def _band_start(n: int, xs: np.ndarray, w: int) -> np.ndarray:
+    if 2 * w >= n:
+        return np.zeros(xs.shape, dtype=np.int64)
+    return np.clip(np.floor(n * xs + 0.5).astype(np.int64) - w, 0, n - 2 * w)
+
+
+def _kept_radius(n: int, xs: np.ndarray, w: int) -> np.ndarray:
+    """Half-width of the part of each band that is computed; the rest stays 0.
+
+    Bernstein's inequality puts all but BAND_EPS of the mass within
+    L/3 + sqrt((L/3)^2 + 2 L n x(1-x)) of nx, with L = ln(2/BAND_EPS);
+    near the ends that is far inside the Hoeffding radius W.  A band that
+    is the whole row is computed in full.
+    """
+    if 2 * w >= n:
+        return np.full(xs.shape, np.inf)
+    third = _BAND_LOG / 3.0
+    bernstein = third + np.sqrt(third * third + 2.0 * _BAND_LOG * n * xs * (1.0 - xs))
+    return np.minimum(w, bernstein) + 1.0
 
 
 def basis_matrix(n: int, xs: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """Rows of basis weights for every x in ``xs`` (shape (len(xs), n+1)).
+    """The band block of the basis weights on a grid, shape (len(xs), min(n+1, 2W+1)).
 
-    Chunked over x to bound the size of broadcast temporaries.
+    Row i holds b(n, k, xs[i]) at k = band_start(n, xs)[i] + j.  Entries
+    further than the Bernstein radius from n xs[i] are left 0: each row
+    drops less than BAND_EPS = 1e-20 of its mass, and every kept entry is
+    bit-identical to ``basis_values``.  Memory is O(len(xs) sqrt(n)).
+    Chunked over x to bound the size of temporaries.
     """
     n = int(n)
     if n < 1:
@@ -213,23 +282,16 @@ def basis_matrix(n: int, xs: np.ndarray, chunk: int = 256) -> np.ndarray:
         raise ValueError("xs must be one-dimensional")
     if xs.size and not (xs.min() >= 0.0 and xs.max() <= 1.0):
         raise ValueError("grid points must lie in [0, 1]")
-    out = np.empty((xs.size, n + 1))
-    k = np.arange(1, n)
+    w = _band_radius(n)
+    start = _band_start(n, xs, w)
+    radius = _kept_radius(n, xs, w)
+    cols = np.arange(min(n + 1, 2 * w + 1))
+    out = np.zeros((xs.size, cols.size))
     for lo_i in range(0, xs.size, chunk):
         sl = slice(lo_i, min(lo_i + chunk, xs.size))
-        xc = xs[sl, None]
-        blk = out[sl]
-        interior = ((xc[:, 0] != 0.0) & (xc[:, 0] != 1.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            blk[:, 0] = np.where(interior, np.exp(n * np.log1p(-xc[:, 0])), 0.0)
-            blk[:, n] = np.where(interior, np.exp(n * np.log(xc[:, 0])), 0.0)
-            if n >= 2:
-                xin = np.where(interior, xc[:, 0], 0.5)[:, None]
-                blk[:, 1:n] = np.where(
-                    interior[:, None], np.exp(_interior_log(n, k, xin)), 0.0
-                )
-        blk[xc[:, 0] == 0.0, 0] = 1.0
-        blk[xc[:, 0] == 1.0, n] = 1.0
+        k = start[sl, None] + cols
+        mask = np.abs(k - n * xs[sl, None]) <= radius[sl, None]
+        out[sl][mask] = _values(n, np.repeat(xs[sl], mask.sum(axis=1)), k[mask])
     return out
 
 

@@ -9,6 +9,7 @@ plain KEY=VALUE text (keys match long option names, '#' starts a comment).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -169,6 +170,28 @@ def _n_values(opt: Options) -> tuple:
     return ns
 
 
+def _checked(opt: Options, key: str, default, ok, need: str):
+    """A finite numeric flag that satisfies ``ok``; a ConfigError (exit 2) otherwise."""
+    value = opt.get(key, default)
+    if not (math.isfinite(value) and ok(value)):
+        raise ConfigError(f"invalid --{key}: {value} ({need})")
+    return value
+
+
+def _h_steps(opt: Options) -> int:
+    return int(_checked(opt, "h-steps", 32, lambda s: s >= 1, "must be positive"))
+
+
+def _exponents(opt: Options) -> dict:
+    """Moment exponents: --u/--v (lemma1), --gamma (lemma4), --beta (lemma6)."""
+    return {
+        "u": float(_checked(opt, "u", 1.0, lambda e: e >= 0.0, "must be >= 0")),
+        "v": float(_checked(opt, "v", 0.0, lambda e: e >= 0.0, "must be >= 0")),
+        "gamma": float(_checked(opt, "gamma", 2.0, lambda e: e >= 0.0, "must be >= 0")),
+        "beta": float(_checked(opt, "beta", 2.0, lambda e: e > 0.0, "must be positive")),
+    }
+
+
 def _degree(opt: Options) -> int:
     n = opt.get("n")
     if n is None:
@@ -235,9 +258,7 @@ def cmd_modulus(opt: Options) -> int:
         raise ConfigError("missing --f (function name; see list-functions)")
     f = _member(str(name), w, lam)
     t_values = _t_values(opt)
-    h_steps = int(opt.get("h-steps", 32))
-    if h_steps < 1:
-        raise ConfigError(f"invalid --h-steps: {h_steps} (must be positive)")
+    h_steps = _h_steps(opt)
     ts = sorted(t_values)
     moduli = ladder_moduli(f, w, lam, ts, h_steps, g)
     rows = [{"t": t, "omega2": om, "omega2_mainpart": mp} for t, (om, mp, _) in zip(ts, moduli)]
@@ -265,19 +286,19 @@ def _rate_members(members):
     return [tf for tf in members if tf.expected_alpha0 is not None or tf.name == "linear"]
 
 
-def _run_checker(which: str, opt: Options, w, lam, g, n_values, t_values):
+def _run_checker(which: str, opt: Options, w, lam, g, n_values, t_values, ex):
     members = corpus(w, lam)
     sel = opt.get("f", "all")
     if sel != "all":
         members = [_member(str(sel), w, lam)]
     if which == "lemma1":
-        return [check_lemma1(n_values, g, float(opt.get("u", 1.0)), float(opt.get("v", 0.0)))]
+        return [check_lemma1(n_values, g, ex["u"], ex["v"])]
     if which == "lemma4":
-        return [check_lemma4(n_values, g, float(opt.get("gamma", 2.0)))]
+        return [check_lemma4(n_values, g, ex["gamma"])]
     if which == "lemma5":
         return [check_lemma5(w, n_values, g)]
     if which == "lemma6":
-        return [check_lemma6(w, float(opt.get("beta", 2.0)), n_values, g)]
+        return [check_lemma6(w, ex["beta"], n_values, g)]
     if which == "lemma2":
         return [check_lemma2(tf, w, n_values, g) for tf in members]
     if which == "theorem1":
@@ -316,11 +337,12 @@ def cmd_check(opt: Options) -> int:
     g = _grid(opt)
     n_values = _n_values(opt)
     t_values = _t_values(opt)
+    ex = _exponents(opt)
     which = str(opt.get("which", "all"))
     names = CHECK_NAMES if which == "all" else tuple(tok.strip() for tok in which.split(","))
     reports = []
     for nm in names:
-        reports += _run_checker(nm, opt, w, lam, g, n_values, t_values)
+        reports += _run_checker(nm, opt, w, lam, g, n_values, t_values, ex)
     passed = all(r.passed for r in reports)
 
     if str(opt.get("format", "csv")) == "json":
@@ -361,6 +383,7 @@ def cmd_sweep(opt: Options) -> int:
     g = _grid(opt)
     n_values = _n_values(opt)
     t_values = _t_values(opt)
+    h_steps = _h_steps(opt)
     bad = [n for n in n_values if not compute_nodes(n, w.xi).valid]
     if bad:
         raise ConfigError(f"invalid --n-values: bridge nodes invalid for n={bad}; raise the minimum n")
@@ -373,7 +396,7 @@ def cmd_sweep(opt: Options) -> int:
         missing = [tf.name for tf in chosen if tf not in _rate_members(chosen)]
         if missing:
             raise ConfigError(f"--functions {','.join(missing)}: {_NO_RATE_TARGET}")
-    results = [run_function_sweep(tf, w, lam, n_values, t_values, g) for tf in chosen]
+    results = [run_function_sweep(tf, w, lam, n_values, t_values, g, h_steps) for tf in chosen]
     passed = all(r["passed"] for r in results)
     doc = {
         "schema_version": SCHEMAS["schema_version"],
@@ -469,7 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--functions", help="comma list of corpus names or 'all'")
     p.add_argument("--n-values", help="comma-separated degree sweep")
     p.add_argument("--t-values", help="comma-separated widths")
-    p.add_argument("--h-steps", type=int)
+    p.add_argument("--h-steps", type=int, help="step-ladder density (default 32)")
 
     p = sub.add_parser("list-functions", help="list the built-in corpus")
     common(p, with_grid=False)

@@ -38,11 +38,12 @@ from .moduli import ladder_moduli
 from .operators import (
     bbar_apply,
     bbar_second_derivative,
+    bernstein_apply,
     build_surrogate,
     collocation_matrix,
     weighted_operator_norm_ratio,
 )
-from .basis import ksum
+from .basis import basis_values, ksum
 from .weight import (
     GridSpec,
     SingularWeight,
@@ -236,8 +237,9 @@ def check_lemma1(n_values=DEFAULT_N_VALUES, g: GridSpec = GridSpec(), u: float =
 
     def row(n):
         k = np.arange(1, n)
-        weights_k = (k / n) ** (-u) * ((n - k) / n) ** (-v)
-        sums = ksum(collocation_matrix(n, xs)[:, 1:n] * weights_k[None, :], axis=1)
+        weights = np.zeros(n + 1)
+        weights[1:n] = (k / n) ** (-u) * ((n - k) / n) ** (-v)
+        sums = bernstein_apply(weights, xs)
         return {"n": n, "ratio": float(np.max(sums / (xs ** (-u) * (1.0 - xs) ** (-v))))}
 
     return _check("lemma1", {"u": u, "v": v, "grid": g.key()}, n_values, row)
@@ -248,9 +250,9 @@ def check_lemma4(n_values=DEFAULT_N_VALUES, g: GridSpec = GridSpec(), gamma: flo
     xs = _interior_grid(g)
 
     def row(n):
-        k = np.arange(n + 1, dtype=float)
-        dev = np.abs(k[None, :] - n * xs[:, None]) ** gamma
-        sums = ksum(collocation_matrix(n, xs) * dev, axis=1)
+        start, B = collocation_matrix(n, xs)
+        dev = np.abs(start[:, None] + np.arange(B.shape[1]) - n * xs[:, None]) ** gamma
+        sums = ksum(B * dev, axis=1)
         return {"n": n, "ratio": float(np.max(sums / (n ** (gamma / 2.0) * phi(xs) ** gamma)))}
 
     return _check("lemma4", {"gamma": gamma, "grid": g.key()}, n_values, row)
@@ -270,7 +272,7 @@ def check_lemma5(w: SingularWeight, n_values=DEFAULT_N_VALUES, g: GridSpec = Gri
     xs = grid_points(g, w.xi)
 
     def row(n):
-        mass = ksum(collocation_matrix(n, xs)[:, _window(n, w.xi)], axis=1)
+        mass = ksum(basis_values(n, xs[:, None], _window(n, w.xi)[None, :]), axis=1)
         a_max = float(np.max(w(xs) * mass))
         return {"n": n, "max_weighted_mass": a_max, "scaled": a_max * n ** (w.alpha / 2.0)}
 
@@ -292,7 +294,7 @@ def check_lemma6(
     def row(n):
         win = _window(n, w.xi)
         dev = np.abs(win[None, :].astype(float) - n * xs[:, None]) ** beta
-        sums = ksum(collocation_matrix(n, xs)[:, win] * dev, axis=1)
+        sums = ksum(basis_values(n, xs[:, None], win[None, :]) * dev, axis=1)
         ratio = float(np.max(w(xs) * sums / (n ** ((beta - w.alpha) / 2.0) * phi(xs) ** beta)))
         return {"n": n, "ratio": ratio}
 
@@ -571,10 +573,11 @@ def run_function_sweep(
     n_values=DEFAULT_N_VALUES,
     t_values=DEFAULT_T_VALUES,
     g: GridSpec = GridSpec(),
+    h_steps: int = 32,
 ) -> dict:
     """Direct + inverse rate pipeline and their cross-consistency."""
     direct = check_direct(f, w, lam, n_values, g)
-    inverse = check_inverse(f, w, lam, t_values, g)
+    inverse = check_inverse(f, w, lam, t_values, g, h_steps)
     out = {
         "function": f.name,
         "direct": direct.to_dict(),

@@ -20,8 +20,9 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .basis import basis_matrix, basis_row, ksum
+from .basis import band_start, basis_matrix, ksum
 from .bridge import BridgeNodes, compute_nodes, surrogate_eval
 from .weight import (
     EvaluationError,
@@ -43,14 +44,20 @@ __all__ = [
     "weighted_operator_norm_ratio",
 ]
 
-# Collocation matrices are expensive at large n and shared by everything
-# that evaluates on a common grid, so keep the last few around.
+# Band blocks are shared by everything that evaluates on a common grid, so
+# keep the last few around; each costs O(G sqrt(n)) memory for G points.
 _MATRIX_CACHE: OrderedDict = OrderedDict()
 _MATRIX_CACHE_SIZE = 16
 _MATRIX_LOCK = threading.Lock()
 
 
-def collocation_matrix(n: int, xs: np.ndarray) -> np.ndarray:
+def collocation_matrix(n: int, xs: np.ndarray) -> tuple:
+    """``(band_start(n, xs), basis_matrix(n, xs))`` for a 1-D grid, cached per (n, grid).
+
+    Row i of the band block holds b(n, k, xs[i]) at k = start[i] + j; the
+    weights outside it (less than 1e-20 of each row) are dropped.  Both
+    arrays are read-only.
+    """
     key = (n, xs.tobytes())
     with _MATRIX_LOCK:
         hit = _MATRIX_CACHE.get(key)
@@ -58,12 +65,27 @@ def collocation_matrix(n: int, xs: np.ndarray) -> np.ndarray:
             _MATRIX_CACHE.move_to_end(key)
             return hit
     B = basis_matrix(n, xs)
+    start = band_start(n, xs)
     B.flags.writeable = False
+    start.flags.writeable = False
     with _MATRIX_LOCK:
-        _MATRIX_CACHE[key] = B
+        _MATRIX_CACHE[key] = (start, B)
         if len(_MATRIX_CACHE) > _MATRIX_CACHE_SIZE:
             _MATRIX_CACHE.popitem(last=False)
-    return B
+    return start, B
+
+
+def _band_sum(coeffs: np.ndarray, n: int, x):
+    """sum_k coeffs[k] b(n, k, x) over each grid row's band, compensated.
+
+    A scalar ``x`` is the one-point grid and gives a float.
+    """
+    x = np.asarray(x, dtype=float)
+    start, B = collocation_matrix(n, np.atleast_1d(x))
+    terms = sliding_window_view(coeffs, B.shape[1])[start]
+    terms *= B
+    out = ksum(terms, axis=1)
+    return float(out[0]) if x.ndim == 0 else out
 
 
 def bernstein_apply(values: np.ndarray, x):
@@ -74,11 +96,7 @@ def bernstein_apply(values: np.ndarray, x):
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 2:
         raise ValueError("values must be a vector of n+1 >= 2 entries")
-    n = values.size - 1
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return ksum(basis_row(n, float(x)) * values)
-    return ksum(collocation_matrix(n, x) * values[None, :], axis=1)
+    return _band_sum(values, values.size - 1, x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,10 +160,7 @@ def bbar_second_derivative(coeffs: SurrogateCoefficients, x):
         raise ValueError("second derivative needs n >= 2")
     v = coeffs.values
     d2 = v[2:] - 2.0 * v[1:-1] + v[:-2]
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return n * (n - 1.0) * ksum(basis_row(n - 2, float(x)) * d2)
-    return n * (n - 1.0) * ksum(collocation_matrix(n - 2, x) * d2[None, :], axis=1)
+    return n * (n - 1.0) * _band_sum(d2, n - 2, x)
 
 
 def weighted_operator_norm_ratio(

@@ -7,13 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from singbern.basis import (
+    _bd0,
+    band_start,
     basis_eval,
     basis_matrix,
     basis_row,
+    basis_values,
     central_moment_sum,
     inverse_moment_sum,
     ksum,
 )
+from singbern.weight import GridSpec, grid_points
 
 # High-precision reference values, frozen from an arbitrary-precision run:
 #   mpmath.mp.dps = 40
@@ -38,6 +42,42 @@ def basis_row_recurrence(n, x):
         row[1:m + 1] = (1.0 - x) * row[1:m + 1] + x * row[0:m]
         row[0] *= 1.0 - x
     return row
+
+
+def bd0_adaptive(a, m, mlo=0.0):
+    """Deviance term a*log(a/m) + m - a, its series summed until no entry moves.
+
+    The earlier form of the deviance kernel: it tests every entry for
+    convergence after each term.  Oracle for the fixed term count.
+    """
+    a, m = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(m, dtype=float))
+    d = a - m
+    out = np.empty(a.shape)
+    near = np.abs(d) < 0.25 * (a + m)
+    far = ~near
+    if far.any():
+        af = a[far]
+        mf = m[far]
+        with np.errstate(over="ignore"):
+            out[far] = af * np.log(af / mf) + mf - af
+    if near.any():
+        an = a[near]
+        dn = d[near]
+        v = dn / (an + m[near])
+        s = dn * v
+        ej = 2.0 * an * v
+        v2 = v * v
+        for j in range(1, 1000):
+            ej = ej * v2
+            s_new = s + ej / (2 * j + 1)
+            if np.all(s_new == s):
+                s = s_new
+                break
+            s = s_new
+        out[near] = s
+    if np.any(mlo):
+        out -= (np.asarray(mlo) / m) * d
+    return out
 
 
 def brute_row(n, x):
@@ -123,7 +163,8 @@ class TestBasisRow:
         xs = np.linspace(0.0, 1.0, 101)
         for n in (2, 64, 1024):
             B = basis_matrix(n, xs)
-            moments = ksum(B * (np.arange(n + 1) / n)[None, :], axis=1)
+            k = band_start(n, xs)[:, None] + np.arange(B.shape[1])
+            moments = ksum(B * (k / n), axis=1)
             np.testing.assert_allclose(moments, xs, atol=1e-12)
 
     def test_matrix_matches_row(self):
@@ -146,6 +187,97 @@ class TestBasisRow:
         row = basis_row(n, x)
         assert abs(math.fsum(row) - 1.0) <= 1e-12
         assert row.min() >= 0.0
+
+
+class TestDeviance:
+    @given(
+        cases=st.lists(
+            st.tuples(
+                st.floats(min_value=1e-6, max_value=1e7),
+                st.floats(min_value=-0.2499, max_value=0.2499),
+                st.floats(min_value=-1e-16, max_value=1e-16),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_fixed_term_count_matches_adaptive_loop(self, cases):
+        # a, m with (a - m)/(a + m) = v, |v| < 1/4: every entry takes the series
+        a = np.array([c[0] for c in cases])
+        v = np.array([c[1] for c in cases])
+        m = a * (1.0 - v) / (1.0 + v)
+        mlo = np.array([c[2] for c in cases]) * m
+        assert np.all(np.abs(a - m) < 0.25 * (a + m))
+        for lo in (0.0, mlo):
+            np.testing.assert_array_equal(_bd0(a, m, lo), bd0_adaptive(a, m, lo))
+            for i in range(a.size):
+                assert _bd0(a[i:i + 1], m[i:i + 1]) == bd0_adaptive(a[i:i + 1], m[i:i + 1])
+
+    def test_integer_counts_match_adaptive_loop(self):
+        # the shapes the basis uses: integer k against n x at n = 4096
+        n = 4096
+        x = np.linspace(0.001, 0.999, 97)[:, None]
+        k = np.arange(1, n, dtype=float)[None, :]
+        np.testing.assert_array_equal(_bd0(k, n * x), bd0_adaptive(k, n * x))
+
+
+def test_basis_values_against_live_mpmath():
+    # 400 seeded cases, n up to 1e6, k within 12 standard deviations of n x,
+    # compared at 50 digits with the double x taken exactly
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(1007)
+    worst, count = 0.0, 0
+    with mpmath.workdps(50):
+        while count < 400:
+            n = int(10.0 ** rng.uniform(0.0, 6.0))
+            x = float(10.0 ** rng.uniform(-7.0, 0.0) if rng.random() < 0.3 else rng.random())
+            if rng.random() < 0.5:
+                x = 1.0 - x
+            sd = math.sqrt(n * x * (1.0 - x))
+            k = int(min(n, max(0, round(n * x + rng.uniform(-12.0, 12.0) * sd))))
+            exact = mpmath.binomial(n, k) * mpmath.mpf(x) ** k * (1 - mpmath.mpf(x)) ** (n - k)
+            if exact < mpmath.mpf("1e-290"):
+                continue
+            got = float(basis_values(n, x, k))
+            worst = max(worst, float(abs(got - exact) / exact))
+            count += 1
+    assert worst <= 1e-12, worst
+
+
+BAND_POINTS = (0.0, 1e-9, 1e-4, 0.5, 1.0 - 1e-9, 1.0)
+
+
+def _hoeffding_radius(n):
+    return math.ceil(math.sqrt(n * math.log(2.0 / 1e-20) / 2.0))
+
+
+@pytest.mark.parametrize("n", (64, 1000, 4096, 16384))
+def test_band_entries_are_exact_and_drop_under_1e_20(n):
+    # default Chebyshev grid plus points at the ends and at xi = 0.5
+    xs = np.concatenate([grid_points(GridSpec()), BAND_POINTS])
+    B = basis_matrix(n, xs)
+    assert B.shape == (xs.size, min(n + 1, 2 * _hoeffding_radius(n) + 1))
+    start = band_start(n, xs)
+    assert np.all((start >= 0) & (start + B.shape[1] <= n + 1))
+    k = start[:, None] + np.arange(B.shape[1])
+    kept = B != 0.0
+    np.testing.assert_array_equal(B[kept], basis_values(n, np.repeat(xs, kept.sum(axis=1)), k[kept]))
+    extra = np.arange(xs.size - len(BAND_POINTS), xs.size)
+    for i in (1, 2, 100, xs.size // 2, *extra):
+        row = basis_row(n, xs[i])
+        np.testing.assert_array_equal(B[i][kept[i]], row[k[i][kept[i]]])
+    # the dropped mass, summed directly over every index outside the kept
+    # entries, on every 64th grid row, the 32 rows at each end (where the
+    # kept window is narrowest) and the extra points
+    rows = np.unique(np.concatenate([np.arange(0, xs.size, 64), np.arange(32),
+                                     np.arange(extra[0] - 32, xs.size)]))
+    all_k = np.arange(n + 1)
+    for lo in range(0, rows.size, 64):
+        r = rows[lo:lo + 64]
+        full = basis_values(n, xs[r, None], all_k[None, :])
+        np.put_along_axis(full, k[r], np.where(kept[r], 0.0, np.take_along_axis(full, k[r], 1)), 1)
+        assert full.sum(axis=1).max() < 1e-20
 
 
 class TestMomentSums:

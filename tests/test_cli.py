@@ -270,6 +270,36 @@ class TestMisc:
         assert proc.returncode == 0
         assert proc.stdout.startswith("name,")
 
+    def test_eval_at_degree_65536_stays_under_400_mib(self, tmp_path):
+        # a dense (grid x (n+1)) basis block alone would take 2 GiB here
+        import os
+        import subprocess
+        import sys
+
+        import singbern
+
+        # On Linux ru_maxrss carries over the high-water mark of the process
+        # that forked the child (here the test runner), so the child reports
+        # the peak of its own address space, VmHWM, where the system has it.
+        code = (
+            "import os, resource\n"
+            "from singbern.cli import main\n"
+            f"rc = main(['eval', '--f', 'abs_beta_1.0', '--n', '65536', '--out', {str(tmp_path / 'e.csv')!r}])\n"
+            "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "if os.path.exists('/proc/self/status'):\n"
+            "    for line in open('/proc/self/status'):\n"
+            "        if line.startswith('VmHWM:'):\n"
+            "            peak = int(line.split()[1])\n"
+            "print(rc, peak)\n"
+        )
+        src = os.path.dirname(os.path.dirname(singbern.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        rc, peak_kib = map(int, proc.stdout.split())
+        assert rc == 0
+        assert (tmp_path / "e.csv").read_text().count("\n") == 4102  # header + 4097 + 4 nodes
+        assert peak_kib / 1024.0 < 400.0, peak_kib
+
     def test_check_all_small_sweep(self, capsys):
         code, out, _ = run_cli(
             capsys, "check", "--which", "all", "--n-values", "64,128,256",
@@ -303,3 +333,38 @@ class TestMisc:
     def test_usage_error_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "eval", "--format", "yaml")
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("check", "--which", "lemma6", "--beta", "-1"), "--beta"),
+        (("check", "--which", "lemma6", "--beta", "0"), "--beta"),
+        (("check", "--which", "lemma1", "--u", "-1"), "--u"),
+        (("check", "--which", "lemma1", "--v", "-0.5"), "--v"),
+        (("check", "--which", "lemma4", "--gamma", "-2"), "--gamma"),
+        (("check", "--which", "lemma4", "--gamma", "nan"), "--gamma"),
+        (("sweep", "--functions", "abs_beta_1.0", "--h-steps", "0"), "--h-steps"),
+        (("modulus", "--f", "square", "--h-steps", "-3"), "--h-steps"),
+    ],
+    ids=["beta-negative", "beta-zero", "u-negative", "v-negative", "gamma-negative",
+         "gamma-nan", "sweep-h-steps-zero", "modulus-h-steps-negative"],
+)
+def test_numeric_flag_contract(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv, "--grid-count", "65")
+    assert code == 2
+    assert out == ""
+    assert f"invalid {flag}" in err
+
+
+def test_sweep_passes_h_steps_to_the_inverse_check(capsys):
+    argv = ("sweep", "--functions", "abs_beta_1.0", "--n-values", "64,128,256",
+            "--grid-count", "65")
+    reports = []
+    for extra in ((), ("--h-steps", "32"), ("--h-steps", "8")):
+        code, out, _ = run_cli(capsys, *argv, *extra)
+        assert code in (0, 1)
+        reports.append(json.loads(out)["results"][0]["inverse"])
+    assert [r["params"]["h_steps"] for r in reports] == [32, 32, 8]
+    assert reports[0]["rows"] == reports[1]["rows"]
+    assert reports[2]["rows"] != reports[0]["rows"]
