@@ -8,11 +8,8 @@ rates numerically.
 """
 
 from .basis import (
-    basis_eval,
     basis_matrix,
     basis_row,
-    central_moment_sum,
-    inverse_moment_sum,
     ksum,
 )
 from .bridge import (
@@ -64,12 +61,11 @@ __version__ = "0.1.0"
 __all__ = [
     "BridgeNodes", "EvaluationError", "GridSpec", "InvalidNodesError",
     "LinearJoiner", "ModulusQuery", "SingularWeight", "SurrogateCoefficients",
-    "TestFunction", "basis_eval", "basis_matrix", "basis_row", "bbar_apply",
+    "TestFunction", "basis_matrix", "basis_row", "bbar_apply",
     "bbar_second_derivative", "bernstein_apply", "build_surrogate",
-    "central_moment_sum", "compute_nodes", "corpus", "corpus_member",
-    "delta_n", "grid_points", "h_ladder", "inverse_moment_sum",
-    "kfunctional_upper", "ksum", "linear_joiner", "min_valid_n", "omega2",
-    "omega2_mainpart", "phi", "psi", "psi_bar", "psi_derivatives",
+    "compute_nodes", "corpus", "corpus_member", "delta_n", "grid_points",
+    "h_ladder", "kfunctional_upper", "ksum", "linear_joiner", "min_valid_n",
+    "omega2", "omega2_mainpart", "phi", "psi", "psi_bar", "psi_derivatives",
     "second_difference_backward", "second_difference_forward",
     "second_difference_symmetric", "surrogate_eval",
     "weighted_operator_norm_ratio", "weighted_sup_norm", "weighted_values",

@@ -1,4 +1,4 @@
-"""Numerically stable Bernstein basis evaluation and basis moment sums.
+"""Numerically stable Bernstein basis evaluation.
 
 The basis weight b(n, k, x) = C(n, k) x^k (1-x)^(n-k) is evaluated in
 log space and exponentiated at the end.  Naive log-gamma differences lose
@@ -21,7 +21,10 @@ eps = 1e-20 (Hoeffding), and inside that band computes only the entries
 within Bernstein's radius L/3 + sqrt((L/3)^2 + 2 L n x(1-x)) + 1,
 L = ln(2/eps), which is far narrower near the ends.  Each row drops less
 than 1e-20 of its mass, and the block costs O(G sqrt(n)) memory for a
-grid of G points instead of O(G n).
+grid of G points instead of O(G n).  The block is built in passes that
+each hold a fixed budget of band entries, sized so that a pass's
+temporaries stay in cache, and the parts of log b that depend on k alone
+or on x alone are computed once per block.
 """
 
 from __future__ import annotations
@@ -32,18 +35,21 @@ import numpy as np
 
 __all__ = [
     "basis_values",
-    "basis_eval",
     "basis_row",
     "basis_matrix",
     "band_start",
-    "central_moment_sum",
-    "inverse_moment_sum",
     "ksum",
 ]
 
 BAND_EPS = 1e-20
 _BAND_LOG = math.log(2.0 / BAND_EPS)
 _LN_2PI = math.log(2.0 * math.pi)
+# Band entries per pass of ``basis_matrix``: a pass keeps about a dozen
+# temporaries of this many doubles (128 KiB each), which stay in cache.
+# Measured on a 2-vCPU AMD EPYC VM, passes of 8k/16k/32k/64k entries:
+# ``eval --n 16384`` took 0.13/0.13/0.16/0.15 s, and a default sweep took
+# 0.36/0.33/0.31/0.33 s at a peak RSS of 114.6/114.6/117.4/121.5 MiB.
+_PASS_ENTRIES = 16384
 
 # stirlerr(n) = log(n!) - (0.5*log(2*pi*n) + n*log(n) - n), n = 1..15.
 # Index 0 is a placeholder; the decomposition never uses stirlerr(0).
@@ -153,16 +159,25 @@ def _split_moments(n: int, x):
     return hi, lo, m2, e2 - lo
 
 
-def _interior_log(n: int, k: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """log b(n, k, x) for interior 1 <= k <= n-1 and 0 < x < 1, elementwise."""
-    k = k.astype(float)
+def _log_const(n: int, k: np.ndarray) -> np.ndarray:
+    """The part of log b(n, k, x) that depends on k alone, for float 1 <= k <= n-1."""
     nk = n - k
-    nx, nx_lo, n1x, n1x_lo = _split_moments(n, x)
-    const = (
+    return (
         _stirlerr(n) - _stirlerr(k) - _stirlerr(nk)
         + 0.5 * (math.log(n) - _LN_2PI - np.log(k) - np.log(nk))
     )
-    return const - _bd0(k, nx, nx_lo) - _bd0(nk, n1x, n1x_lo)
+
+
+def _log_b(n: int, k: np.ndarray, const: np.ndarray, moments) -> np.ndarray:
+    """log b(n, k, x) from the k-only ``const`` and the x-only ``_split_moments``."""
+    nx, nx_lo, n1x, n1x_lo = moments
+    return const - _bd0(k, nx, nx_lo) - _bd0(n - k, n1x, n1x_lo)
+
+
+def _interior_log(n: int, k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """log b(n, k, x) for interior 1 <= k <= n-1 and 0 < x < 1, elementwise."""
+    k = k.astype(float)
+    return _log_b(n, k, _log_const(n, k), _split_moments(n, x))
 
 
 def _validate_nx(n, x) -> tuple[int, float]:
@@ -214,12 +229,6 @@ def _values(n: int, x: np.ndarray, k: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
-def basis_eval(n: int, k: int, x: float) -> float:
-    """One basis weight b(n, k, x); see ``basis_values``."""
-    n, x = _validate_nx(n, x)
-    return float(basis_values(n, x, int(k)))
-
-
 def basis_row(n: int, x: float) -> np.ndarray:
     """All n+1 basis weights at one x; components sum to 1 within 1e-12.
 
@@ -265,14 +274,18 @@ def _kept_radius(n: int, xs: np.ndarray, w: int) -> np.ndarray:
     return np.minimum(w, bernstein) + 1.0
 
 
-def basis_matrix(n: int, xs: np.ndarray, chunk: int = 256) -> np.ndarray:
+def basis_matrix(n: int, xs: np.ndarray) -> np.ndarray:
     """The band block of the basis weights on a grid, shape (len(xs), min(n+1, 2W+1)).
 
     Row i holds b(n, k, xs[i]) at k = band_start(n, xs)[i] + j.  Entries
     further than the Bernstein radius from n xs[i] are left 0: each row
     drops less than BAND_EPS = 1e-20 of its mass, and every kept entry is
     bit-identical to ``basis_values``.  Memory is O(len(xs) sqrt(n)).
-    Chunked over x to bound the size of temporaries.
+    The rows are built in passes of about _PASS_ENTRIES band entries, so
+    each pass's temporaries stay in cache; the k-only and x-only parts of
+    log b are computed once per call and gathered.  A pass that holds a
+    k = 0 or k = n entry, as every pass with an endpoint row does, goes
+    through ``basis_values``'s own path.
     """
     n = int(n)
     if n < 1:
@@ -287,11 +300,22 @@ def basis_matrix(n: int, xs: np.ndarray, chunk: int = 256) -> np.ndarray:
     radius = _kept_radius(n, xs, w)
     cols = np.arange(min(n + 1, 2 * w + 1))
     out = np.zeros((xs.size, cols.size))
-    for lo_i in range(0, xs.size, chunk):
-        sl = slice(lo_i, min(lo_i + chunk, xs.size))
+    const = _log_const(n, np.arange(1.0, n))  # k = 1..n-1
+    moments = _split_moments(n, xs)
+    rows = max(1, _PASS_ENTRIES // cols.size)
+    for lo in range(0, xs.size, rows):
+        sl = slice(lo, lo + rows)
+        x = xs[sl]
         k = start[sl, None] + cols
-        mask = np.abs(k - n * xs[sl, None]) <= radius[sl, None]
-        out[sl][mask] = _values(n, np.repeat(xs[sl], mask.sum(axis=1)), k[mask])
+        mask = np.abs(k - n * x[:, None]) <= radius[sl, None]
+        counts = mask.sum(axis=1)
+        k = k[mask]
+        # a row at x = 0 or x = 1 keeps k = 0 or k = n, so this pass is interior
+        if k.min() > 0 and k.max() < n:
+            parts = [np.repeat(m[sl], counts) for m in moments]
+            out[sl][mask] = np.exp(_log_b(n, k.astype(float), const[k - 1], parts))
+        else:
+            out[sl][mask] = _values(n, np.repeat(x, counts), k)
     return out
 
 
@@ -321,37 +345,3 @@ def ksum(a: np.ndarray, axis: int = -1, block: int = 64):
         s = t
     total = s + comp
     return float(total) if total.ndim == 0 else total
-
-
-def central_moment_sum(n: int, x: float, gamma: float) -> float:
-    """Direct summation of sum_k b(n, k, x) |k - nx|^gamma.
-
-    Negative gamma is rejected: at integer nx the k = nx term would be
-    0 raised to a negative power.
-    """
-    n, x = _validate_nx(n, x)
-    gamma = float(gamma)
-    if not math.isfinite(gamma):
-        raise ValueError("gamma must be finite")
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    row = basis_row(n, x)
-    dev = np.abs(np.arange(n + 1) - n * x) ** gamma
-    return math.fsum(row * dev)
-
-
-def inverse_moment_sum(n: int, x: float, u: float, v: float) -> float:
-    """Direct summation of sum_{k=1}^{n-1} (k/n)^-u (1-k/n)^-v b(n, k, x)."""
-    n, x = _validate_nx(n, x)
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if x == 0.0 or x == 1.0:
-        raise ValueError("x must lie strictly inside (0, 1)")
-    u = float(u)
-    v = float(v)
-    if u < 0.0 or v < 0.0:
-        raise ValueError("u and v must be non-negative")
-    k = np.arange(1, n, dtype=float)
-    row = basis_row(n, x)[1:n]
-    terms = (k / n) ** (-u) * ((n - k) / n) ** (-v) * row
-    return math.fsum(terms)

@@ -9,6 +9,7 @@ plain KEY=VALUE text (keys match long option names, '#' starts a comment).
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import sys
 from datetime import datetime, timezone
@@ -209,6 +210,12 @@ def _emit(text: str, out):
         sys.stdout.write(text)
 
 
+def _emit_csv(header, rows, out):
+    buf = io.StringIO()
+    write_csv(buf, header, rows)
+    _emit(buf.getvalue(), out)
+
+
 def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
@@ -241,11 +248,7 @@ def cmd_eval(opt: Options) -> int:
         }
         _emit(json_dumps(doc), opt.get("out"))
     else:
-        import io
-
-        buf = io.StringIO()
-        write_csv(buf, header, rows)
-        _emit(buf.getvalue(), opt.get("out"))
+        _emit_csv(header, rows, opt.get("out"))
     return EXIT_OK
 
 
@@ -271,11 +274,7 @@ def cmd_modulus(opt: Options) -> int:
         }
         _emit(json_dumps(doc), opt.get("out"))
     else:
-        import io
-
-        buf = io.StringIO()
-        write_csv(buf, ["t", "omega2", "omega2_mainpart"], rows)
-        _emit(buf.getvalue(), opt.get("out"))
+        _emit_csv(["t", "omega2", "omega2_mainpart"], rows, opt.get("out"))
     return EXIT_OK
 
 
@@ -286,7 +285,7 @@ def _rate_members(members):
     return [tf for tf in members if tf.expected_alpha0 is not None or tf.name == "linear"]
 
 
-def _run_checker(which: str, opt: Options, w, lam, g, n_values, t_values, ex):
+def _run_checker(which: str, opt: Options, w, lam, g, n_values, t_values, h_steps, ex):
     members = corpus(w, lam)
     sel = opt.get("f", "all")
     if sel != "all":
@@ -327,7 +326,7 @@ def _run_checker(which: str, opt: Options, w, lam, g, n_values, t_values, ex):
         usable = _rate_members(members)
         if not usable:
             raise ConfigError(f"--f {sel}: {_NO_RATE_TARGET}")
-        return [check_inverse(tf, w, lam, t_values, g) for tf in usable]
+        return [check_inverse(tf, w, lam, t_values, g, h_steps) for tf in usable]
     raise ConfigError(f"unknown check {which!r}; known: {', '.join(CHECK_NAMES)}")
 
 
@@ -337,12 +336,13 @@ def cmd_check(opt: Options) -> int:
     g = _grid(opt)
     n_values = _n_values(opt)
     t_values = _t_values(opt)
+    h_steps = _h_steps(opt)
     ex = _exponents(opt)
     which = str(opt.get("which", "all"))
     names = CHECK_NAMES if which == "all" else tuple(tok.strip() for tok in which.split(","))
     reports = []
     for nm in names:
-        reports += _run_checker(nm, opt, w, lam, g, n_values, t_values, ex)
+        reports += _run_checker(nm, opt, w, lam, g, n_values, t_values, h_steps, ex)
     passed = all(r.passed for r in reports)
 
     if str(opt.get("format", "csv")) == "json":
@@ -369,11 +369,7 @@ def cmd_check(opt: Options) -> int:
                 summary["fitted_alpha0"] = d["fitted_alpha0"]
                 summary["target"] = d.get("target")
             flat.append(summary)
-        import io
-
-        buf = io.StringIO()
-        write_csv(buf, table_header(flat, ["check", "function", "row_kind"]), flat)
-        _emit(buf.getvalue(), opt.get("out"))
+        _emit_csv(table_header(flat, ["check", "function", "row_kind"]), flat, opt.get("out"))
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
@@ -435,11 +431,7 @@ def cmd_list_functions(opt: Options) -> int:
         _emit(json_dumps({"schema_version": SCHEMAS["schema_version"], "functions": rows}),
               opt.get("out"))
     else:
-        import io
-
-        buf = io.StringIO()
-        write_csv(buf, table_header(rows, ["name"]), rows)
-        _emit(buf.getvalue(), opt.get("out"))
+        _emit_csv(table_header(rows, ["name"]), rows, opt.get("out"))
     return EXIT_OK
 
 
@@ -481,6 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", help="corpus function name or 'all'")
     p.add_argument("--n-values", help="comma-separated degree sweep")
     p.add_argument("--t-values", help="comma-separated widths (inverse check)")
+    p.add_argument("--h-steps", type=int, help="step-ladder density (default 32)")
     p.add_argument("--beta", type=float, help="moment exponent for lemma6")
     p.add_argument("--gamma", type=float, help="moment exponent for lemma4")
     p.add_argument("--u", type=float, help="inverse-moment exponent for lemma1")

@@ -7,14 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from singbern.basis import (
+    _PASS_ENTRIES,
     _bd0,
     band_start,
-    basis_eval,
     basis_matrix,
     basis_row,
     basis_values,
-    central_moment_sum,
-    inverse_moment_sum,
     ksum,
 )
 from singbern.weight import GridSpec, grid_points
@@ -80,6 +78,36 @@ def bd0_adaptive(a, m, mlo=0.0):
     return out
 
 
+def central_moment_sum(n, x, gamma):
+    """Direct summation of sum_k b(n, k, x) |k - nx|^gamma over the full row.
+
+    Negative gamma is rejected: at integer nx the k = nx term would be
+    0 raised to a negative power.
+    """
+    gamma = float(gamma)
+    if not math.isfinite(gamma):
+        raise ValueError("gamma must be finite")
+    if gamma < 0.0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    row = basis_row(n, x)
+    dev = np.abs(np.arange(n + 1) - n * x) ** gamma
+    return math.fsum(row * dev)
+
+
+def inverse_moment_sum(n, x, u, v):
+    """Direct summation of sum_{k=1}^{n-1} (k/n)^-u (1-k/n)^-v b(n, k, x) over the full row."""
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    if x == 0.0 or x == 1.0:
+        raise ValueError("x must lie strictly inside (0, 1)")
+    if u < 0.0 or v < 0.0:
+        raise ValueError("u and v must be non-negative")
+    k = np.arange(1, n, dtype=float)
+    row = basis_row(n, x)[1:n]
+    terms = (k / n) ** (-u) * ((n - k) / n) ** (-v) * row
+    return math.fsum(terms)
+
+
 def brute_row(n, x):
     """Exact-binomial brute force row, independent of the log-space path."""
     return np.array([math.comb(n, k) * x**k * (1 - x) ** (n - k) for k in range(n + 1)])
@@ -87,30 +115,30 @@ def brute_row(n, x):
 
 class TestBasisEval:
     def test_trivial_values(self):
-        assert basis_eval(2, 1, 0.5) == pytest.approx(0.5, rel=1e-14)
-        assert basis_eval(4, 2, 0.5) == pytest.approx(0.375, rel=1e-14)
+        assert basis_values(2, 0.5, 1) == pytest.approx(0.5, rel=1e-14)
+        assert basis_values(4, 0.5, 2) == pytest.approx(0.375, rel=1e-14)
 
     def test_against_high_precision_oracle(self):
         for (n, k, x), expected in ORACLE.items():
-            assert basis_eval(n, k, x) == pytest.approx(expected, rel=1e-12)
+            assert basis_values(n, x, k) == pytest.approx(expected, rel=1e-12)
 
     def test_endpoint_degeneracy_exact(self):
-        assert basis_eval(7, 0, 0.0) == 1.0
-        assert basis_eval(7, 3, 0.0) == 0.0
-        assert basis_eval(7, 7, 1.0) == 1.0
-        assert basis_eval(7, 4, 1.0) == 0.0
+        assert basis_values(7, 0.0, 0) == 1.0
+        assert basis_values(7, 0.0, 3) == 0.0
+        assert basis_values(7, 1.0, 7) == 1.0
+        assert basis_values(7, 1.0, 4) == 0.0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            basis_eval(5, 2, -0.1)
+            basis_values(5, -0.1, 2)
         with pytest.raises(ValueError):
-            basis_eval(5, 2, 1.1)
+            basis_values(5, 1.1, 2)
         with pytest.raises(ValueError):
-            basis_eval(5, 6, 0.5)
+            basis_values(5, 0.5, 6)
         with pytest.raises(ValueError):
-            basis_eval(5, -1, 0.5)
+            basis_values(5, 0.5, -1)
         with pytest.raises(ValueError):
-            basis_eval(0, 0, 0.5)
+            basis_values(0, 0.5, 0)
 
     @given(
         n=st.integers(min_value=1, max_value=400),
@@ -119,7 +147,7 @@ class TestBasisEval:
     )
     @settings(max_examples=200, deadline=None)
     def test_in_unit_interval(self, n, kk, x):
-        p = basis_eval(n, kk % (n + 1), x)
+        p = basis_values(n, x, kk % (n + 1))
         assert 0.0 <= p <= 1.0
 
     @given(
@@ -132,8 +160,8 @@ class TestBasisEval:
         # dyadic x so that 1 - x is exact
         k = kk % (n + 1)
         x = j / 1024.0
-        a = basis_eval(n, k, x)
-        b = basis_eval(n, n - k, 1.0 - x)
+        a = basis_values(n, x, k)
+        b = basis_values(n, 1.0 - x, n - k)
         if max(a, b) < 1e-100:
             # below this scale the relative error floor |log p| * eps
             # exceeds the stated tolerance; agreement is absolute
@@ -278,6 +306,60 @@ def test_band_entries_are_exact_and_drop_under_1e_20(n):
         full = basis_values(n, xs[r, None], all_k[None, :])
         np.put_along_axis(full, k[r], np.where(kept[r], 0.0, np.take_along_axis(full, k[r], 1)), 1)
         assert full.sum(axis=1).max() < 1e-20
+
+
+def assert_band_matches_values(n, xs):
+    """Kept band entries equal ``basis_values`` bit for bit; the rest of the band is 0.
+
+    The kept entries are those within Bernstein's radius of n x (all of
+    the band when the band is the whole row), recomputed here.
+    """
+    B = basis_matrix(n, xs)
+    w = _hoeffding_radius(n)
+    assert B.shape == (xs.size, min(n + 1, 2 * w + 1))
+    k = band_start(n, xs)[:, None] + np.arange(B.shape[1])
+    if 2 * w >= n:
+        kept = np.ones(B.shape, dtype=bool)
+    else:
+        big_l = math.log(2.0 / 1e-20)
+        third = big_l / 3.0
+        radius = third + np.sqrt(third * third + 2.0 * big_l * n * xs * (1.0 - xs))
+        kept = np.abs(k - n * xs[:, None]) <= np.minimum(w, radius)[:, None] + 1.0
+    assert not B[~kept].any()
+    for lo in range(0, xs.size, 512):
+        r = slice(lo, lo + 512)
+        got = B[r][kept[r]]
+        want = basis_values(n, np.repeat(xs[r], kept[r].sum(axis=1)), k[r][kept[r]])
+        np.testing.assert_array_equal(got, want)
+
+
+class TestBandPasses:
+    """Edge cases of the pass structure of ``basis_matrix``."""
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_smallest_degrees(self, n):
+        # the k-only table holds n - 1 entries: none at n = 1
+        assert_band_matches_values(n, np.concatenate([grid_points(GridSpec()), BAND_POINTS]))
+
+    def test_unsorted_grid_with_endpoints_mid_pass(self):
+        n = 16384
+        rows = max(1, _PASS_ENTRIES // (2 * _hoeffding_radius(n) + 1))
+        xs = np.random.default_rng(3).permutation(np.linspace(0.2, 0.8, 4 * rows))
+        # x = 0 and x = 1 inside passes whose other rows are all interior
+        xs[rows // 2] = 0.0
+        xs[rows + rows // 2] = 1.0
+        assert_band_matches_values(n, xs)
+
+    @pytest.mark.parametrize("n", (4096, 16384))
+    @pytest.mark.parametrize("extra", (-1, 0, 1))
+    def test_grid_sizes_around_one_pass(self, n, extra):
+        rows = max(1, _PASS_ENTRIES // (2 * _hoeffding_radius(n) + 1))
+        assert rows > 1
+        for xs in (np.linspace(0.25, 0.75, rows + extra), np.linspace(0.0, 1.0, rows + extra)):
+            assert_band_matches_values(n, xs)
+
+    def test_many_small_passes_at_degree_65536(self):
+        assert_band_matches_values(65536, grid_points(GridSpec()))
 
 
 class TestMomentSums:

@@ -346,15 +346,30 @@ class TestMisc:
         (("check", "--which", "lemma4", "--gamma", "nan"), "--gamma"),
         (("sweep", "--functions", "abs_beta_1.0", "--h-steps", "0"), "--h-steps"),
         (("modulus", "--f", "square", "--h-steps", "-3"), "--h-steps"),
+        (("check", "--which", "inverse", "--h-steps", "0"), "--h-steps"),
     ],
     ids=["beta-negative", "beta-zero", "u-negative", "v-negative", "gamma-negative",
-         "gamma-nan", "sweep-h-steps-zero", "modulus-h-steps-negative"],
+         "gamma-nan", "sweep-h-steps-zero", "modulus-h-steps-negative",
+         "check-h-steps-zero"],
 )
 def test_numeric_flag_contract(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv, "--grid-count", "65")
     assert code == 2
     assert out == ""
     assert f"invalid {flag}" in err
+
+
+def test_check_passes_h_steps_to_the_inverse_check(capsys):
+    argv = ("check", "--which", "inverse", "--f", "abs_beta_1.0", "--grid-count", "65",
+            "--format", "json")
+    reports = []
+    for extra in ((), ("--h-steps", "32"), ("--h-steps", "8")):
+        code, out, _ = run_cli(capsys, *argv, *extra)
+        assert code in (0, 1)
+        reports.append(json.loads(out)["reports"][0])
+    assert [r["params"]["h_steps"] for r in reports] == [32, 32, 8]
+    assert reports[0]["rows"] == reports[1]["rows"]
+    assert reports[2]["rows"] != reports[0]["rows"]
 
 
 def test_sweep_passes_h_steps_to_the_inverse_check(capsys):
