@@ -25,14 +25,8 @@ from .bridge import (
     surrogate_eval,
 )
 from .moduli import (
-    ModulusQuery,
     h_ladder,
-    kfunctional_upper,
-    omega2,
-    omega2_mainpart,
-    second_difference_backward,
-    second_difference_forward,
-    second_difference_symmetric,
+    ladder_moduli,
 )
 from .operators import (
     SurrogateCoefficients,
@@ -60,13 +54,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BridgeNodes", "EvaluationError", "GridSpec", "InvalidNodesError",
-    "LinearJoiner", "ModulusQuery", "SingularWeight", "SurrogateCoefficients",
+    "LinearJoiner", "SingularWeight", "SurrogateCoefficients",
     "TestFunction", "basis_matrix", "basis_row", "bbar_apply",
     "bbar_second_derivative", "bernstein_apply", "build_surrogate",
     "compute_nodes", "corpus", "corpus_member", "delta_n", "grid_points",
-    "h_ladder", "kfunctional_upper", "ksum", "linear_joiner", "min_valid_n",
-    "omega2", "omega2_mainpart", "phi", "psi", "psi_bar", "psi_derivatives",
-    "second_difference_backward", "second_difference_forward",
-    "second_difference_symmetric", "surrogate_eval",
+    "h_ladder", "ksum", "ladder_moduli", "linear_joiner", "min_valid_n",
+    "phi", "psi", "psi_bar", "psi_derivatives", "surrogate_eval",
     "weighted_operator_norm_ratio", "weighted_sup_norm", "weighted_values",
 ]

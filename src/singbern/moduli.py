@@ -1,4 +1,4 @@
-"""Weighted second-order moduli of smoothness and a K-functional upper bound.
+"""Weighted second-order moduli of smoothness.
 
 The modulus takes a sup over step sizes h <= t.  The h values are drawn
 from a fixed global geometric ladder (not rescaled per t), so enlarging t
@@ -14,52 +14,15 @@ treated as undefined and excluded from the sup.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .weight import GridSpec, SingularWeight, grid_points, phi, weighted_values
+from .weight import GridSpec, SingularWeight, grid_points, phi
 
-__all__ = [
-    "ModulusQuery",
-    "second_difference_symmetric",
-    "second_difference_forward",
-    "second_difference_backward",
-    "h_ladder",
-    "ladder_band_sups",
-    "ladder_moduli",
-    "omega2",
-    "omega2_mainpart",
-    "kfunctional_upper",
-]
+__all__ = ["h_ladder", "ladder_band_sups", "ladder_moduli"]
 
 _H_FLOOR = 2.0 ** -12
 _BAND_POINTS = 129
-
-
-@dataclass(frozen=True)
-class ModulusQuery:
-    """Inputs for a modulus evaluation.
-
-    t may not exceed 0.25: beyond that the one-sided boundary bands
-    [0, 16h^2] and [1 - 16h^2, 1] swallow the interior band.
-    """
-
-    f: Callable = field(repr=False)
-    w: SingularWeight
-    lam: float = 0.0
-    t: float = 0.125
-    h_steps: int = 32
-    g: GridSpec = GridSpec()
-
-    def __post_init__(self):
-        if not (0.0 <= self.lam <= 1.0):
-            raise ValueError("lam must lie in [0, 1]")
-        if not (0.0 < self.t <= 0.25):
-            raise ValueError(f"t must lie in (0, 0.25], got {self.t}")
-        if self.h_steps < 1:
-            raise ValueError("h_steps must be positive")
 
 
 def h_ladder(t: float, h_steps: int = 32) -> np.ndarray:
@@ -117,30 +80,6 @@ def _oneside_values(f, w, h, xs, sign):
                                - 2.0 * np.asarray(f(p1[ok]), dtype=float)
                                + np.asarray(f(xs[ok]), dtype=float))
     return out
-
-
-def second_difference_symmetric(f, w: SingularWeight, lam: float, h: float, x: float):
-    """w(x) [f(x + h phi^lam) - 2 f(x) + f(x - h phi^lam)], or None."""
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    v = _sym_values(f, w, lam, h, np.array([x]))[0]
-    return None if np.isnan(v) else float(v)
-
-
-def second_difference_forward(f, w: SingularWeight, h: float, x: float):
-    """w(x) [f(x + 2h) - 2 f(x + h) + f(x)], or None when out of domain."""
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    v = _oneside_values(f, w, h, np.array([x]), +1.0)[0]
-    return None if np.isnan(v) else float(v)
-
-
-def second_difference_backward(f, w: SingularWeight, h: float, x: float):
-    """w(x) [f(x - 2h) - 2 f(x - h) + f(x)], or None when out of domain."""
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    v = _oneside_values(f, w, h, np.array([x]), -1.0)[0]
-    return None if np.isnan(v) else float(v)
 
 
 def _band_sup(values: np.ndarray) -> float:
@@ -220,41 +159,3 @@ def ladder_moduli(f, w: SingularWeight, lam: float, t_values, h_steps: int = 32,
             integral = mp * dlog
         out.append((float(om), float(mp), float(integral)))
     return out
-
-
-def omega2(q: ModulusQuery) -> float:
-    """Three-band weighted modulus at width t (sup over the h ladder)."""
-    return ladder_moduli(q.f, q.w, q.lam, [q.t], q.h_steps, q.g)[0][0]
-
-
-def omega2_mainpart(q: ModulusQuery) -> float:
-    """Modulus restricted to x whose full symmetric stencil stays inside (0, 1)."""
-    return ladder_moduli(q.f, q.w, q.lam, [q.t], q.h_steps, q.g)[0][1]
-
-
-def kfunctional_upper(
-    f,
-    w: SingularWeight,
-    lam: float,
-    t: float,
-    candidates: Sequence,
-    g: GridSpec = GridSpec(),
-) -> float:
-    """min over smooth candidates c of ||w (f - c)|| + t^2 ||w phi^(2 lam) c''||.
-
-    An upper bound for the two-term functional; the true infimum over all
-    admissible functions is not computable.  Candidates must carry an
-    analytic ``second_derivative``.
-    """
-    if not candidates:
-        raise ValueError("need at least one candidate")
-    xs = grid_points(g, w.xi)
-    best = math.inf
-    for cand in candidates:
-        second = getattr(cand, "second_derivative", None)
-        if second is None:
-            raise ValueError(f"candidate {getattr(cand, 'name', cand)!r} lacks a second derivative")
-        approx = float(np.max(np.abs(weighted_values(lambda x: f(x) - cand(x), w, xs))))
-        curv = float(np.max(np.abs(weighted_values(lambda x: phi(x) ** (2.0 * lam) * second(x), w, xs))))
-        best = min(best, approx + t * t * curv)
-    return best

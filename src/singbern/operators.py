@@ -13,8 +13,6 @@ differentiation appears only in tests as an oracle.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -46,9 +44,14 @@ __all__ = [
 
 # Band blocks are shared by everything that evaluates on a common grid, so
 # keep the last few around; each costs O(G sqrt(n)) memory for G points.
-_MATRIX_CACHE: OrderedDict = OrderedDict()
-_MATRIX_CACHE_SIZE = 16
-_MATRIX_LOCK = threading.Lock()
+@lru_cache(maxsize=16)
+def _cached_band(n: int, grid: bytes) -> tuple:
+    xs = np.frombuffer(grid)
+    B = basis_matrix(n, xs)
+    start = band_start(n, xs)
+    B.flags.writeable = False
+    start.flags.writeable = False
+    return start, B
 
 
 def collocation_matrix(n: int, xs: np.ndarray) -> tuple:
@@ -58,21 +61,7 @@ def collocation_matrix(n: int, xs: np.ndarray) -> tuple:
     weights outside it (less than 1e-20 of each row) are dropped.  Both
     arrays are read-only.
     """
-    key = (n, xs.tobytes())
-    with _MATRIX_LOCK:
-        hit = _MATRIX_CACHE.get(key)
-        if hit is not None:
-            _MATRIX_CACHE.move_to_end(key)
-            return hit
-    B = basis_matrix(n, xs)
-    start = band_start(n, xs)
-    B.flags.writeable = False
-    start.flags.writeable = False
-    with _MATRIX_LOCK:
-        _MATRIX_CACHE[key] = (start, B)
-        if len(_MATRIX_CACHE) > _MATRIX_CACHE_SIZE:
-            _MATRIX_CACHE.popitem(last=False)
-    return start, B
+    return _cached_band(n, np.asarray(xs, dtype=float).tobytes())
 
 
 def _band_sum(coeffs: np.ndarray, n: int, x):

@@ -79,29 +79,17 @@ def bd0_adaptive(a, m, mlo=0.0):
 
 
 def central_moment_sum(n, x, gamma):
-    """Direct summation of sum_k b(n, k, x) |k - nx|^gamma over the full row.
-
-    Negative gamma is rejected: at integer nx the k = nx term would be
-    0 raised to a negative power.
-    """
-    gamma = float(gamma)
-    if not math.isfinite(gamma):
-        raise ValueError("gamma must be finite")
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    """Direct summation of sum_k b(n, k, x) |k - nx|^gamma over the full row, gamma >= 0."""
     row = basis_row(n, x)
     dev = np.abs(np.arange(n + 1) - n * x) ** gamma
     return math.fsum(row * dev)
 
 
 def inverse_moment_sum(n, x, u, v):
-    """Direct summation of sum_{k=1}^{n-1} (k/n)^-u (1-k/n)^-v b(n, k, x) over the full row."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if x == 0.0 or x == 1.0:
-        raise ValueError("x must lie strictly inside (0, 1)")
-    if u < 0.0 or v < 0.0:
-        raise ValueError("u and v must be non-negative")
+    """Direct summation of sum_{k=1}^{n-1} (k/n)^-u (1-k/n)^-v b(n, k, x) over the full row.
+
+    For n >= 2, 0 < x < 1 and u, v >= 0.
+    """
     k = np.arange(1, n, dtype=float)
     row = basis_row(n, x)[1:n]
     terms = (k / n) ** (-u) * ((n - k) / n) ** (-v) * row
@@ -384,10 +372,6 @@ class TestMomentSums:
         # Lemma-4 shape: bounded by a modest multiple of sqrt(n)*phi(x)
         assert got <= 2.0 * math.sqrt(n) * math.sqrt(x * (1 - x))
 
-    def test_negative_gamma_rejected(self):
-        with pytest.raises(ValueError):
-            central_moment_sum(10, 0.5, -1.0)
-
     def test_inverse_moment_trivial(self):
         assert inverse_moment_sum(10, 0.5, 0.0, 0.0) == pytest.approx(
             0.998046875, rel=1e-13
@@ -404,16 +388,6 @@ class TestMomentSums:
         assert math.isfinite(got)
         # Lemma-1 shape: within a modest multiple of x^-u (1-x)^-v
         assert got <= 5.0 / x
-
-    def test_inverse_moment_domain(self):
-        with pytest.raises(ValueError):
-            inverse_moment_sum(10, 0.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            inverse_moment_sum(10, 1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            inverse_moment_sum(1, 0.5, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            inverse_moment_sum(10, 0.5, -0.5, 0.0)
 
 
 class TestKsum:

@@ -14,3 +14,7 @@ def test_star_import_resolves(module):
     exec(f"from {module} import *", namespace)
     exported = getattr(importlib.import_module(module), "__all__", [])
     assert set(exported) <= set(namespace)
+    # a name cut from its defining module's __all__ must not live on in the package's
+    if module == "singbern":
+        assert [n for n in exported
+                if n not in importlib.import_module(namespace[n].__module__).__all__] == []

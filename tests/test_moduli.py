@@ -1,29 +1,48 @@
-"""Tests for weighted moduli of smoothness and the K-functional bound."""
+"""Tests for the weighted moduli of smoothness, with a K-functional oracle."""
 
 import numpy as np
 import pytest
 
-from singbern.moduli import (
-    ModulusQuery,
-    h_ladder,
-    kfunctional_upper,
-    ladder_moduli,
-    omega2,
-    omega2_mainpart,
-    second_difference_backward,
-    second_difference_forward,
-    second_difference_symmetric,
+from singbern.moduli import _oneside_values, _sym_values, h_ladder, ladder_moduli
+from singbern.weight import (
+    GridSpec,
+    SingularWeight,
+    TestFunction,
+    corpus,
+    corpus_member,
+    grid_points,
+    phi,
+    weighted_values,
 )
-from singbern.weight import GridSpec, SingularWeight, TestFunction, corpus, corpus_member, phi
 
 W = SingularWeight(xi=0.5, alpha=1.0)
 G = GridSpec(count=513)
 
 
+def moduli(f, lam, ts, g):
+    """(omega2, omega2_mainpart) at each width in ts, from one ladder pass."""
+    return [(om, mp) for om, mp, _ in ladder_moduli(f, W, lam, ts, 32, g)]
+
+
+def kfunctional_upper(f, w, lam, t, candidates, g):
+    """min over smooth candidates c of ||w (f - c)|| + t^2 ||w phi^(2 lam) c''||.
+
+    An upper bound for the two-term functional; the true infimum over all
+    admissible functions is not computable.  Candidates carry an analytic
+    ``second_derivative``.
+    """
+    xs = grid_points(g, w.xi)
+    best = np.inf
+    for cand in candidates:
+        approx = np.max(np.abs(weighted_values(lambda x: f(x) - cand(x), w, xs)))
+        curv = np.max(np.abs(weighted_values(
+            lambda x: phi(x) ** (2.0 * lam) * cand.second_derivative(x), w, xs)))
+        best = min(best, float(approx + t * t * curv))
+    return best
+
+
 def brute_omega2(f, w, lam, t, g, h_steps=32):
     """Plain-loop reimplementation of the three-band sup, same point sets."""
-    from singbern.weight import grid_points
-
     base = grid_points(g, w.xi)
     best = 0.0
     for h in h_ladder(t, h_steps):
@@ -54,46 +73,51 @@ def brute_omega2(f, w, lam, t, g, h_steps=32):
     return best
 
 
+def sym(f, lam, h, x):
+    return _sym_values(f, W, lam, h, np.array([x]))[0]
+
+
+def forward(f, h, x):
+    return _oneside_values(f, W, h, np.array([x]), +1.0)[0]
+
+
+def backward(f, h, x):
+    return _oneside_values(f, W, h, np.array([x]), -1.0)[0]
+
+
 class TestSecondDifferences:
     def test_linear_annihilated(self):
         f = corpus_member("linear", W)
         for h, x in ((0.01, 0.3), (0.05, 0.7), (0.001, 0.49)):
-            assert second_difference_symmetric(f, W, 0.0, h, x) == pytest.approx(0.0, abs=1e-13)
-            assert second_difference_forward(f, W, h, x) == pytest.approx(0.0, abs=1e-13)
-            assert second_difference_backward(f, W, h, x) == pytest.approx(0.0, abs=1e-13)
+            assert sym(f, 0.0, h, x) == pytest.approx(0.0, abs=1e-13)
+            assert forward(f, h, x) == pytest.approx(0.0, abs=1e-13)
+            assert backward(f, h, x) == pytest.approx(0.0, abs=1e-13)
 
     def test_square_closed_form(self):
         f = corpus_member("square", W)
         for h, x in ((0.02, 0.3), (0.01, 0.8)):
             expected = W(x) * 2.0 * h * h
-            assert second_difference_symmetric(f, W, 0.0, h, x) == pytest.approx(
-                expected, rel=1e-9
-            )
-            assert second_difference_forward(f, W, h, x) == pytest.approx(expected, rel=1e-9)
+            assert sym(f, 0.0, h, x) == pytest.approx(expected, rel=1e-9)
+            assert forward(f, h, x) == pytest.approx(expected, rel=1e-9)
 
     def test_lambda_scales_step(self):
         f = corpus_member("square", W)
         h, x = 0.02, 0.3
         step = h * phi(x)
-        assert second_difference_symmetric(f, W, 1.0, h, x) == pytest.approx(
-            W(x) * 2.0 * step * step, rel=1e-9
-        )
+        assert sym(f, 1.0, h, x) == pytest.approx(W(x) * 2.0 * step * step, rel=1e-9)
 
     def test_out_of_domain_is_none(self):
+        # "none": the kernels mark an undefined stencil with NaN
         f = corpus_member("square", W)
-        assert second_difference_symmetric(f, W, 0.0, 0.1, 0.95) is None
-        assert second_difference_forward(f, W, 0.1, 0.95) is None
-        assert second_difference_backward(f, W, 0.1, 0.05) is None
+        assert np.isnan(sym(f, 0.0, 0.1, 0.95))
+        assert np.isnan(forward(f, 0.1, 0.95))
+        assert np.isnan(backward(f, 0.1, 0.05))
 
     def test_stencil_on_xi_is_none(self):
         f = corpus_member("abs_beta_0.5", W)
-        assert second_difference_symmetric(f, W, 0.0, 0.1, 0.5) is None
-        assert second_difference_symmetric(f, W, 0.0, 0.1, 0.4) is None  # x + h hits xi
-        assert second_difference_symmetric(f, W, 0.0, 0.1, 0.41) is not None
-
-    def test_invalid_h(self):
-        with pytest.raises(ValueError):
-            second_difference_symmetric(corpus_member("square", W), W, 0.0, 0.0, 0.5)
+        assert np.isnan(sym(f, 0.0, 0.1, 0.5))
+        assert np.isnan(sym(f, 0.0, 0.1, 0.4))  # x + h hits xi
+        assert not np.isnan(sym(f, 0.0, 0.1, 0.41))
 
 
 class TestHLadder:
@@ -113,74 +137,66 @@ class TestHLadder:
 class TestOmega2:
     def test_linear_is_zero(self):
         f = corpus_member("linear", W)
-        for t in (0.05, 0.2):
-            assert omega2(ModulusQuery(f=f, w=W, t=t, g=G)) <= 1e-12
-            assert omega2_mainpart(ModulusQuery(f=f, w=W, t=t, g=G)) <= 1e-12
+        for om, mp in moduli(f, 0.0, [0.05, 0.2], G):
+            assert om <= 1e-12
+            assert mp <= 1e-12
 
     def test_square_matches_brute_force(self):
         f = corpus_member("square", W)
-        q = ModulusQuery(f=f, w=W, lam=0.0, t=0.1, g=GridSpec(count=129))
-        assert omega2(q) == pytest.approx(
-            brute_omega2(f, W, 0.0, 0.1, GridSpec(count=129)), rel=1e-12
-        )
+        g = GridSpec(count=129)
+        [(om, _)] = moduli(f, 0.0, [0.1], g)
+        assert om == pytest.approx(brute_omega2(f, W, 0.0, 0.1, g), rel=1e-12)
 
     def test_ladder_moduli_match_brute_force_at_every_width(self):
         # one pass serves all widths; 1e-4 lies below the 2^-12 ladder floor
-        # and gets the single step h = t, as omega2 gives it on its own
+        # and gets the single step h = t, as a call for that width alone gives it
         f = corpus_member("abs_beta_0.5", W)
         g = GridSpec(count=129)
         ts = [0.05, 2.0 ** -12, 1e-4]
-        for t, (om, mp, _) in zip(ts, ladder_moduli(f, W, 0.0, ts, 32, g)):
-            q = ModulusQuery(f=f, w=W, t=t, g=g)
-            assert om == omega2(q) == pytest.approx(brute_omega2(f, W, 0.0, t, g), rel=1e-12)
-            assert mp == omega2_mainpart(q)
+        for t, (om, mp) in zip(ts, moduli(f, 0.0, ts, g)):
+            [(om_alone, mp_alone)] = moduli(f, 0.0, [t], g)
+            assert om == om_alone == pytest.approx(brute_omega2(f, W, 0.0, t, g), rel=1e-12)
+            assert mp == mp_alone
 
     def test_square_bounded_by_closed_form(self):
         # symmetric/one-sided differences of x^2 are exactly 2 h^2
         f = corpus_member("square", W)
-        for t in (0.05, 0.1, 0.25):
-            val = omega2(ModulusQuery(f=f, w=W, lam=0.0, t=t, g=G))
-            assert val <= 3.0 * 2.0 * t * t * 0.5 + 1e-12
+        ts = [0.05, 0.1, 0.25]
+        for t, (om, _) in zip(ts, moduli(f, 0.0, ts, G)):
+            assert om <= 3.0 * 2.0 * t * t * 0.5 + 1e-12
 
     def test_monotone_in_t(self):
         for tf in corpus(W):
-            a = omega2(ModulusQuery(f=tf, w=W, t=0.05, g=GridSpec(count=257)))
-            b = omega2(ModulusQuery(f=tf, w=W, t=0.1, g=GridSpec(count=257)))
+            # one call per width: a batched call is monotone by construction
+            [(a, _)] = moduli(tf, 0.0, [0.05], GridSpec(count=257))
+            [(b, _)] = moduli(tf, 0.0, [0.1], GridSpec(count=257))
             assert a <= b + 1e-15
 
     def test_absolute_scaling(self):
         f = corpus_member("abs_beta_0.5", W)
         scaled = TestFunction(name="scaled", f=lambda x: -4.0 * f(x))
-        a = omega2(ModulusQuery(f=f, w=W, t=0.1, g=G))
-        b = omega2(ModulusQuery(f=scaled, w=W, t=0.1, g=G))
+        [(a, _)] = moduli(f, 0.0, [0.1], G)
+        [(b, _)] = moduli(scaled, 0.0, [0.1], G)
         assert b == pytest.approx(4.0 * a, rel=1e-12)
 
     def test_square_rate_is_two(self):
         f = corpus_member("square", W)
         ts = 2.0 ** -np.arange(3, 9)
-        vals = [omega2(ModulusQuery(f=f, w=W, lam=0.0, t=t, g=G)) for t in ts]
+        vals = [om for om, _ in moduli(f, 0.0, ts, G)]
         slope = np.polyfit(np.log(ts), np.log(vals), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.1)
 
     def test_mainpart_dominated_by_full(self):
         for tf in corpus(W):
-            for t in (0.05, 0.125):
-                q = ModulusQuery(f=tf, w=W, t=t, g=GridSpec(count=257))
-                assert omega2_mainpart(q) <= 3.0 * omega2(q) + 1e-12
-
-    def test_query_validation(self):
-        f = corpus_member("square", W)
-        with pytest.raises(ValueError):
-            ModulusQuery(f=f, w=W, t=0.3)
-        with pytest.raises(ValueError):
-            ModulusQuery(f=f, w=W, t=0.1, lam=1.5)
+            for om, mp in moduli(tf, 0.0, [0.05, 0.125], GridSpec(count=257)):
+                assert mp <= 3.0 * om + 1e-12
 
 
 class TestKFunctional:
     def test_smooth_candidate_self(self):
         f = corpus_member("square", W)
         t = 0.05
-        bound = kfunctional_upper(f, W, 0.0, t, [f], g=G)
+        bound = kfunctional_upper(f, W, 0.0, t, [f], G)
         assert bound <= t * t * 2.0 * 0.5 + 1e-12  # ||w f''|| = 2 max|w|
 
     def test_zero_candidate(self):
@@ -192,23 +208,18 @@ class TestKFunctional:
             f=lambda x: np.zeros(np.shape(x)),
             second_derivative=lambda x: np.zeros(np.shape(x)),
         )
-        assert kfunctional_upper(f, W, 0.0, 0.1, [zero], g=G) <= weighted_sup_norm(
+        assert kfunctional_upper(f, W, 0.0, 0.1, [zero], G) <= weighted_sup_norm(
             f, W, G
         ) + 1e-12
 
     def test_ratio_to_mainpart_bounded_for_smooth(self):
         f = corpus_member("square", W)
-        ratios = []
-        for t in 2.0 ** -np.arange(3, 8):
-            kf = kfunctional_upper(f, W, 0.0, t, [f], g=G)
-            om = omega2_mainpart(ModulusQuery(f=f, w=W, t=t, g=G))
-            ratios.append(kf / om)
+        ts = 2.0 ** -np.arange(3, 8)
+        ratios = [
+            kfunctional_upper(f, W, 0.0, t, [f], G) / mp
+            for t, (_, mp) in zip(ts, moduli(f, 0.0, ts, G))
+        ]
         assert max(ratios) <= 5.0
-
-    def test_candidate_without_second_derivative_rejected(self):
-        f = corpus_member("square", W)
-        with pytest.raises(ValueError):
-            kfunctional_upper(f, W, 0.0, 0.1, [lambda x: x], g=G)
 
 
 class TestIteratedStepIntegral:
