@@ -9,7 +9,6 @@ rates numerically.
 
 from .basis import (
     basis_matrix,
-    basis_row,
     ksum,
 )
 from .bridge import (
@@ -34,7 +33,6 @@ from .operators import (
     bbar_second_derivative,
     bernstein_apply,
     build_surrogate,
-    weighted_operator_norm_ratio,
 )
 from .weight import (
     EvaluationError,
@@ -55,10 +53,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BridgeNodes", "EvaluationError", "GridSpec", "InvalidNodesError",
     "LinearJoiner", "SingularWeight", "SurrogateCoefficients",
-    "TestFunction", "basis_matrix", "basis_row", "bbar_apply",
-    "bbar_second_derivative", "bernstein_apply", "build_surrogate",
-    "compute_nodes", "corpus", "corpus_member", "delta_n", "grid_points",
-    "h_ladder", "ksum", "ladder_moduli", "linear_joiner", "min_valid_n",
-    "phi", "psi", "psi_bar", "psi_derivatives", "surrogate_eval",
-    "weighted_operator_norm_ratio", "weighted_sup_norm", "weighted_values",
+    "TestFunction", "basis_matrix", "bbar_apply", "bbar_second_derivative",
+    "bernstein_apply", "build_surrogate", "compute_nodes", "corpus",
+    "corpus_member", "delta_n", "grid_points", "h_ladder", "ksum",
+    "ladder_moduli", "linear_joiner", "min_valid_n", "phi", "psi",
+    "psi_bar", "psi_derivatives", "surrogate_eval", "weighted_sup_norm",
+    "weighted_values",
 ]

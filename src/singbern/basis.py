@@ -35,7 +35,6 @@ import numpy as np
 
 __all__ = [
     "basis_values",
-    "basis_row",
     "basis_matrix",
     "band_start",
     "ksum",
@@ -180,16 +179,6 @@ def _interior_log(n: int, k: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _log_b(n, k, _log_const(n, k), _split_moments(n, x))
 
 
-def _validate_nx(n, x) -> tuple[int, float]:
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"degree n must be >= 1, got {n}")
-    x = float(x)
-    if not (0.0 <= x <= 1.0):
-        raise ValueError(f"x must lie in [0, 1], got {x}")
-    return n, x
-
-
 def basis_values(n: int, x, k) -> np.ndarray:
     """Basis weights b(n, k, x) = C(n, k) x^k (1-x)^(n-k), broadcast over x and k.
 
@@ -227,15 +216,6 @@ def _values(n: int, x: np.ndarray, k: np.ndarray) -> np.ndarray:
     last = inside & (k == n)
     out[last] = np.exp(n * np.log(x[last]))
     return out.reshape(shape)
-
-
-def basis_row(n: int, x: float) -> np.ndarray:
-    """All n+1 basis weights at one x; components sum to 1 within 1e-12.
-
-    The only full-row builder: grids go through the band of ``basis_matrix``.
-    """
-    n, x = _validate_nx(n, x)
-    return basis_values(n, x, np.arange(n + 1))
 
 
 def _band_radius(n: int) -> int:

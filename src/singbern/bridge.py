@@ -117,16 +117,26 @@ def compute_nodes(n: int, xi: float) -> BridgeNodes:
 
 
 def min_valid_n(xi: float) -> int:
-    """Smallest n for which compute_nodes(n, xi) is valid."""
-    # nodes need roughly sqrt(n) > 2 / min(xi, 1 - xi); scan from there down
-    side = min(xi, 1.0 - xi)
-    guess = max(4, int((2.0 / side + 2.0) ** 2))
-    n = guess
-    while n > 1 and compute_nodes(n - 1, xi).valid:
-        n -= 1
-    while not compute_nodes(n, xi).valid:
-        n += 1
-    return n
+    """Smallest n for which compute_nodes(n, xi) is valid.
+
+    Validity is monotone in n (k1 > 0 iff n xi - 2 sqrt(n) >= 1, and
+    k4 < n iff sqrt(n) > 2 / (1 - xi)), so doubling brackets the answer
+    and bisection finds it.  A degree above 2^53, which has no exact
+    float, raises InvalidNodesError.
+    """
+    hi = 1
+    while not compute_nodes(hi, xi).valid:
+        if hi >= 2 ** 53:
+            raise InvalidNodesError(f"xi={xi} needs a degree n > 2**53, which has no exact float")
+        hi *= 2
+    lo = hi // 2  # invalid: the doubling passed it
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if compute_nodes(mid, xi).valid:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def psi_bar(nodes: BridgeNodes, which: int, x):

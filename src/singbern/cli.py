@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bridge import InvalidNodesError, compute_nodes
+from .bridge import compute_nodes
 from .experiments import (
     DEFAULT_N_VALUES,
     DEFAULT_T_VALUES,
@@ -127,17 +127,6 @@ def _weight(opt: Options) -> SingularWeight:
         raise ConfigError(f"invalid weight parameters (--xi/--alpha): {exc}") from exc
 
 
-def _grid(opt: Options) -> GridSpec:
-    try:
-        return GridSpec(
-            count=int(opt.get("grid-count", 4097)),
-            exclusion_radius=float(opt.get("exclusion-radius", 0.0)),
-            placement=str(opt.get("grid-placement", "chebyshev")),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid grid parameters: {exc}") from exc
-
-
 def _lam(opt: Options) -> float:
     lam = float(opt.get("lambda", 0.0))
     if not 0.0 <= lam <= 1.0:
@@ -164,9 +153,9 @@ def _t_values(opt: Options) -> tuple:
 
 def _n_values(opt: Options) -> tuple:
     ns = _parse_values(opt.get("n-values", DEFAULT_N_VALUES), int, "--n-values")
-    if not ns or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
+    if len(ns) < 3 or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ConfigError(
-            f"invalid --n-values: {list(ns)} (need a strictly increasing list of degrees >= 1)"
+            f"invalid --n-values: {list(ns)} (need at least 3 strictly increasing degrees >= 1)"
         )
     return ns
 
@@ -177,6 +166,28 @@ def _checked(opt: Options, key: str, default, ok, need: str):
     if not (math.isfinite(value) and ok(value)):
         raise ConfigError(f"invalid --{key}: {value} ({need})")
     return value
+
+
+def _grid(opt: Options, xi: float) -> GridSpec:
+    side = min(xi, 1.0 - xi)
+    radius = _checked(opt, "exclusion-radius", 0.0, lambda r: 0.0 <= r < side,
+                      f"must lie in [0, min(xi, 1 - xi)) = [0, {side})")
+    try:
+        return GridSpec(
+            count=int(opt.get("grid-count", 4097)),
+            exclusion_radius=float(radius),
+            placement=str(opt.get("grid-placement", "chebyshev")),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"invalid grid parameters: {exc}") from exc
+
+
+def _format(opt: Options, choices=("csv", "json")) -> str:
+    """The output format; the first choice is the command's default."""
+    fmt = str(opt.get("format", choices[0]))
+    if fmt not in choices:
+        raise ConfigError(f"invalid --format: {fmt!r} (this command writes {' or '.join(choices)})")
+    return fmt
 
 
 def _h_steps(opt: Options) -> int:
@@ -223,7 +234,8 @@ def _timestamp() -> str:
 def cmd_eval(opt: Options) -> int:
     w = _weight(opt)
     lam = _lam(opt)
-    g = _grid(opt)
+    g = _grid(opt, w.xi)
+    fmt = _format(opt)
     name = opt.get("f")
     if not name:
         raise ConfigError("missing --f (function name; see list-functions)")
@@ -240,7 +252,7 @@ def cmd_eval(opt: Options) -> int:
         for x, a, b, e in zip(xs, fv, bv, werr)
     ]
     header = ["x", "f", "bbar", "weighted_error"]
-    if str(opt.get("format", "csv")) == "json":
+    if fmt == "json":
         doc = {
             "schema_version": SCHEMAS["schema_version"], "command": "eval",
             "params": {"f": f.name, "xi": w.xi, "alpha": w.alpha, "lambda": lam, "n": n},
@@ -255,7 +267,8 @@ def cmd_eval(opt: Options) -> int:
 def cmd_modulus(opt: Options) -> int:
     w = _weight(opt)
     lam = _lam(opt)
-    g = _grid(opt)
+    g = _grid(opt, w.xi)
+    fmt = _format(opt)
     name = opt.get("f")
     if not name:
         raise ConfigError("missing --f (function name; see list-functions)")
@@ -265,7 +278,7 @@ def cmd_modulus(opt: Options) -> int:
     ts = sorted(t_values)
     moduli = ladder_moduli(f, w, lam, ts, h_steps, g)
     rows = [{"t": t, "omega2": om, "omega2_mainpart": mp} for t, (om, mp, _) in zip(ts, moduli)]
-    if str(opt.get("format", "csv")) == "json":
+    if fmt == "json":
         doc = {
             "schema_version": SCHEMAS["schema_version"], "command": "modulus",
             "params": {"f": f.name, "xi": w.xi, "alpha": w.alpha, "lambda": lam,
@@ -333,7 +346,8 @@ def _run_checker(which: str, opt: Options, w, lam, g, n_values, t_values, h_step
 def cmd_check(opt: Options) -> int:
     w = _weight(opt)
     lam = _lam(opt)
-    g = _grid(opt)
+    g = _grid(opt, w.xi)
+    fmt = _format(opt)
     n_values = _n_values(opt)
     t_values = _t_values(opt)
     h_steps = _h_steps(opt)
@@ -345,7 +359,7 @@ def cmd_check(opt: Options) -> int:
         reports += _run_checker(nm, opt, w, lam, g, n_values, t_values, h_steps, ex)
     passed = all(r.passed for r in reports)
 
-    if str(opt.get("format", "csv")) == "json":
+    if fmt == "json":
         doc = {
             "schema_version": SCHEMAS["schema_version"], "command": "check",
             "params": {"which": list(names), "xi": w.xi, "alpha": w.alpha, "lambda": lam},
@@ -376,7 +390,8 @@ def cmd_check(opt: Options) -> int:
 def cmd_sweep(opt: Options) -> int:
     w = _weight(opt)
     lam = _lam(opt)
-    g = _grid(opt)
+    g = _grid(opt, w.xi)
+    _format(opt, ("json",))
     n_values = _n_values(opt)
     t_values = _t_values(opt)
     h_steps = _h_steps(opt)
@@ -415,6 +430,7 @@ def cmd_sweep(opt: Options) -> int:
 def cmd_list_functions(opt: Options) -> int:
     w = _weight(opt)
     lam = _lam(opt)
+    fmt = _format(opt)
     rows = [
         {
             "name": tf.name,
@@ -427,7 +443,7 @@ def cmd_list_functions(opt: Options) -> int:
         }
         for tf in corpus(w, lam)
     ]
-    if str(opt.get("format", "csv")) == "json":
+    if fmt == "json":
         _emit(json_dumps({"schema_version": SCHEMAS["schema_version"], "functions": rows}),
               opt.get("out"))
     else:
@@ -450,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, help="weight exponent > 0")
         p.add_argument("--lambda", type=float, help="step-weight power in [0, 1]")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
+        p.add_argument("--format", help="output format: csv or json (sweep: json only)")
         if with_grid:
             p.add_argument("--grid-count", type=int, help="grid size (default 4097)")
             p.add_argument("--grid-placement", choices=("uniform", "chebyshev"))
@@ -520,9 +536,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except InvalidNodesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except (EvaluationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -41,7 +41,6 @@ from .operators import (
     bernstein_apply,
     build_surrogate,
     collocation_matrix,
-    weighted_operator_norm_ratio,
 )
 from .basis import basis_values, ksum
 from .weight import (
@@ -206,12 +205,16 @@ def _sweep_rows(n_values, row, xi: float | None = None):
     """Usable degrees, one ``row(n)`` per degree, and a note on skipped ones.
 
     With ``xi`` given, degrees without valid bridge nodes around it are
-    skipped, and a sweep with none left raises InvalidNodesError.
+    skipped, and a sweep with fewer than the 3 that a trend needs left
+    raises InvalidNodesError.
     """
     ns = [int(n) for n in n_values]
     good = [n for n in ns if xi is None or compute_nodes(n, xi).valid]
-    if xi is not None and not good:
-        raise InvalidNodesError(f"no usable degree in {list(n_values)}; need n >= {min_valid_n(xi)}")
+    if xi is not None and len(good) < 3:
+        raise InvalidNodesError(
+            f"{len(good)} usable degrees in {list(n_values)}, a trend needs 3; "
+            f"need n >= {min_valid_n(xi)}"
+        )
     skipped = [n for n in ns if n not in good]
     return good, [row(n) for n in good], f"skipped invalid n={skipped}" if skipped else ""
 
@@ -353,6 +356,27 @@ def check_lemma2(
     return _check("lemma2", params, n_values, row, w.xi)
 
 
+def _weighted_d2(f, n: int, w: SingularWeight, lam: float, g: GridSpec):
+    """The node grid, |w phi^(2 lam) (Bbar_n f)''| on it, and the coefficients."""
+    coeffs = build_surrogate(f, n, w)
+    xs = _node_grid(g, coeffs.nodes)
+    return xs, np.abs(w(xs) * phi(xs) ** (2.0 * lam) * bbar_second_derivative(coeffs, xs)), coeffs
+
+
+def _majorant_ratio(num: float, den: float, coeffs) -> float:
+    """num / den, where a vanishing majorant den leaves only rounding noise.
+
+    Rounding of the coefficient vector alone produces second differences
+    up to a few eps, amplified by n(n-1): a num below that floor gives 0,
+    anything above it inf.
+    """
+    if den == 0.0:
+        n = coeffs.n
+        floor = 16.0 * n * n * np.finfo(float).eps * float(np.max(np.abs(coeffs.values)))
+        return 0.0 if num <= floor else math.inf
+    return num / den
+
+
 def check_theorem1(
     f: TestFunction,
     w: SingularWeight,
@@ -360,9 +384,11 @@ def check_theorem1(
     g: GridSpec = GridSpec(),
 ) -> CheckReport:
     """Second-derivative norm against n^2 times the input norm."""
+    fnorm = weighted_sup_norm(f, w, g)
 
     def row(n):
-        return {"n": n, "ratio": weighted_operator_norm_ratio(f, n, w, 0.0, g, branch="cw")}
+        _, num, coeffs = _weighted_d2(f, n, w, 0.0, g)
+        return {"n": n, "ratio": _majorant_ratio(float(np.max(num)), float(n) ** 2.0 * fnorm, coeffs)}
 
     params = {"function": f.name, "xi": w.xi, "alpha": w.alpha, "grid": g.key()}
     return _check("theorem1", params, n_values, row, w.xi, partial(_ratio_trend, max_slope=0.1))
@@ -376,31 +402,37 @@ def check_theorem2(
     n_values=DEFAULT_N_VALUES,
     g: GridSpec = GridSpec(),
 ) -> CheckReport:
-    """Weighted second-derivative bound, either function class.
+    """Weighted second-derivative bound on w phi^(2 lam) (Bbar_n f)'', either class.
 
-    The continuous-class branch reports the pointwise-majorant ratio and
-    the two proof regimes (phi below/above n^(-1/2)) separately; both
-    regimes share the n^(2-lambda) majorant.
+    The w2 branch divides by ||w phi^(2 lam) f''|| on the same grid and
+    needs an analytic second derivative.  The continuous-class branch
+    (cw) reports the ratio to the pointwise majorant
+    n max(n^(1-lam), phi^(2(lam-1))) ||w f||, and the two proof regimes
+    (phi below/above n^(-1/2)) against the shared n^(2-lam) ||w f||.
     """
     if branch not in ("cw", "w2"):
         raise ValueError(f"unknown branch {branch!r}")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("lam must lie in [0, 1]")
     params = {
         "function": f.name, "xi": w.xi, "alpha": w.alpha, "lambda": lam,
         "branch": branch, "grid": g.key(),
     }
     if branch == "w2":
+        if not f.has_second_derivative:
+            raise ValueError(f"{f.name!r} lacks a second derivative")
 
         def w2_row(n):
-            return {"n": n, "ratio": weighted_operator_norm_ratio(f, n, w, lam, g, branch="w2")}
+            xs, num, coeffs = _weighted_d2(f, n, w, lam, g)
+            curv = np.abs(weighted_values(lambda x: phi(x) ** (2.0 * lam) * f.second_derivative(x), w, xs))
+            return {"n": n, "ratio": _majorant_ratio(float(np.max(num)), float(np.max(curv)), coeffs)}
 
         return _check("theorem2", params, n_values, w2_row, w.xi)
 
     fnorm = weighted_sup_norm(f, w, g)
 
     def row(n):
-        coeffs = build_surrogate(f, n, w)
-        xs = _node_grid(g, coeffs.nodes)
-        num = np.abs(w(xs) * phi(xs) ** (2.0 * lam) * bbar_second_derivative(coeffs, xs))
+        xs, num, _ = _weighted_d2(f, n, w, lam, g)
         with np.errstate(divide="ignore"):
             majorant = n * np.maximum(n ** (1.0 - lam), phi(xs) ** (2.0 * (lam - 1.0))) * fnorm
             pointwise = float(np.max(np.where(np.isfinite(majorant), num / majorant, 0.0)))

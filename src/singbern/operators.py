@@ -22,15 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .basis import band_start, basis_matrix, ksum
 from .bridge import BridgeNodes, compute_nodes, surrogate_eval
-from .weight import (
-    EvaluationError,
-    GridSpec,
-    SingularWeight,
-    grid_points,
-    phi,
-    weighted_sup_norm,
-    weighted_values,
-)
+from .weight import EvaluationError, SingularWeight
 
 __all__ = [
     "SurrogateCoefficients",
@@ -39,7 +31,6 @@ __all__ = [
     "build_surrogate",
     "bbar_apply",
     "bbar_second_derivative",
-    "weighted_operator_norm_ratio",
 ]
 
 # Band blocks are shared by everything that evaluates on a common grid, so
@@ -102,35 +93,19 @@ class SurrogateCoefficients:
         self.values.flags.writeable = False
 
 
-def _surrogate_values(f: Callable, nodes: BridgeNodes) -> np.ndarray:
-    """The surrogate blend at the nodes k/n; f is never sampled on [x2, x3]."""
+def build_surrogate(f: Callable, n: int, w: SingularWeight) -> SurrogateCoefficients:
+    """Surrogate values F(k/n) for the modified operator at degree n; read-only.
+
+    f is never sampled on [x2, x3].  Raises InvalidNodesError when the
+    bridge nodes around w.xi are invalid at this degree.
+    """
+    nodes = compute_nodes(n, w.xi)
+    nodes.require_valid()
     t = np.arange(nodes.n + 1) / float(nodes.n)
     values = surrogate_eval(f, nodes, t)
     if not np.isfinite(values).all():
-        bad = t[~np.isfinite(values)]
-        raise EvaluationError(f"non-finite surrogate value at k/n={bad[0]!r}")
-    return values
-
-
-@lru_cache(maxsize=256)
-def _cached_surrogate(f: Callable, n: int, w: SingularWeight) -> SurrogateCoefficients:
-    nodes = compute_nodes(n, w.xi)
-    nodes.require_valid()
-    return SurrogateCoefficients(n=n, values=_surrogate_values(f, nodes), nodes=nodes)
-
-
-def build_surrogate(f: Callable, n: int, w: SingularWeight) -> SurrogateCoefficients:
-    """Coefficient vector F(k/n) for the modified operator at degree n.
-
-    Results are cached per (f, n, w); coefficients are immutable.
-    """
-    try:
-        return _cached_surrogate(f, int(n), w)
-    except TypeError:
-        # unhashable f: build without caching
-        nodes = compute_nodes(int(n), w.xi)
-        nodes.require_valid()
-        return SurrogateCoefficients(n=int(n), values=_surrogate_values(f, nodes), nodes=nodes)
+        raise EvaluationError(f"non-finite surrogate value at k/n={t[~np.isfinite(values)][0]!r}")
+    return SurrogateCoefficients(n=nodes.n, values=values, nodes=nodes)
 
 
 def bbar_apply(f: Callable, n: int, w: SingularWeight, x):
@@ -150,47 +125,3 @@ def bbar_second_derivative(coeffs: SurrogateCoefficients, x):
     v = coeffs.values
     d2 = v[2:] - 2.0 * v[1:-1] + v[:-2]
     return n * (n - 1.0) * _band_sum(d2, n - 2, x)
-
-
-def weighted_operator_norm_ratio(
-    f,
-    n: int,
-    w: SingularWeight,
-    lam: float,
-    g: GridSpec,
-    branch: str = "w2",
-) -> float:
-    """Grid max of |w phi^(2 lam) B''| over the branch majorant.
-
-    branch "cw" uses n^(2-lam) ||w f|| (lam must be 0 or 1, the two cases
-    with a closed-form power); branch "w2" uses ||w phi^(2 lam) f''|| and
-    needs an analytic second derivative on f.
-    """
-    if not (0.0 <= lam <= 1.0):
-        raise ValueError("lam must lie in [0, 1]")
-    coeffs = build_surrogate(f, n, w)
-    nd = coeffs.nodes
-    xs = grid_points(g, w.xi, extra=(nd.x1, nd.x2, nd.x3, nd.x4))
-    d2 = bbar_second_derivative(coeffs, xs)
-    num = float(np.max(np.abs(w(xs) * phi(xs) ** (2.0 * lam) * d2)))
-
-    if branch == "cw":
-        if lam not in (0.0, 1.0):
-            raise ValueError("cw branch has a closed-form majorant only for lam in {0, 1}")
-        den = float(n) ** (2.0 - lam) * weighted_sup_norm(f, w, g)
-    elif branch == "w2":
-        second = getattr(f, "second_derivative", None)
-        if second is None:
-            raise ValueError(f"{getattr(f, 'name', f)!r} lacks a second derivative")
-        den = float(
-            np.max(np.abs(weighted_values(lambda t: phi(t) ** (2.0 * lam) * second(t), w, xs)))
-        )
-    else:
-        raise ValueError(f"unknown branch {branch!r}")
-
-    if den == 0.0:
-        # rounding of the coefficient vector alone produces second
-        # differences up to a few eps, amplified by n(n-1)
-        floor = 16.0 * n * n * np.finfo(float).eps * float(np.max(np.abs(coeffs.values)))
-        return 0.0 if num <= floor else float("inf")
-    return num / den

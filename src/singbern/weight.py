@@ -88,7 +88,7 @@ class GridSpec:
     def __post_init__(self):
         if self.count < 2:
             raise ValueError(f"count must be >= 2, got {self.count}")
-        if self.exclusion_radius < 0.0:
+        if not self.exclusion_radius >= 0.0:
             raise ValueError("exclusion_radius must be >= 0")
         if self.placement not in ("uniform", "chebyshev"):
             raise ValueError(f"unknown placement {self.placement!r}")

@@ -11,7 +11,6 @@ from singbern.basis import (
     _bd0,
     band_start,
     basis_matrix,
-    basis_row,
     basis_values,
     ksum,
 )
@@ -25,6 +24,11 @@ ORACLE = {
     (1000000, 500000, 0.5): 0.0007978843613317500890872,
     (50, 17, 0.3): 0.09831444254630474035487,
 }
+
+
+def basis_row(n, x):
+    """All n+1 basis weights at one x."""
+    return basis_values(n, x, np.arange(n + 1))
 
 
 def basis_row_recurrence(n, x):

@@ -93,6 +93,16 @@ class TestComputeNodes:
             assert compute_nodes(m, xi).valid
             assert not compute_nodes(m - 1, xi).valid
 
+    def test_min_valid_n_matches_the_walk(self):
+        xis = np.geomspace(1e-3, 0.5, 60)
+        for xi in np.concatenate([xis, 1.0 - xis, [0.37, 0.81, 0.999]]):
+            assert min_valid_n(xi) == min_valid_n_walk(xi), xi
+
+    @pytest.mark.parametrize("xi", [1e-10, 1e-160, 1.0 - 1e-10])
+    def test_min_valid_n_beyond_exact_degrees(self, xi):
+        with pytest.raises(InvalidNodesError, match=r"2\*\*53"):
+            min_valid_n(xi)
+
     def test_ordering_when_valid(self):
         for n in (64, 200, 1111):
             for xi in (0.25, 0.5, 0.66):
@@ -101,6 +111,17 @@ class TestComputeNodes:
                     assert nd.x1 < nd.x2 < nd.xi < nd.x3 < nd.x4
                     assert (nd.x1, nd.x4) == (nd.k1 / n, nd.k4 / n)
                     assert nd.k1 == math.floor(n * xi - 2 * math.sqrt(n))
+
+
+def min_valid_n_walk(xi):
+    """Oracle: step down from a guess near 4/xi^2 while n - 1 is valid, then up."""
+    side = min(xi, 1.0 - xi)
+    n = max(4, int((2.0 / side + 2.0) ** 2))
+    while n > 1 and compute_nodes(n - 1, xi).valid:
+        n -= 1
+    while not compute_nodes(n, xi).valid:
+        n += 1
+    return n
 
 
 class TestPsiBar:

@@ -232,8 +232,8 @@ class TestSweep:
 @pytest.mark.parametrize("command", ["check", "sweep"])
 @pytest.mark.parametrize(
     "n_values",
-    ["512,64,128", "64,64,64", "", "0,64,128", "4,8,16"],
-    ids=["unsorted", "repeated", "empty", "zero", "no-valid-nodes"],
+    ["512,64,128", "64,64,64", "", "0,64,128", "4,8,16", "64,128"],
+    ids=["unsorted", "repeated", "empty", "zero", "no-valid-nodes", "two"],
 )
 def test_degree_sweep_contract(capsys, command, n_values):
     extra = ("--which", "lemma4") if command == "check" else ("--functions", "abs_beta_1.0")
@@ -347,10 +347,18 @@ class TestMisc:
         (("sweep", "--functions", "abs_beta_1.0", "--h-steps", "0"), "--h-steps"),
         (("modulus", "--f", "square", "--h-steps", "-3"), "--h-steps"),
         (("check", "--which", "inverse", "--h-steps", "0"), "--h-steps"),
+        (("eval", "--f", "linear", "--n", "64", "--exclusion-radius", "nan"), "--exclusion-radius"),
+        (("eval", "--f", "linear", "--n", "64", "--exclusion-radius", "0.6"), "--exclusion-radius"),
+        (("check", "--which", "lemma5", "--xi", "0.3", "--exclusion-radius", "0.3"),
+         "--exclusion-radius"),
+        (("modulus", "--f", "square", "--exclusion-radius", "-0.1"), "--exclusion-radius"),
+        (("sweep", "--functions", "abs_beta_1.0", "--format", "csv"), "--format"),
+        (("eval", "--f", "linear", "--n", "64", "--format", "yaml"), "--format"),
     ],
     ids=["beta-negative", "beta-zero", "u-negative", "v-negative", "gamma-negative",
          "gamma-nan", "sweep-h-steps-zero", "modulus-h-steps-negative",
-         "check-h-steps-zero"],
+         "check-h-steps-zero", "radius-nan", "radius-past-zero", "radius-at-xi",
+         "radius-negative", "sweep-csv", "format-unknown"],
 )
 def test_numeric_flag_contract(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv, "--grid-count", "65")
@@ -383,3 +391,32 @@ def test_sweep_passes_h_steps_to_the_inverse_check(capsys):
     assert [r["params"]["h_steps"] for r in reports] == [32, 32, 8]
     assert reports[0]["rows"] == reports[1]["rows"]
     assert reports[2]["rows"] != reports[0]["rows"]
+
+
+def test_config_format_is_checked(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = xml\n")
+    code, out, err = run_cli(capsys, "list-functions", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert "invalid --format" in err
+
+
+def test_too_few_usable_degrees_exit_3(capsys):
+    # only 64 and 128 have valid bridge nodes at xi = 0.5
+    code, out, err = run_cli(capsys, "check", "--which", "lemma2", "--f", "square",
+                             "--n-values", "4,8,16,64,128", "--grid-count", "65")
+    assert (code, out) == (3, "")
+    assert "need n >= 20" in err
+
+
+@pytest.mark.parametrize("xi", ["1e-10", "1e-160"])
+@pytest.mark.parametrize("argv", [("eval", "--f", "linear", "--n", "64"), ("check", "--which", "lemma5")],
+                         ids=["eval", "check-lemma5"])
+def test_tiny_xi_exits_3_quickly(capsys, argv, xi):
+    import time
+
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--xi", xi, "--grid-count", "65")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert "2**53" in err

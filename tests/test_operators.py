@@ -11,9 +11,9 @@ from singbern.operators import (
     bbar_second_derivative,
     bernstein_apply,
     build_surrogate,
-    weighted_operator_norm_ratio,
 )
-from singbern.weight import GridSpec, SingularWeight, corpus_member, weighted_sup_norm
+from singbern.experiments import check_theorem1, check_theorem2
+from singbern.weight import GridSpec, SingularWeight, TestFunction, corpus_member, weighted_sup_norm
 
 W = SingularWeight(xi=0.5, alpha=1.0)
 
@@ -214,30 +214,33 @@ class TestSecondDerivative:
 
 
 class TestNormRatio:
+    """The row ratio |w phi^(2 lam) Bbar''| / majorant of the theorem checks."""
+
+    NS = (128, 256, 512)
+
     def test_linear_gives_zero(self):
         f = corpus_member("linear", W)
         g = GridSpec(count=513)
         # coefficient rounding leaves second differences at the eps level
-        assert weighted_operator_norm_ratio(f, 128, W, 0.0, g, branch="cw") == pytest.approx(
-            0.0, abs=1e-14
-        )
-        assert weighted_operator_norm_ratio(f, 128, W, 1.0, g, branch="w2") == 0.0
+        cw = check_theorem1(f, W, self.NS, g)
+        assert all(row["ratio"] == pytest.approx(0.0, abs=1e-14) for row in cw.rows)
+        w2 = check_theorem2(f, W, 1.0, "w2", self.NS, g)
+        assert [row["ratio"] for row in w2.rows] == [0.0] * len(self.NS)
 
     def test_finite_for_corpus(self):
         g = GridSpec(count=513)
-        f = corpus_member("cubic", W)
-        r = weighted_operator_norm_ratio(f, 256, W, 1.0, g, branch="w2")
-        assert math.isfinite(r) and r > 0.0
-        f2 = corpus_member("abs_beta_0.5", W)
-        r2 = weighted_operator_norm_ratio(f2, 256, W, 0.0, g, branch="cw")
-        assert math.isfinite(r2) and r2 > 0.0
-
-    def test_cw_branch_requires_integer_lambda(self):
-        f = corpus_member("square", W)
-        with pytest.raises(ValueError):
-            weighted_operator_norm_ratio(f, 128, W, 0.5, GridSpec(65), branch="cw")
+        w2 = check_theorem2(corpus_member("cubic", W), W, 1.0, "w2", self.NS, g)
+        cw = check_theorem1(corpus_member("abs_beta_0.5", W), W, self.NS, g)
+        for row in w2.rows + cw.rows:
+            assert math.isfinite(row["ratio"]) and row["ratio"] > 0.0
 
     def test_w2_branch_requires_second_derivative(self):
-        g = GridSpec(count=65)
+        f = TestFunction(name="identity", f=lambda x: np.asarray(x, dtype=float))
         with pytest.raises(ValueError):
-            weighted_operator_norm_ratio(lambda x: np.asarray(x), 128, W, 0.0, g, branch="w2")
+            check_theorem2(f, W, 0.0, "w2", self.NS, GridSpec(count=65))
+
+    def test_lambda_outside_unit_interval_rejected(self):
+        f = corpus_member("square", W)
+        for branch in ("cw", "w2"):
+            with pytest.raises(ValueError, match="lam"):
+                check_theorem2(f, W, 1.5, branch, self.NS, GridSpec(count=65))
