@@ -173,12 +173,6 @@ def _log_b(n: int, k: np.ndarray, const: np.ndarray, moments) -> np.ndarray:
     return const - _bd0(k, nx, nx_lo) - _bd0(n - k, n1x, n1x_lo)
 
 
-def _interior_log(n: int, k: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """log b(n, k, x) for interior 1 <= k <= n-1 and 0 < x < 1, elementwise."""
-    k = k.astype(float)
-    return _log_b(n, k, _log_const(n, k), _split_moments(n, x))
-
-
 def basis_values(n: int, x, k) -> np.ndarray:
     """Basis weights b(n, k, x) = C(n, k) x^k (1-x)^(n-k), broadcast over x and k.
 
@@ -197,25 +191,31 @@ def basis_values(n: int, x, k) -> np.ndarray:
         raise ValueError("x must lie in [0, 1]")
     if k.size and not (k.min() >= 0 and k.max() <= n):
         raise ValueError(f"index k must lie in [0, {n}]")
-    return _values(n, x, k)
+    xf = x.ravel()
+    return _values(n, xf, k.ravel(), _split_moments(n, xf),
+                   lambda kk: _log_const(n, kk.astype(float))).reshape(x.shape)
 
 
-def _values(n: int, x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """``basis_values`` for checked arguments: x in [0, 1], integer k in [0, n], one shape."""
-    shape = x.shape
-    x, k = x.ravel(), k.ravel()
+def _values(n: int, x: np.ndarray, k: np.ndarray, moments, log_const) -> np.ndarray:
+    """Flat checked ``basis_values``: x in [0, 1], integer k in [0, n], one length.
+
+    ``moments`` is ``_split_moments(n, x)`` and ``log_const`` maps interior
+    k to ``_log_const``; the caller computes both once.  The closed forms
+    for k in {0, n} and x in {0, 1} live here alone.
+    """
     inside = (x > 0.0) & (x < 1.0)
     mid = inside & (k > 0) & (k < n)
     if mid.all():
-        return np.exp(_interior_log(n, k, x)).reshape(shape)
+        return np.exp(_log_b(n, k.astype(float), log_const(k), moments))
     out = np.zeros(x.shape)
-    out[mid] = np.exp(_interior_log(n, k[mid], x[mid]))
+    km = k[mid]
+    out[mid] = np.exp(_log_b(n, km.astype(float), log_const(km), [m[mid] for m in moments]))
     out[((x == 0.0) & (k == 0)) | ((x == 1.0) & (k == n))] = 1.0
     first = inside & (k == 0)
     out[first] = np.exp(n * np.log1p(-x[first]))
     last = inside & (k == n)
     out[last] = np.exp(n * np.log(x[last]))
-    return out.reshape(shape)
+    return out
 
 
 def _band_radius(n: int) -> int:
@@ -263,9 +263,9 @@ def basis_matrix(n: int, xs: np.ndarray) -> np.ndarray:
     bit-identical to ``basis_values``.  Memory is O(len(xs) sqrt(n)).
     The rows are built in passes of about _PASS_ENTRIES band entries, so
     each pass's temporaries stay in cache; the k-only and x-only parts of
-    log b are computed once per call and gathered.  A pass that holds a
-    k = 0 or k = n entry, as every pass with an endpoint row does, goes
-    through ``basis_values``'s own path.
+    log b are computed once per call and gathered by every pass.  A pass
+    that holds a k = 0 or k = n entry, as every pass with an endpoint row
+    does, adds the closed forms of ``basis_values``'s own path.
     """
     n = int(n)
     if n < 1:
@@ -290,12 +290,12 @@ def basis_matrix(n: int, xs: np.ndarray) -> np.ndarray:
         mask = np.abs(k - n * x[:, None]) <= radius[sl, None]
         counts = mask.sum(axis=1)
         k = k[mask]
+        parts = [np.repeat(m[sl], counts) for m in moments]
         # a row at x = 0 or x = 1 keeps k = 0 or k = n, so this pass is interior
         if k.min() > 0 and k.max() < n:
-            parts = [np.repeat(m[sl], counts) for m in moments]
             out[sl][mask] = np.exp(_log_b(n, k.astype(float), const[k - 1], parts))
         else:
-            out[sl][mask] = _values(n, np.repeat(x, counts), k)
+            out[sl][mask] = _values(n, np.repeat(x, counts), k, parts, lambda kk: const[kk - 1])
     return out
 
 

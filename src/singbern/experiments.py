@@ -145,8 +145,8 @@ class RateReport(_Report):
         self.beyond_saturation = self.target is not None and self.target > SATURATION_EXPONENT
 
 
-def fit_rate(pairs) -> tuple[float, float]:
-    """Least squares in log-log space; residual is the max |log deviation|."""
+def _loglog_fit(pairs) -> tuple[float, float, float]:
+    """Least squares in log-log space: slope, intercept, max |log deviation|."""
     pairs = [(float(a), float(b)) for a, b in pairs]
     if len(pairs) < 3:
         raise ValueError("need at least 3 pairs to fit a rate")
@@ -156,7 +156,13 @@ def fit_rate(pairs) -> tuple[float, float]:
     ly = np.log([b for _, b in pairs])
     slope, intercept = np.polyfit(lx, ly, 1)
     residual = float(np.max(np.abs(ly - (slope * lx + intercept))))
-    return float(slope), residual
+    return float(slope), float(intercept), residual
+
+
+def fit_rate(pairs) -> tuple[float, float]:
+    """Least squares in log-log space; residual is the max |log deviation|."""
+    slope, _, residual = _loglog_fit(pairs)
+    return slope, residual
 
 
 def trend_summary(
@@ -169,22 +175,23 @@ def trend_summary(
     """Boundedness verdict for a ratio sequence over an increasing sweep.
 
     All-zero sequences pass trivially (the bound's left side vanishes).
-    Spread is measured around the fitted power law so that decaying
-    ratios are not penalized for decaying.
+    A NaN or infinite ratio fails: it is an unbounded or undefined left
+    side, never a vanishing one.  Spread is measured around the fitted
+    power law so that decaying ratios are not penalized for decaying.
     """
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=float)
     if np.any(values < 0.0):
         raise ValueError("ratio sequence must be non-negative")
+    finite = bool(np.all(np.isfinite(values)))
     scale = float(np.max(values)) if values.size else 0.0
     significant = values > 1e-12 * scale
-    if scale <= 1e-300 or significant.sum() < 3:
-        # vanishing (or underflow-dotted) left side: nothing can grow
-        return {"slope": None, "residual": None, "spread": None, "passed": True, "trivial": True}
+    if not finite or scale <= 1e-300 or significant.sum() < 3:
+        # a non-finite left side fails; a vanishing (or underflow-dotted) one cannot grow
+        return {"slope": None, "residual": None, "spread": None, "passed": finite, "trivial": finite}
     xs, values = xs[significant], values[significant]
-    slope, residual = fit_rate(list(zip(xs, values)))
-    fit = np.exp(np.polyval(np.polyfit(np.log(xs), np.log(values), 1), np.log(xs)))
-    detrended = values / fit
+    slope, intercept, residual = _loglog_fit(zip(xs, values))
+    detrended = values / np.exp(slope * np.log(xs) + intercept)
     spread = float(np.max(detrended) / np.median(detrended))
     passed = slope <= max_slope and spread <= max_spread
     if min_slope is not None:

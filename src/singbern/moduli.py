@@ -40,46 +40,34 @@ def h_ladder(t: float, h_steps: int = 32) -> np.ndarray:
     return hs[hs <= t]
 
 
+def _weighted_diff(f, w, x, a, b, c):
+    """w(x) (f(c) - 2 f(b) + f(a)); NaN where the stencil leaves [0, 1] or meets xi."""
+    ok = (
+        (np.minimum(a, c) >= 0.0)
+        & (np.maximum(a, c) <= 1.0)
+        & (a != w.xi)
+        & (b != w.xi)
+        & (c != w.xi)
+    )
+    out = np.full(x.shape, np.nan)
+    if ok.any():
+        out[ok] = w(x[ok]) * (np.asarray(f(c[ok]), dtype=float)
+                              - 2.0 * np.asarray(f(b[ok]), dtype=float)
+                              + np.asarray(f(a[ok]), dtype=float))
+    return out
+
+
 def _sym_values(f, w, lam, h, xs):
     """Weighted symmetric second differences on xs; NaN where undefined."""
     xs = np.asarray(xs, dtype=float)
     step = h * phi(xs) ** lam
-    left = xs - step
-    right = xs + step
-    ok = (
-        (left >= 0.0)
-        & (right <= 1.0)
-        & (xs != w.xi)
-        & (left != w.xi)
-        & (right != w.xi)
-    )
-    out = np.full(xs.shape, np.nan)
-    if ok.any():
-        xo, lo, ro = xs[ok], left[ok], right[ok]
-        out[ok] = w(xo) * (np.asarray(f(ro), dtype=float)
-                           - 2.0 * np.asarray(f(xo), dtype=float)
-                           + np.asarray(f(lo), dtype=float))
-    return out
+    return _weighted_diff(f, w, xs, xs - step, xs, xs + step)
 
 
 def _oneside_values(f, w, h, xs, sign):
     """Weighted one-sided second differences (sign=+1 forward, -1 backward)."""
     xs = np.asarray(xs, dtype=float)
-    p1 = xs + sign * h
-    p2 = xs + sign * 2.0 * h
-    ok = (
-        (np.minimum(p2, xs) >= 0.0)
-        & (np.maximum(p2, xs) <= 1.0)
-        & (xs != w.xi)
-        & (p1 != w.xi)
-        & (p2 != w.xi)
-    )
-    out = np.full(xs.shape, np.nan)
-    if ok.any():
-        out[ok] = w(xs[ok]) * (np.asarray(f(p2[ok]), dtype=float)
-                               - 2.0 * np.asarray(f(p1[ok]), dtype=float)
-                               + np.asarray(f(xs[ok]), dtype=float))
-    return out
+    return _weighted_diff(f, w, xs, xs, xs + sign * h, xs + sign * 2.0 * h)
 
 
 def _band_sup(values: np.ndarray) -> float:
@@ -91,7 +79,7 @@ def _band_grid(lo: float, hi: float, base: np.ndarray) -> np.ndarray:
     if hi <= lo:
         return np.empty(0)
     pts = base[(base >= lo) & (base <= hi)]
-    return np.unique(np.concatenate([pts, np.linspace(lo, hi, _BAND_POINTS)]))
+    return np.concatenate([pts, np.linspace(lo, hi, _BAND_POINTS)])
 
 
 def _near_singularity(xi: float, h: float) -> np.ndarray:
@@ -109,22 +97,23 @@ def ladder_band_sups(f, w: SingularWeight, lam: float, hs, g: GridSpec):
     bands, padded with uniform points since few grid points land there)
     and the main-part sup (symmetric stencil strictly inside (0, 1)).
     The weighted symmetric difference peaks within O(h) of xi, so the
-    caller's grid is supplemented there at each step scale.
+    caller's grid is supplemented there at each step scale.  Each step
+    evaluates the symmetric differences once and reads both sups off that
+    one array; a sup ignores order and repeats, so no point set is sorted.
     """
     base = grid_points(g, w.xi)
     three_band = np.empty(len(hs))
     mainpart = np.empty(len(hs))
     for i, h in enumerate(hs):
-        xs = np.unique(np.concatenate([base, _near_singularity(w.xi, h)]))
+        xs = np.concatenate([base, _near_singularity(w.xi, h)])
+        sym = _sym_values(f, w, lam, h, xs)
         cut = 16.0 * h * h
-        interior = xs[(xs >= cut) & (xs <= 1.0 - cut)]
-        total = _band_sup(_sym_values(f, w, lam, h, interior))
+        total = _band_sup(sym[(xs >= cut) & (xs <= 1.0 - cut)])
         total += _band_sup(_oneside_values(f, w, h, _band_grid(0.0, min(cut, 1.0), base), +1.0))
         total += _band_sup(_oneside_values(f, w, h, _band_grid(max(1.0 - cut, 0.0), 1.0, base), -1.0))
         three_band[i] = total
         step = h * phi(xs) ** lam
-        inner = (xs - step > 0.0) & (xs + step < 1.0)
-        mainpart[i] = _band_sup(_sym_values(f, w, lam, h, xs[inner]))
+        mainpart[i] = _band_sup(sym[(xs - step > 0.0) & (xs + step < 1.0)])
     return three_band, mainpart
 
 

@@ -354,6 +354,17 @@ class TestBandPasses:
         assert_band_matches_values(65536, grid_points(GridSpec()))
 
 
+@pytest.mark.parametrize("n", (1024, 16384))
+def test_one_k_table_per_basis_matrix_call(monkeypatch, n):
+    # the endpoint passes read the same table as the interior ones
+    import singbern.basis as basis
+
+    real, calls = basis._log_const, []
+    monkeypatch.setattr(basis, "_log_const", lambda *a: calls.append(1) or real(*a))
+    basis_matrix(n, grid_points(GridSpec()))
+    assert len(calls) == 1
+
+
 class TestMomentSums:
     def test_second_central_moment_is_variance(self):
         assert central_moment_sum(10, 0.5, 2.0) == pytest.approx(2.5, rel=1e-12)

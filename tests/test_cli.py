@@ -1,8 +1,12 @@
 """Tests for the command-line front end: exit codes, formats, determinism."""
 
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from singbern.cli import main
 
@@ -365,6 +369,73 @@ def test_numeric_flag_contract(capsys, argv, flag):
     assert code == 2
     assert out == ""
     assert f"invalid {flag}" in err
+
+
+SMALL_SWEEP = ("--n-values", "64,128,256", "--grid-count", "65")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_ratios_fail_the_check(capsys):
+    # (k/n)^-400 overflows, so every lemma1 ratio is NaN: that is no bound
+    code, out, _ = run_cli(capsys, "check", "--which", "lemma1", "--u", "400",
+                           "--format", "json", *SMALL_SWEEP)
+    report = json.loads(out)["reports"][0]
+    assert code == 1
+    assert [row["ratio"] for row in report["rows"]] == [None] * 3
+    assert not report["passed"] and not report["trivial"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [("lemma6", "--beta", "1e6"), ("lemma4", "--gamma", "1e4"), ("lemma5", "--alpha", "1e5")],
+    ids=["beta", "gamma", "alpha"],
+)
+def test_arithmetic_overflow_exits_3(capsys, argv):
+    code, out, err = run_cli(capsys, "check", "--which", *argv, *SMALL_SWEEP)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_FLAG_VALUES = {
+    "u": st.floats(0.0, 1e6),
+    "v": st.floats(0.0, 1e6),
+    "gamma": st.floats(0.0, 1e6),
+    "beta": st.floats(0.0, 1e6),
+    "alpha": st.floats(0.0, 1e5, exclude_min=True),
+    "xi": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+}
+# at most one flag per run takes a non-finite, negative or zero value
+_ODD_FLAG = st.none() | st.tuples(
+    st.sampled_from(sorted(_FLAG_VALUES)),
+    st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -1e-300, 0.0]),
+)
+
+
+def _outside_readme_range(flag, value):
+    """The README's input rules: 0 < xi < 1, alpha > 0, finite moment exponents
+    with --beta > 0 and --u, --v, --gamma >= 0."""
+    if flag == "xi":
+        return not 0.0 < value < 1.0
+    if flag == "alpha":
+        return not value > 0.0
+    return not math.isfinite(value) or (value <= 0.0 if flag == "beta" else value < 0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=25, deadline=None)
+@given(st.fixed_dictionaries(_FLAG_VALUES), _ODD_FLAG)
+def test_exit_code_contract(values, odd):
+    if odd is not None:
+        values[odd[0]] = odd[1]
+    argv = ["check", "--which", "lemma1,lemma4,lemma5,lemma6", *SMALL_SWEEP]
+    argv += [f"--{flag}={value!r}" for flag, value in values.items()]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    if any(_outside_readme_range(flag, value) for flag, value in values.items()):
+        assert code == 2
+    else:
+        assert code in (0, 1, 3)
 
 
 def test_check_passes_h_steps_to_the_inverse_check(capsys):

@@ -83,6 +83,15 @@ class TestTrendSummary:
         s = trend_summary([64, 128, 256, 512, 1024], [1.0, 1.0, 30.0, 1.0, 1.0])
         assert not s["passed"]
 
+    @pytest.mark.parametrize(
+        "values",
+        [[math.inf] * 3, [1.0, math.inf, 1.0], [math.nan] * 3, [1.0, math.nan, 1.0, 1.0]],
+        ids=["all-inf", "one-inf", "all-nan", "one-nan"],
+    )
+    def test_non_finite_ratio_fails(self, values):
+        s = trend_summary([64, 128, 256, 512][: len(values)], values)
+        assert not s["passed"] and not s["trivial"]
+
 
 class TestLemmaCheckers:
     def test_all_invalid_sweep_raises(self):

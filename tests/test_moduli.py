@@ -242,3 +242,13 @@ class TestIteratedStepIntegral:
         ratios = np.array(ratios)
         assert ratios.max() <= 3.0 * np.median(ratios)
         assert ratios.max() <= 2.0  # the measured constant is around 1
+
+
+def test_one_symmetric_difference_per_ladder_step(monkeypatch):
+    import singbern.moduli as moduli_module
+
+    real, calls = moduli_module._sym_values, []
+    monkeypatch.setattr(moduli_module, "_sym_values", lambda *a: calls.append(1) or real(*a))
+    hs = h_ladder(0.25)
+    moduli_module.ladder_band_sups(corpus_member("abs_beta_1.0", W, 0.0), W, 0.0, hs, G)
+    assert len(calls) == hs.size > 1
