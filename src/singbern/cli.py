@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 check failure, 2 configuration error, 3 domain
 or node-validity error.  Option precedence: command-line flags override
 the config file, which overrides built-in defaults.  The config file is
-plain KEY=VALUE text (keys match long option names, '#' starts a comment).
+plain KEY=VALUE text (keys match long option names, '#' starts a comment);
+its values go through the same parser, and so the same checks, as flags.
 """
 
 from __future__ import annotations
@@ -57,25 +58,57 @@ CHECK_NAMES = (
     "theorem1", "theorem2", "direct", "inverse",
 )
 
-_CONFIG_KEYS = {
-    "xi": float, "alpha": float, "lambda": float, "n": int,
-    "grid-count": int, "grid-placement": str, "exclusion-radius": float,
-    "format": str, "f": str, "functions": str, "which": str, "branch": str,
-    "n-values": str, "t-values": str, "h-steps": int, "beta": float,
-    "gamma": float, "u": float, "v": float, "out": str,
-}
-
 
 class ConfigError(ValueError):
     pass
 
 
-def _load_config(path: str) -> dict:
-    cfg = {}
+def _typed(flag: str, parse, ok, rule: str):
+    """An argparse type for ``--flag``: ``parse`` the text, then require ``ok`` of the value."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"invalid --{flag}: {text!r} ({rule})")
+
+    return convert
+
+
+def _positive(value) -> bool:
+    return math.isfinite(value) and value > 0
+
+
+def _non_negative(value) -> bool:
+    return math.isfinite(value) and value >= 0
+
+
+def _comma_list(cast):
+    return lambda text: tuple(cast(tok) for tok in text.split(",") if tok.strip())
+
+
+def _check_names(text: str) -> tuple:
+    return CHECK_NAMES if text == "all" else tuple(tok.strip() for tok in text.split(","))
+
+
+def _increasing_degrees(ns: tuple) -> bool:
+    return len(ns) >= 3 and ns[0] >= 1 and all(b > a for a, b in zip(ns, ns[1:]))
+
+
+def _config_args(path: str, config_keys: dict, command: str) -> list:
+    """The config file as ``--key=value`` tokens for the keys ``command`` takes.
+
+    A key that only another command takes is skipped; any other key is an
+    error.  The ``=`` form keeps a value that starts with ``-`` a value.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
+    tokens = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -84,54 +117,11 @@ def _load_config(path: str) -> dict:
             raise ConfigError(f"config {path}:{lineno}: expected KEY=VALUE, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.lower().replace("_", "-")
-        if key not in _CONFIG_KEYS:
+        if not any(key in keys for keys in config_keys.values()):
             raise ConfigError(f"config {path}:{lineno}: unknown key {key!r}")
-        try:
-            cfg[key] = _CONFIG_KEYS[key](value)
-        except ValueError as exc:
-            raise ConfigError(f"config {path}:{lineno}: bad value for {key}: {value!r}") from exc
-    return cfg
-
-
-class Options:
-    """Flag > config-file > default resolution."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = vars(args)
-        self.cfg = _load_config(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, key: str, default=None):
-        flag = self.args.get(key.replace("-", "_"))
-        if flag is not None:
-            return flag
-        if key in self.cfg:
-            return self.cfg[key]
-        return default
-
-
-def _parse_values(text, cast, field):
-    if isinstance(text, (list, tuple)):
-        return tuple(cast(v) for v in text)
-    try:
-        return tuple(cast(tok) for tok in str(text).split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"invalid {field}: {text!r}") from exc
-
-
-def _weight(opt: Options) -> SingularWeight:
-    xi = opt.get("xi", DEFAULT_WEIGHT.xi)
-    alpha = opt.get("alpha", DEFAULT_WEIGHT.alpha)
-    try:
-        return SingularWeight(xi=float(xi), alpha=float(alpha))
-    except ValueError as exc:
-        raise ConfigError(f"invalid weight parameters (--xi/--alpha): {exc}") from exc
-
-
-def _lam(opt: Options) -> float:
-    lam = float(opt.get("lambda", 0.0))
-    if not 0.0 <= lam <= 1.0:
-        raise ConfigError(f"invalid --lambda: {lam} (must lie in [0, 1])")
-    return lam
+        if key in config_keys[command]:
+            tokens.append(f"--{key}={value}")
+    return tokens
 
 
 def _member(name: str, w: SingularWeight, lam: float):
@@ -141,84 +131,32 @@ def _member(name: str, w: SingularWeight, lam: float):
         raise ConfigError(f"invalid --f: {exc.args[0]}") from exc
 
 
-def _t_values(opt: Options) -> tuple:
-    ts = _parse_values(opt.get("t-values", DEFAULT_T_VALUES), float, "--t-values")
-    bad = [t for t in ts if not 0.0 < t <= 0.25]
-    if not ts or bad:
-        raise ConfigError(
-            f"invalid --t-values: {bad or list(ts)} (need at least one width, each in (0, 0.25])"
-        )
-    return ts
+def _weight_and_grid(args) -> tuple:
+    """The weight and the grid; the exclusion radius must leave both sides of xi."""
+    w = SingularWeight(xi=args.xi, alpha=args.alpha)
+    side = min(w.xi, 1.0 - w.xi)
+    if not args.exclusion_radius < side:
+        raise ConfigError(f"invalid --exclusion-radius: {args.exclusion_radius} "
+                          f"(must lie in [0, min(xi, 1 - xi)) = [0, {side}))")
+    g = GridSpec(count=args.grid_count, exclusion_radius=args.exclusion_radius,
+                 placement=args.grid_placement)
+    return w, g
 
 
-def _n_values(opt: Options) -> tuple:
-    ns = _parse_values(opt.get("n-values", DEFAULT_N_VALUES), int, "--n-values")
-    if len(ns) < 3 or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ConfigError(
-            f"invalid --n-values: {list(ns)} (need at least 3 strictly increasing degrees >= 1)"
-        )
-    return ns
-
-
-def _checked(opt: Options, key: str, default, ok, need: str):
-    """A finite numeric flag that satisfies ``ok``; a ConfigError (exit 2) otherwise."""
-    value = opt.get(key, default)
-    if not (math.isfinite(value) and ok(value)):
-        raise ConfigError(f"invalid --{key}: {value} ({need})")
-    return value
-
-
-def _grid(opt: Options, xi: float) -> GridSpec:
-    side = min(xi, 1.0 - xi)
-    radius = _checked(opt, "exclusion-radius", 0.0, lambda r: 0.0 <= r < side,
-                      f"must lie in [0, min(xi, 1 - xi)) = [0, {side})")
-    try:
-        return GridSpec(
-            count=int(opt.get("grid-count", 4097)),
-            exclusion_radius=float(radius),
-            placement=str(opt.get("grid-placement", "chebyshev")),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid grid parameters: {exc}") from exc
-
-
-def _format(opt: Options, choices=("csv", "json")) -> str:
-    """The output format; the first choice is the command's default."""
-    fmt = str(opt.get("format", choices[0]))
-    if fmt not in choices:
-        raise ConfigError(f"invalid --format: {fmt!r} (this command writes {' or '.join(choices)})")
-    return fmt
-
-
-def _h_steps(opt: Options) -> int:
-    return int(_checked(opt, "h-steps", 32, lambda s: s >= 1, "must be positive"))
-
-
-def _exponents(opt: Options) -> dict:
-    """Moment exponents: --u/--v (lemma1), --gamma (lemma4), --beta (lemma6)."""
-    return {
-        "u": float(_checked(opt, "u", 1.0, lambda e: e >= 0.0, "must be >= 0")),
-        "v": float(_checked(opt, "v", 0.0, lambda e: e >= 0.0, "must be >= 0")),
-        "gamma": float(_checked(opt, "gamma", 2.0, lambda e: e >= 0.0, "must be >= 0")),
-        "beta": float(_checked(opt, "beta", 2.0, lambda e: e > 0.0, "must be positive")),
-    }
-
-
-def _degree(opt: Options) -> int:
-    n = opt.get("n")
-    if n is None:
-        raise ConfigError("missing --n (operator degree)")
-    n = int(n)
-    if n < 1:
-        raise ConfigError(f"invalid --n: {n} (degree must be >= 1)")
-    return n
+def _function(args, w: SingularWeight):
+    if not args.f:
+        raise ConfigError("missing --f (function name; see list-functions)")
+    return _member(args.f, w, args.lam)
 
 
 def _emit(text: str, out):
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out}: {exc}") from exc
 
 
 def _emit_csv(header, rows, out):
@@ -231,16 +169,12 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def cmd_eval(opt: Options) -> int:
-    w = _weight(opt)
-    lam = _lam(opt)
-    g = _grid(opt, w.xi)
-    fmt = _format(opt)
-    name = opt.get("f")
-    if not name:
-        raise ConfigError("missing --f (function name; see list-functions)")
-    f = _member(str(name), w, lam)
-    n = _degree(opt)
+def cmd_eval(args: argparse.Namespace) -> int:
+    w, g = _weight_and_grid(args)
+    f = _function(args, w)
+    if args.n is None:
+        raise ConfigError("missing --n (operator degree)")
+    n = args.n
     nodes = compute_nodes(n, w.xi)
     nodes.require_valid()
     xs = grid_points(g, w.xi, extra=(nodes.x1, nodes.x2, nodes.x3, nodes.x4))
@@ -252,42 +186,34 @@ def cmd_eval(opt: Options) -> int:
         for x, a, b, e in zip(xs, fv, bv, werr)
     ]
     header = ["x", "f", "bbar", "weighted_error"]
-    if fmt == "json":
+    if args.format == "json":
         doc = {
             "schema_version": SCHEMAS["schema_version"], "command": "eval",
-            "params": {"f": f.name, "xi": w.xi, "alpha": w.alpha, "lambda": lam, "n": n},
+            "params": {"f": f.name, "xi": w.xi, "alpha": w.alpha, "lambda": args.lam, "n": n},
             "rows": rows,
         }
-        _emit(json_dumps(doc), opt.get("out"))
+        _emit(json_dumps(doc), args.out)
     else:
-        _emit_csv(header, rows, opt.get("out"))
+        _emit_csv(header, rows, args.out)
     return EXIT_OK
 
 
-def cmd_modulus(opt: Options) -> int:
-    w = _weight(opt)
-    lam = _lam(opt)
-    g = _grid(opt, w.xi)
-    fmt = _format(opt)
-    name = opt.get("f")
-    if not name:
-        raise ConfigError("missing --f (function name; see list-functions)")
-    f = _member(str(name), w, lam)
-    t_values = _t_values(opt)
-    h_steps = _h_steps(opt)
-    ts = sorted(t_values)
-    moduli = ladder_moduli(f, w, lam, ts, h_steps, g)
+def cmd_modulus(args: argparse.Namespace) -> int:
+    w, g = _weight_and_grid(args)
+    f = _function(args, w)
+    ts = sorted(args.t_values)
+    moduli = ladder_moduli(f, w, args.lam, ts, args.h_steps, g)
     rows = [{"t": t, "omega2": om, "omega2_mainpart": mp} for t, (om, mp, _) in zip(ts, moduli)]
-    if fmt == "json":
+    if args.format == "json":
         doc = {
             "schema_version": SCHEMAS["schema_version"], "command": "modulus",
-            "params": {"f": f.name, "xi": w.xi, "alpha": w.alpha, "lambda": lam,
-                       "h_steps": h_steps},
+            "params": {"f": f.name, "xi": w.xi, "alpha": w.alpha, "lambda": args.lam,
+                       "h_steps": args.h_steps},
             "rows": rows,
         }
-        _emit(json_dumps(doc), opt.get("out"))
+        _emit(json_dumps(doc), args.out)
     else:
-        _emit_csv(["t", "omega2", "omega2_mainpart"], rows, opt.get("out"))
+        _emit_csv(["t", "omega2", "omega2_mainpart"], rows, args.out)
     return EXIT_OK
 
 
@@ -298,19 +224,17 @@ def _rate_members(members):
     return [tf for tf in members if tf.expected_alpha0 is not None or tf.name == "linear"]
 
 
-def _run_checker(which: str, opt: Options, w, lam, g, n_values, t_values, h_steps, ex):
-    members = corpus(w, lam)
-    sel = opt.get("f", "all")
-    if sel != "all":
-        members = [_member(str(sel), w, lam)]
+def _run_checker(which: str, args: argparse.Namespace, w, g):
+    lam, n_values, sel = args.lam, args.n_values, args.f
+    members = corpus(w, lam) if sel == "all" else [_member(sel, w, lam)]
     if which == "lemma1":
-        return [check_lemma1(n_values, g, ex["u"], ex["v"])]
+        return [check_lemma1(n_values, g, args.u, args.v)]
     if which == "lemma4":
-        return [check_lemma4(n_values, g, ex["gamma"])]
+        return [check_lemma4(n_values, g, args.gamma)]
     if which == "lemma5":
         return [check_lemma5(w, n_values, g)]
     if which == "lemma6":
-        return [check_lemma6(w, ex["beta"], n_values, g)]
+        return [check_lemma6(w, args.beta, n_values, g)]
     if which == "lemma2":
         return [check_lemma2(tf, w, n_values, g) for tf in members]
     if which == "theorem1":
@@ -321,58 +245,45 @@ def _run_checker(which: str, opt: Options, w, lam, g, n_values, t_values, h_step
             raise ConfigError(f"--f {sel}: not usable by lemma7 (needs a smooth second derivative)")
         return [check_lemma7(tf, w, lam, n_values, g) for tf in usable]
     if which == "theorem2":
-        branch = str(opt.get("branch", "both"))
-        if branch not in ("cw", "w2", "both"):
-            raise ConfigError(f"invalid --branch: {branch!r}")
         out = []
-        if branch in ("cw", "both"):
+        if args.branch in ("cw", "both"):
             out += [check_theorem2(tf, w, lam, "cw", n_values, g) for tf in members]
-        if branch in ("w2", "both"):
+        if args.branch in ("w2", "both"):
             out += [check_theorem2(tf, w, lam, "w2", n_values, g) for tf in w2_members(members, w)]
         return out
+    usable = _rate_members(members)
+    if not usable:
+        raise ConfigError(f"--f {sel}: {_NO_RATE_TARGET}")
     if which == "direct":
-        usable = _rate_members(members)
-        if not usable:
-            raise ConfigError(f"--f {sel}: {_NO_RATE_TARGET}")
         return [check_direct(tf, w, lam, n_values, g) for tf in usable]
-    if which == "inverse":
-        usable = _rate_members(members)
-        if not usable:
-            raise ConfigError(f"--f {sel}: {_NO_RATE_TARGET}")
-        return [check_inverse(tf, w, lam, t_values, g, h_steps) for tf in usable]
-    raise ConfigError(f"unknown check {which!r}; known: {', '.join(CHECK_NAMES)}")
+    return [check_inverse(tf, w, lam, args.t_values, g, args.h_steps) for tf in usable]
 
 
-def cmd_check(opt: Options) -> int:
-    w = _weight(opt)
-    lam = _lam(opt)
-    g = _grid(opt, w.xi)
-    fmt = _format(opt)
-    n_values = _n_values(opt)
-    t_values = _t_values(opt)
-    h_steps = _h_steps(opt)
-    ex = _exponents(opt)
-    which = str(opt.get("which", "all"))
-    names = CHECK_NAMES if which == "all" else tuple(tok.strip() for tok in which.split(","))
+def cmd_check(args: argparse.Namespace) -> int:
+    w, g = _weight_and_grid(args)
     reports = []
-    for nm in names:
-        reports += _run_checker(nm, opt, w, lam, g, n_values, t_values, h_steps, ex)
+    for name in args.which:
+        try:
+            reports += _run_checker(name, args, w, g)
+        except ArithmeticError as exc:
+            raise ArithmeticError(f"check {name}: {exc}") from exc
     passed = all(r.passed for r in reports)
 
-    if fmt == "json":
+    if args.format == "json":
         doc = {
             "schema_version": SCHEMAS["schema_version"], "command": "check",
-            "params": {"which": list(names), "xi": w.xi, "alpha": w.alpha, "lambda": lam},
+            "params": {"which": list(args.which), "xi": w.xi, "alpha": w.alpha,
+                       "lambda": args.lam},
             "reports": [r.to_dict() for r in reports],
             "passed": passed,
         }
-        _emit(json_dumps(doc), opt.get("out"))
+        _emit(json_dumps(doc), args.out)
     else:
         flat = []
         for r in reports:
             d = r.to_dict()
             fn = d["params"].get("function", "")
-            for row in d.get("rows", []) or [dict(pair_n=p[0], value=p[1]) for p in d.get("pairs", [])]:
+            for row in d["rows"]:
                 flat.append({"check": d["name"], "function": fn, "row_kind": "data", **row})
             summary = {
                 "check": d["name"], "function": fn, "row_kind": "summary",
@@ -383,31 +294,25 @@ def cmd_check(opt: Options) -> int:
                 summary["fitted_alpha0"] = d["fitted_alpha0"]
                 summary["target"] = d.get("target")
             flat.append(summary)
-        _emit_csv(table_header(flat, ["check", "function", "row_kind"]), flat, opt.get("out"))
+        _emit_csv(table_header(flat, ["check", "function", "row_kind"]), flat, args.out)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def cmd_sweep(opt: Options) -> int:
-    w = _weight(opt)
-    lam = _lam(opt)
-    g = _grid(opt, w.xi)
-    _format(opt, ("json",))
-    n_values = _n_values(opt)
-    t_values = _t_values(opt)
-    h_steps = _h_steps(opt)
-    bad = [n for n in n_values if not compute_nodes(n, w.xi).valid]
+def cmd_sweep(args: argparse.Namespace) -> int:
+    w, g = _weight_and_grid(args)
+    lam = args.lam
+    bad = [n for n in args.n_values if not compute_nodes(n, w.xi).valid]
     if bad:
         raise ConfigError(f"invalid --n-values: bridge nodes invalid for n={bad}; raise the minimum n")
-    members = corpus(w, lam)
-    sel = str(opt.get("functions", "all"))
-    if sel == "all":
-        chosen = _rate_members(members)
+    if args.functions == "all":
+        chosen = _rate_members(corpus(w, lam))
     else:
-        chosen = [_member(nm.strip(), w, lam) for nm in sel.split(",")]
+        chosen = [_member(nm.strip(), w, lam) for nm in args.functions.split(",")]
         missing = [tf.name for tf in chosen if tf not in _rate_members(chosen)]
         if missing:
             raise ConfigError(f"--functions {','.join(missing)}: {_NO_RATE_TARGET}")
-    results = [run_function_sweep(tf, w, lam, n_values, t_values, g, h_steps) for tf in chosen]
+    results = [run_function_sweep(tf, w, lam, args.n_values, args.t_values, g, args.h_steps)
+               for tf in chosen]
     passed = all(r["passed"] for r in results)
     doc = {
         "schema_version": SCHEMAS["schema_version"],
@@ -415,7 +320,7 @@ def cmd_sweep(opt: Options) -> int:
         "timestamp": _timestamp(),
         "config": {
             "xi": w.xi, "alpha": w.alpha, "lambda": lam,
-            "n_values": list(n_values), "t_values": list(t_values),
+            "n_values": list(args.n_values), "t_values": list(args.t_values),
             "grid": {"count": g.count, "placement": g.placement,
                      "exclusion_radius": g.exclusion_radius},
             "functions": [tf.name for tf in chosen],
@@ -423,14 +328,12 @@ def cmd_sweep(opt: Options) -> int:
         "results": results,
         "passed": passed,
     }
-    _emit(json_dumps(doc), opt.get("out"))
+    _emit(json_dumps(doc), args.out)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def cmd_list_functions(opt: Options) -> int:
-    w = _weight(opt)
-    lam = _lam(opt)
-    fmt = _format(opt)
+def cmd_list_functions(args: argparse.Namespace) -> int:
+    w = SingularWeight(xi=args.xi, alpha=args.alpha)
     rows = [
         {
             "name": tf.name,
@@ -441,17 +344,22 @@ def cmd_list_functions(opt: Options) -> int:
             and tf.singularity_exponent is None,
             "description": tf.description,
         }
-        for tf in corpus(w, lam)
+        for tf in corpus(w, args.lam)
     ]
-    if fmt == "json":
+    if args.format == "json":
         _emit(json_dumps({"schema_version": SCHEMAS["schema_version"], "functions": rows}),
-              opt.get("out"))
+              args.out)
     else:
-        _emit_csv(table_header(rows, ["name"]), rows, opt.get("out"))
+        _emit_csv(table_header(rows, ["name"]), rows, args.out)
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple:
+    """The parser, and per command the option names a config file may set.
+
+    Each option's type holds its range, so flags and config values are
+    checked by one rule.
+    """
     ap = argparse.ArgumentParser(
         prog="singbern",
         description="Weighted approximation around an interior singularity: "
@@ -459,53 +367,85 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--schema", action="store_true", help="print output schemas and exit")
     sub = ap.add_subparsers(dest="command")
+    config_keys = {}
 
-    def common(p, with_grid=True):
+    def command(name, help, formats=("csv", "json"), with_grid=True):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="KEY=VALUE config file")
-        p.add_argument("--xi", type=float, help="singular point in (0, 1)")
-        p.add_argument("--alpha", type=float, help="weight exponent > 0")
-        p.add_argument("--lambda", type=float, help="step-weight power in [0, 1]")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", help="output format: csv or json (sweep: json only)")
+        keys = config_keys[name] = set()
+
+        def add(flag, parse=None, ok=None, rule="", choices=(), **kw):
+            """--flag; its type checks ``ok`` of the ``parse``d text, or one of ``choices``."""
+            keys.add(flag)
+            if choices:
+                parse, ok, rule = str, choices.__contains__, f"one of {', '.join(choices)}"
+                kw["metavar"] = "{" + ",".join(choices) + "}"
+            if parse is not None:
+                kw["type"] = _typed(flag, parse, ok, rule)
+            p.add_argument(f"--{flag}", **kw)
+
+        add("xi", float, lambda x: 0.0 < x < 1.0, "a number in (0, 1)",
+            default=DEFAULT_WEIGHT.xi, help="singular point in (0, 1)")
+        add("alpha", float, _positive, "a finite number > 0",
+            default=DEFAULT_WEIGHT.alpha, help="finite weight exponent > 0")
+        add("lambda", float, lambda lam: 0.0 <= lam <= 1.0, "a number in [0, 1]",
+            dest="lam", metavar="LAMBDA", default=0.0, help="step-weight power in [0, 1]")
+        add("out", help="output path (default: stdout)")
+        add("format", choices=formats, default=formats[0],
+            help=f"output format (default {formats[0]})")
         if with_grid:
-            p.add_argument("--grid-count", type=int, help="grid size (default 4097)")
-            p.add_argument("--grid-placement", choices=("uniform", "chebyshev"))
-            p.add_argument("--exclusion-radius", type=float)
+            add("grid-count", int, lambda c: c >= 2, "an integer >= 2",
+                default=GridSpec.count, help=f"grid size (default {GridSpec.count})")
+            add("grid-placement", choices=("uniform", "chebyshev"), default=GridSpec.placement)
+            add("exclusion-radius", float, _non_negative, "a finite number >= 0",
+                default=GridSpec.exclusion_radius, help="0 <= r < min(xi, 1 - xi)")
+        return add
 
-    p = sub.add_parser("eval", help="tabulate f, the operator, and the weighted error")
-    common(p)
-    p.add_argument("--f", help="corpus function name")
-    p.add_argument("--n", type=int, help="operator degree")
+    n_values = dict(parse=_comma_list(int), ok=_increasing_degrees,
+                    rule="need at least 3 strictly increasing degrees >= 1",
+                    default=DEFAULT_N_VALUES, help="comma-separated degree sweep")
+    t_values = dict(parse=_comma_list(float), ok=lambda ts: ts and all(0.0 < t <= 0.25 for t in ts),
+                    rule="need at least one width, each in (0, 0.25]",
+                    default=DEFAULT_T_VALUES, help="comma-separated widths, each in (0, 0.25]")
+    h_steps = dict(parse=int, ok=_positive, rule="an integer >= 1",
+                   default=32, help="step-ladder density (default 32)")
 
-    p = sub.add_parser("modulus", help="tabulate the weighted moduli over widths t")
-    common(p)
-    p.add_argument("--f", help="corpus function name")
-    p.add_argument("--t-values", help="comma-separated widths, each in (0, 0.25]")
-    p.add_argument("--h-steps", type=int, help="step-ladder density (default 32)")
+    add = command("eval", "tabulate f, the operator, and the weighted error")
+    add("f", help="corpus function name")
+    add("n", int, lambda n: n >= 1, "an integer >= 1", help="operator degree")
 
-    p = sub.add_parser("check", help="run bound checkers with trend-based acceptance")
-    common(p)
-    p.add_argument("--which", help=f"comma list or 'all': {', '.join(CHECK_NAMES)}")
-    p.add_argument("--f", help="corpus function name or 'all'")
-    p.add_argument("--n-values", help="comma-separated degree sweep")
-    p.add_argument("--t-values", help="comma-separated widths (inverse check)")
-    p.add_argument("--h-steps", type=int, help="step-ladder density (default 32)")
-    p.add_argument("--beta", type=float, help="moment exponent for lemma6")
-    p.add_argument("--gamma", type=float, help="moment exponent for lemma4")
-    p.add_argument("--u", type=float, help="inverse-moment exponent for lemma1")
-    p.add_argument("--v", type=float, help="inverse-moment exponent for lemma1")
-    p.add_argument("--branch", choices=("cw", "w2", "both"), help="theorem2 branch")
+    add = command("modulus", "tabulate the weighted moduli over widths t")
+    add("f", help="corpus function name")
+    add("t-values", **t_values)
+    add("h-steps", **h_steps)
 
-    p = sub.add_parser("sweep", help="full rate pipeline (direct + inverse + consistency)")
-    common(p)
-    p.add_argument("--functions", help="comma list of corpus names or 'all'")
-    p.add_argument("--n-values", help="comma-separated degree sweep")
-    p.add_argument("--t-values", help="comma-separated widths")
-    p.add_argument("--h-steps", type=int, help="step-ladder density (default 32)")
+    add = command("check", "run bound checkers with trend-based acceptance")
+    add("which", _check_names, lambda names: set(names) <= set(CHECK_NAMES),
+        f"'all' or a comma list of {', '.join(CHECK_NAMES)}",
+        default=CHECK_NAMES, help=f"comma list or 'all': {', '.join(CHECK_NAMES)}")
+    add("f", default="all", help="corpus function name or 'all'")
+    add("n-values", **n_values)
+    add("t-values", **t_values)
+    add("h-steps", **h_steps)
+    add("beta", float, _positive, "a finite number > 0",
+        default=2.0, help="moment exponent for lemma6")
+    add("gamma", float, _non_negative, "a finite number >= 0",
+        default=2.0, help="moment exponent for lemma4")
+    add("u", float, _non_negative, "a finite number >= 0",
+        default=1.0, help="inverse-moment exponent for lemma1")
+    add("v", float, _non_negative, "a finite number >= 0",
+        default=0.0, help="inverse-moment exponent for lemma1")
+    add("branch", choices=("cw", "w2", "both"), default="both", help="theorem2 branch")
 
-    p = sub.add_parser("list-functions", help="list the built-in corpus")
-    common(p, with_grid=False)
-    return ap
+    add = command("sweep", "full rate pipeline (direct + inverse + consistency)",
+                  formats=("json",))
+    add("functions", default="all", help="comma list of corpus names or 'all'")
+    add("n-values", **n_values)
+    add("t-values", **t_values)
+    add("h-steps", **h_steps)
+
+    command("list-functions", "list the built-in corpus", with_grid=False)
+    return ap, config_keys
 
 
 _COMMANDS = {
@@ -519,20 +459,25 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser()
+    parser, config_keys = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.schema:
+            sys.stdout.write(json_dumps(SCHEMAS))
+            return EXIT_OK
+        if not args.command:
+            parser.print_usage(sys.stderr)
+            return EXIT_CONFIG
+        if args.config:
+            # the config values go in right after the command name, so that
+            # every flag on the command line comes later and wins
+            at = argv.index(args.command) + 1
+            argv[at:at] = _config_args(args.config, config_keys, args.command)
+            args = parser.parse_args(argv)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
-    if args.schema:
-        sys.stdout.write(json_dumps(SCHEMAS))
-        return EXIT_OK
-    if not args.command:
-        parser.print_usage(sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return _COMMANDS[args.command](Options(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -358,11 +358,12 @@ class TestMisc:
         (("modulus", "--f", "square", "--exclusion-radius", "-0.1"), "--exclusion-radius"),
         (("sweep", "--functions", "abs_beta_1.0", "--format", "csv"), "--format"),
         (("eval", "--f", "linear", "--n", "64", "--format", "yaml"), "--format"),
+        (("check", "--which", "lemma1", "--alpha", "inf"), "--alpha"),
     ],
     ids=["beta-negative", "beta-zero", "u-negative", "v-negative", "gamma-negative",
          "gamma-nan", "sweep-h-steps-zero", "modulus-h-steps-negative",
          "check-h-steps-zero", "radius-nan", "radius-past-zero", "radius-at-xi",
-         "radius-negative", "sweep-csv", "format-unknown"],
+         "radius-negative", "sweep-csv", "format-unknown", "alpha-inf"],
 )
 def test_numeric_flag_contract(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv, "--grid-count", "65")
@@ -395,6 +396,7 @@ def test_arithmetic_overflow_exits_3(capsys, argv):
     code, out, err = run_cli(capsys, "check", "--which", *argv, *SMALL_SWEEP)
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert argv[0] in err
 
 
 _FLAG_VALUES = {
@@ -413,13 +415,11 @@ _ODD_FLAG = st.none() | st.tuples(
 
 
 def _outside_readme_range(flag, value):
-    """The README's input rules: 0 < xi < 1, alpha > 0, finite moment exponents
-    with --beta > 0 and --u, --v, --gamma >= 0."""
+    """The README's input rules: 0 < xi < 1, finite alpha > 0, finite moment
+    exponents with --beta > 0 and --u, --v, --gamma >= 0."""
     if flag == "xi":
         return not 0.0 < value < 1.0
-    if flag == "alpha":
-        return not value > 0.0
-    return not math.isfinite(value) or (value <= 0.0 if flag == "beta" else value < 0.0)
+    return not math.isfinite(value) or (value <= 0.0 if flag in ("alpha", "beta") else value < 0.0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -491,3 +491,108 @@ def test_tiny_xi_exits_3_quickly(capsys, argv, xi):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
     assert "2**53" in err
+
+
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, "list-functions", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write --out ") and err.count("\n") == 1
+    assert not target.exists()
+
+
+# per command: the options every run sets, and the value each option is
+# tested with; each tested value changes the output of the base run, except
+# where the output does not show the option (the modulus ladder adds its own
+# points near xi at every step, so the exclusion radius does not act there)
+_NOT_SHOWN = {("eval", "lambda"), ("list-functions", "xi"), ("sweep", "format"),
+              ("modulus", "exclusion-radius")}
+_BASE_ARGS = {
+    "eval": {"f": "square", "n": "64", "grid-count": "33"},
+    "modulus": {"f": "square", "t-values": "0.01", "grid-count": "33"},
+    "check": {"which": "lemma1,lemma2,lemma4,lemma6,theorem2,inverse", "f": "linear",
+              "n-values": "64,128,256", "t-values": "0.25,0.125", "grid-count": "33"},
+    "sweep": {"functions": "abs_beta_1.0", "n-values": "64,128,256", "grid-count": "33"},
+    "list-functions": {},
+}
+_OPTION_VALUES = {
+    "xi": "0.4", "alpha": "1", "lambda": "0.5", "out": None, "format": "json",
+    "grid-count": "17", "grid-placement": "uniform", "exclusion-radius": "0.1",
+    "f": "cubic", "n": "128", "t-values": "0.0625", "h-steps": "2", "which": "lemma4",
+    "n-values": "32,64,128", "beta": "1.5", "gamma": "1", "u": "0.5", "v": "0.5",
+    "branch": "cw", "functions": "abs_beta_0.5",
+}
+
+
+def _config_cases():
+    from singbern.cli import _build_parser
+
+    _, config_keys = _build_parser()
+    assert set(config_keys) == set(_BASE_ARGS)
+    return [(command, key) for command, keys in sorted(config_keys.items())
+            for key in sorted(keys)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command, key", _config_cases())
+def test_config_value_acts_as_its_flag(capsys, tmp_path, command, key):
+    """Setting an option by flag and by config file gives the same result."""
+    assert key in _OPTION_VALUES
+    value = _OPTION_VALUES[key] or str(tmp_path / "out.txt")
+    base = [f"--{k}={v}" for k, v in _BASE_ARGS[command].items() if k != key]
+
+    def result(*argv):
+        code, out, _ = run_cli(capsys, command, *base, *argv)
+        written = tmp_path / "out.txt"
+        if written.exists():
+            out = "written: " + written.read_text()
+            written.unlink()
+        return code, "\n".join(line for line in out.splitlines() if '"timestamp"' not in line)
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    by_flag = result(f"--{key}={value}")
+    assert result("--config", str(cfg)) == by_flag
+    if (command, key) not in _NOT_SHOWN:
+        assert result() != by_flag
+
+
+README_CFG = """# run.cfg
+xi = 0.5
+alpha = 0.5
+n-values = 64,128,256,512,1024,2048,4096
+grid-count = 4097
+"""
+
+
+def test_readme_config_works_with_eval(capsys, tmp_path):
+    # n-values is a sweep/check option: eval skips it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(README_CFG)
+    argv = ("eval", "--f", "square", "--n", "64")
+    code, out, _ = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 0
+    assert (code, out) == run_cli(capsys, *argv, "--xi", "0.5", "--alpha", "0.5",
+                                  "--grid-count", "4097")[:2]
+
+
+def test_config_key_config_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("config = x\n")
+    code, out, err = run_cli(capsys, "eval", "--config", str(cfg), "--f", "square", "--n", "64")
+    assert (code, out) == (2, "")
+    assert "unknown key 'config'" in err
+
+
+def test_config_value_is_checked_like_its_flag(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n-values = -1,64,128\n")
+    code, out, err = run_cli(capsys, "check", "--config", str(cfg), "--which", "lemma4")
+    assert (code, out) == (2, "")
+    assert "invalid --n-values" in err
+
+
+def test_schema_before_command(capsys):
+    code, out, _ = run_cli(capsys, "--schema", "eval")
+    assert code == 0
+    assert json.loads(out)["eval"]["csv_columns"] == ["x", "f", "bbar", "weighted_error"]
