@@ -1,10 +1,10 @@
 """Command-line front end: pointwise tables, moduli, checkers, and sweeps.
 
-Exit codes: 0 success, 1 check failure, 2 configuration error, 3 domain
-or node-validity error.  Option precedence: command-line flags override
-the config file, which overrides built-in defaults.  The config file is
-plain KEY=VALUE text (keys match long option names, '#' starts a comment);
-its values go through the same parser, and so the same checks, as flags.
+Exit codes: 0 success, 1 check failure, 2 ConfigError, 3 InvalidNodesError,
+EvaluationError or ArithmeticError; any other exception is a bug and keeps its
+traceback.  Flags override the config file, which overrides the defaults.  The
+config file is KEY=VALUE text (keys match long option names, '#' starts a
+comment); its values go through the same parser, and the same checks, as flags.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bridge import compute_nodes
+from .bridge import InvalidNodesError, compute_nodes
 from .experiments import (
     DEFAULT_N_VALUES,
     DEFAULT_T_VALUES,
@@ -132,7 +132,7 @@ def _member(name: str, w: SingularWeight, lam: float):
 
 
 def _weight_and_grid(args) -> tuple:
-    """The weight and the grid; the exclusion radius must leave both sides of xi."""
+    """The weight and the grid; the radius must leave both sides of xi and a grid point in (0, 1)."""
     w = SingularWeight(xi=args.xi, alpha=args.alpha)
     side = min(w.xi, 1.0 - w.xi)
     if not args.exclusion_radius < side:
@@ -140,6 +140,9 @@ def _weight_and_grid(args) -> tuple:
                           f"(must lie in [0, min(xi, 1 - xi)) = [0, {side}))")
     g = GridSpec(count=args.grid_count, exclusion_radius=args.exclusion_radius,
                  placement=args.grid_placement)
+    if not any(0.0 < x < 1.0 for x in grid_points(g, w.xi)):
+        raise ConfigError(f"empty grid: --grid-count {g.count} leaves no point inside (0, 1) "
+                          f"outside --exclusion-radius {g.exclusion_radius}")
     return w, g
 
 
@@ -174,27 +177,25 @@ def cmd_eval(args: argparse.Namespace) -> int:
     f = _function(args, w)
     if args.n is None:
         raise ConfigError("missing --n (operator degree)")
-    n = args.n
-    nodes = compute_nodes(n, w.xi)
+    nodes = compute_nodes(args.n, w.xi)
     nodes.require_valid()
     xs = grid_points(g, w.xi, extra=(nodes.x1, nodes.x2, nodes.x3, nodes.x4))
     fv = np.asarray(f(xs), dtype=float)
-    bv = bbar_apply(f, n, w, xs)
+    bv = bbar_apply(f, args.n, w, xs)
     werr = np.abs(w(xs) * (fv - bv))
     rows = [
         {"x": float(x), "f": float(a), "bbar": float(b), "weighted_error": float(e)}
         for x, a, b, e in zip(xs, fv, bv, werr)
     ]
-    header = ["x", "f", "bbar", "weighted_error"]
     if args.format == "json":
         doc = {
             "schema_version": SCHEMAS["schema_version"], "command": "eval",
-            "params": {"f": f.name, "xi": w.xi, "alpha": w.alpha, "lambda": args.lam, "n": n},
+            "params": {"f": f.name, "xi": w.xi, "alpha": w.alpha, "lambda": args.lam, "n": args.n},
             "rows": rows,
         }
         _emit(json_dumps(doc), args.out)
     else:
-        _emit_csv(header, rows, args.out)
+        _emit_csv(["x", "f", "bbar", "weighted_error"], rows, args.out)
     return EXIT_OK
 
 
@@ -481,7 +482,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (EvaluationError, ValueError, ArithmeticError) as exc:
+    except (InvalidNodesError, EvaluationError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -44,6 +44,7 @@ from .operators import (
 )
 from .basis import basis_values, ksum
 from .weight import (
+    EvaluationError,
     GridSpec,
     SingularWeight,
     TestFunction,
@@ -469,8 +470,8 @@ def check_direct(
 
     The error normalized by the local rate factor to the target power must
     stay bounded, and the fitted decay exponent (log max error against
-    n^(-1/2)) must match the member's closed-form target within
-    RATE_TOLERANCE.
+    n^(-1/2), which must be positive at every degree, else EvaluationError)
+    must match the member's closed-form target within RATE_TOLERANCE.
     """
     target = f.expected_alpha0
     params = {"function": f.name, "xi": w.xi, "alpha": w.alpha, "lambda": lam, "grid": g.key()}
@@ -499,6 +500,8 @@ def check_direct(
         raise ValueError(
             f"{f.name!r} has no rate target: the closed form covers abs_beta_* at lambda = 0"
         )
+    if zero := [n for n, e in pairs if e <= 0.0]:
+        raise EvaluationError(f"{f.name!r}: weighted error 0 on the grid at n={zero}, so no rate fit")
 
     # The exponent is recovered against the large-n form of the rate factor,
     # which at a fixed x is a constant times n^(-1/2) (the resolution term
@@ -525,14 +528,14 @@ def check_inverse(
 ) -> RateReport:
     """Modulus decay across widths, with the main-part sandwich checks.
 
-    Fits the log-log slope of the modulus in t; requires it to reach the
-    member's target minus the slack (no slope requirement without one).
+    Fits the log-log slope of the modulus in distinct t; requires it to reach
+    the member's target minus the slack (no slope requirement without one).
     Also verifies that the main-part modulus is dominated by the full one,
     and the full one by the log-integral of the main part, as bounded
     ratios across the sweep.
     """
     target = f.expected_alpha0
-    t_values = sorted(float(t) for t in t_values)
+    t_values = sorted({float(t) for t in t_values})
     rows = [
         {"t": t, "omega2": om, "omega2_mainpart": mp, "mainpart_log_integral": integral}
         for t, (om, mp, integral) in zip(t_values, ladder_moduli(f, w, lam, t_values, h_steps, g))
@@ -553,9 +556,7 @@ def check_inverse(
     positive_pairs = [(t, v) for t, v in pairs if v > 0.0]
     main_pairs = [(r["t"], r["omega2_mainpart"]) for r in rows if r["omega2_mainpart"] > 0.0]
     if len(positive_pairs) < 3 or len(main_pairs) < 3:
-        raise ValueError(
-            f"{f.name!r}: too few positive modulus values to fit a rate over {t_values}"
-        )
+        raise EvaluationError(f"{f.name!r}: too few positive modulus values to fit a rate over {t_values}")
     slope_omega, res_omega = fit_rate(positive_pairs)
     slope_main, res_main = fit_rate(main_pairs)
     # main part under the full modulus: the three-band sum bounds it up to

@@ -75,11 +75,11 @@ def _band_sup(values: np.ndarray) -> float:
     return float(np.max(np.abs(vals))) if vals.size else 0.0
 
 
-def _band_grid(lo: float, hi: float, base: np.ndarray) -> np.ndarray:
+def _band_grid(lo: float, hi: float, base: np.ndarray, g: GridSpec, xi: float) -> np.ndarray:
     if hi <= lo:
         return np.empty(0)
     pts = base[(base >= lo) & (base <= hi)]
-    return np.concatenate([pts, np.linspace(lo, hi, _BAND_POINTS)])
+    return np.concatenate([pts, g.outside(np.linspace(lo, hi, _BAND_POINTS), xi)])
 
 
 def _near_singularity(xi: float, h: float) -> np.ndarray:
@@ -97,7 +97,8 @@ def ladder_band_sups(f, w: SingularWeight, lam: float, hs, g: GridSpec):
     bands, padded with uniform points since few grid points land there)
     and the main-part sup (symmetric stencil strictly inside (0, 1)).
     The weighted symmetric difference peaks within O(h) of xi, so the
-    caller's grid is supplemented there at each step scale.  Each step
+    caller's grid is supplemented there at each step scale; like the grid,
+    every added point keeps the exclusion radius from xi.  Each step
     evaluates the symmetric differences once and reads both sups off that
     one array; a sup ignores order and repeats, so no point set is sorted.
     """
@@ -105,12 +106,12 @@ def ladder_band_sups(f, w: SingularWeight, lam: float, hs, g: GridSpec):
     three_band = np.empty(len(hs))
     mainpart = np.empty(len(hs))
     for i, h in enumerate(hs):
-        xs = np.concatenate([base, _near_singularity(w.xi, h)])
+        xs = np.concatenate([base, g.outside(_near_singularity(w.xi, h), w.xi)])
         sym = _sym_values(f, w, lam, h, xs)
         cut = 16.0 * h * h
         total = _band_sup(sym[(xs >= cut) & (xs <= 1.0 - cut)])
-        total += _band_sup(_oneside_values(f, w, h, _band_grid(0.0, min(cut, 1.0), base), +1.0))
-        total += _band_sup(_oneside_values(f, w, h, _band_grid(max(1.0 - cut, 0.0), 1.0, base), -1.0))
+        total += _band_sup(_oneside_values(f, w, h, _band_grid(0.0, min(cut, 1.0), base, g, w.xi), +1.0))
+        total += _band_sup(_oneside_values(f, w, h, _band_grid(max(1.0 - cut, 0.0), 1.0, base, g, w.xi), -1.0))
         three_band[i] = total
         step = h * phi(xs) ** lam
         mainpart[i] = _band_sup(sym[(xs - step > 0.0) & (xs + step < 1.0)])

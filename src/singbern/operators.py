@@ -55,28 +55,21 @@ def collocation_matrix(n: int, xs: np.ndarray) -> tuple:
     return _cached_band(n, np.asarray(xs, dtype=float).tobytes())
 
 
-def _band_sum(coeffs: np.ndarray, n: int, x):
-    """sum_k coeffs[k] b(n, k, x) over each grid row's band, compensated.
-
-    A scalar ``x`` is the one-point grid and gives a float.
-    """
-    x = np.asarray(x, dtype=float)
-    start, B = collocation_matrix(n, np.atleast_1d(x))
-    terms = sliding_window_view(coeffs, B.shape[1])[start]
-    terms *= B
-    out = ksum(terms, axis=1)
-    return float(out[0]) if x.ndim == 0 else out
-
-
 def bernstein_apply(values: np.ndarray, x):
-    """sum_k values[k] b(n, k, x) with compensated summation.
+    """sum_k values[k] b(n, k, x) over each grid row's band, compensated.
 
-    ``x`` may be a scalar or a 1-D grid; the degree is len(values) - 1.
+    The degree n is len(values) - 1.  ``x`` may be a 1-D grid, or a scalar,
+    which is the one-point grid and gives a float.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 2:
         raise ValueError("values must be a vector of n+1 >= 2 entries")
-    return _band_sum(values, values.size - 1, x)
+    x = np.asarray(x, dtype=float)
+    start, B = collocation_matrix(values.size - 1, np.atleast_1d(x))
+    terms = sliding_window_view(values, B.shape[1])[start]
+    terms *= B
+    out = ksum(terms, axis=1)
+    return float(out[0]) if x.ndim == 0 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,4 +117,4 @@ def bbar_second_derivative(coeffs: SurrogateCoefficients, x):
         raise ValueError("second derivative needs n >= 2")
     v = coeffs.values
     d2 = v[2:] - 2.0 * v[1:-1] + v[:-2]
-    return n * (n - 1.0) * _band_sum(d2, n - 2, x)
+    return n * (n - 1.0) * bernstein_apply(d2, x)

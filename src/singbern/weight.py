@@ -96,6 +96,11 @@ class GridSpec:
     def key(self) -> tuple:
         return (self.count, self.exclusion_radius, self.placement)
 
+    def outside(self, xs: np.ndarray, xi: float) -> np.ndarray:
+        """The points of ``xs`` at least the exclusion radius away from xi."""
+        r = self.exclusion_radius
+        return xs[(xs <= xi - r) | (xs >= xi + r)] if r > 0.0 else xs
+
 
 def grid_points(g: GridSpec, xi: float | None = None, extra=()) -> np.ndarray:
     """Sorted, de-duplicated grid of ``g`` plus any ``extra`` points."""
@@ -107,9 +112,8 @@ def grid_points(g: GridSpec, xi: float | None = None, extra=()) -> np.ndarray:
         xs[0], xs[-1] = 0.0, 1.0
     if extra is not None and len(extra):
         xs = np.concatenate([xs, np.asarray(extra, dtype=float)])
-    if xi is not None and g.exclusion_radius > 0.0:
-        keep = (xs <= xi - g.exclusion_radius) | (xs >= xi + g.exclusion_radius)
-        xs = xs[keep]
+    if xi is not None:
+        xs = g.outside(xs, xi)
     return np.unique(xs)
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -264,12 +265,18 @@ def test_width_contract(capsys, command, t_values):
 
 class TestMisc:
     def test_console_script_entry_point(self):
+        import os
         import subprocess
         import sys
 
+        import singbern
+
+        # the child finds the package where this process did, installed or not
+        src = os.path.dirname(os.path.dirname(singbern.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run(
             [sys.executable, "-m", "singbern.cli", "list-functions"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("name,")
@@ -438,6 +445,100 @@ def test_exit_code_contract(values, odd):
         assert code in (0, 1, 3)
 
 
+def _empty_grid(count, placement, xi, r):
+    """No grid point inside (0, 1) is at least r from xi."""
+    j = np.arange(1, count - 1)
+    xs = j / (count - 1) if placement == "uniform" else (1.0 - np.cos(np.pi * j / (count - 1))) / 2.0
+    return not np.any((xs <= xi - r) | (xs >= xi + r))
+
+
+# n <= 256 everywhere; xi in [0.3, 0.7] gives valid bridge nodes at n = 64,
+# so sweep's node rule is met and exit 2 comes only from the drawn values
+_CONTRACT_RUNS = {
+    "eval": ("eval", "--f", "abs_beta_0.5", "--n", "256"),
+    "modulus": ("modulus", "--f", "abs_beta_0.5"),
+    "check": ("check", "--which", "all", "--n-values", "64,128,256"),
+    "sweep": ("sweep", "--functions", "all", "--n-values", "64,128,256"),
+}
+_WIDTHS = (0.25, 0.125, 0.1, 0.0625, 0.03125, 1e-4)
+_ODD_VALUE = st.none() | st.sampled_from(
+    [("grid-count", "1"), ("exclusion-radius", "-0.01"), ("exclusion-radius", "side"),
+     ("xi", "1"), ("alpha", "0"), ("alpha", "nan")]
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(
+    command=st.sampled_from(sorted(_CONTRACT_RUNS)),
+    xi=st.floats(0.3, 0.7),
+    alpha=st.floats(0.01, 2.0),
+    count=st.integers(2, 65),
+    placement=st.sampled_from(["chebyshev", "uniform"]),
+    radius_share=st.floats(0.0, 1.0, exclude_max=True),
+    widths=st.lists(st.sampled_from(_WIDTHS), min_size=1, max_size=4),
+    odd=_ODD_VALUE,
+)
+def test_exit_code_contract_per_command(command, xi, alpha, count, placement, radius_share, widths, odd):
+    """main() returns for any drawn run, and exits 2 exactly for a value
+    outside the README ranges or an empty grid."""
+    side = min(xi, 1.0 - xi)
+    values = {"xi": repr(xi), "alpha": repr(alpha), "grid-count": str(count),
+              "grid-placement": placement, "exclusion-radius": repr(radius_share * side)}
+    if command != "eval":
+        values["t-values"] = ",".join(map(repr, widths))
+    if odd is not None:
+        values[odd[0]] = repr(side) if odd[1] == "side" else odd[1]
+    argv = [*_CONTRACT_RUNS[command], *(f"--{k}={v}" for k, v in values.items())]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    if odd is not None or _empty_grid(count, placement, xi, radius_share * side):
+        assert code == 2
+    else:
+        assert code in (0, 1, 3)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (("check", "--which", "lemma1", "--grid-count", "2", "--n-values", "64,128,256"),
+         2, "empty grid"),
+        (("check", "--which", "lemma6", "--grid-count", "3", "--exclusion-radius", "0.01",
+          "--n-values", "64,128,256"), 2, "empty grid"),
+        (("sweep", "--functions", "abs_beta_0.5", "--grid-count", "2", "--exclusion-radius", "0.2",
+          "--alpha", "0.01", "--n-values", "32,100,128,256"), 2, "empty grid"),
+        (("eval", "--f", "square", "--n", "64", "--grid-count", "2"), 2, "empty grid"),
+        (("modulus", "--f", "square", "--grid-count", "2"), 2, "empty grid"),
+        (("check", "--which", "inverse", "--f", "abs_beta_1.0", "--t-values", "0.0625,0.25",
+          "--grid-count", "65"), 3, "too few positive modulus values"),
+        (("check", "--which", "inverse", "--f", "abs_beta_1.0", "--t-values", "0.1,0.1,0.1",
+          "--grid-count", "65"), 3, "too few positive modulus values"),
+        (("check", "--which", "direct", "--f", "abs_beta_1.0", "--xi", "0.37", "--alpha", "1",
+          "--grid-count", "5", "--grid-placement", "uniform", "--exclusion-radius", "0.36963",
+          "--n-values", "64,100,256"), 3, "weighted error 0 on the grid at n=[256]"),
+    ],
+    ids=["lemma1-two-points", "lemma6-excluded-centre", "sweep-two-points", "eval-two-points",
+         "modulus-two-points", "inverse-two-widths", "inverse-repeated-width", "direct-zero-error"],
+)
+def test_failures_exit_with_their_typed_error(capsys, argv, code, message):
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_other_exceptions_surface_with_their_traceback(monkeypatch):
+    import singbern.cli as cli
+
+    def defect(args):
+        raise ValueError("a defect, not a verdict")
+
+    monkeypatch.setitem(cli._COMMANDS, "eval", defect)
+    with pytest.raises(ValueError, match="a defect"):
+        main(["eval", "--f", "square", "--n", "64"])
+
+
 def test_check_passes_h_steps_to_the_inverse_check(capsys):
     argv = ("check", "--which", "inverse", "--f", "abs_beta_1.0", "--grid-count", "65",
             "--format", "json")
@@ -503,8 +604,9 @@ def test_unwritable_out_exits_2(capsys, tmp_path):
 
 # per command: the options every run sets, and the value each option is
 # tested with; each tested value changes the output of the base run, except
-# where the output does not show the option (the modulus ladder adds its own
-# points near xi at every step, so the exclusion radius does not act there)
+# where the output does not show the option (x^2 has a constant second
+# difference, so its weighted modulus peaks near 0 and 1, far from the
+# exclusion radius around xi)
 _NOT_SHOWN = {("eval", "lambda"), ("list-functions", "xi"), ("sweep", "format"),
               ("modulus", "exclusion-radius")}
 _BASE_ARGS = {

@@ -25,7 +25,7 @@ from singbern.experiments import (
     w2_members,
 )
 from singbern.moduli import ladder_moduli
-from singbern.weight import GridSpec, SingularWeight, corpus, corpus_member
+from singbern.weight import EvaluationError, GridSpec, SingularWeight, corpus, corpus_member
 
 W1 = SingularWeight(0.5, 1.0)
 G = GridSpec(count=513)
@@ -286,6 +286,20 @@ class TestRatePipeline:
         # (h_steps = 32: 8 steps per octave), not 0
         cell = math.log(2.0) / 8
         assert row["mainpart_log_integral"] == pytest.approx(row["omega2_mainpart"] * cell, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")  # no RankWarning from a fit through one width
+    @pytest.mark.parametrize("ts", [(0.1, 0.1, 0.1), (0.125, 0.0625, 0.125)], ids=["one", "two"])
+    def test_inverse_needs_three_distinct_widths(self, ts):
+        f = corpus_member("abs_beta_1.0", DEFAULT_WEIGHT)
+        with pytest.raises(EvaluationError, match="too few positive modulus values"):
+            check_inverse(f, DEFAULT_WEIGHT, 0.0, ts, GridSpec(count=65))
+
+    def test_inverse_rows_are_the_distinct_widths(self):
+        f = corpus_member("abs_beta_1.0", DEFAULT_WEIGHT)
+        g = GridSpec(count=65)
+        once = check_inverse(f, DEFAULT_WEIGHT, 0.0, (0.25, 0.125, 0.0625), g)
+        repeated = check_inverse(f, DEFAULT_WEIGHT, 0.0, (0.0625, 0.25, 0.125, 0.25, 0.0625), g)
+        assert repeated.to_dict() == once.to_dict()
 
     def test_inverse_linear_trivial(self):
         r = check_inverse(corpus_member("linear", DEFAULT_WEIGHT), DEFAULT_WEIGHT, 0.0, g=G)

@@ -44,12 +44,13 @@ def kfunctional_upper(f, w, lam, t, candidates, g):
 def brute_omega2(f, w, lam, t, g, h_steps=32):
     """Plain-loop reimplementation of the three-band sup, same point sets."""
     base = grid_points(g, w.xi)
+    far = lambda xs: xs[np.abs(xs - w.xi) >= g.exclusion_radius]
     best = 0.0
     for h in h_ladder(t, h_steps):
         offs = np.array([0.25, 0.5, 0.75, 1.0, 1.5, 2.0]) * h
         near = np.concatenate([w.xi - offs, w.xi + offs])
         xs_interior = np.unique(
-            np.concatenate([base, near[(near > 0.0) & (near < 1.0)]])
+            np.concatenate([base, far(near[(near > 0.0) & (near < 1.0)])])
         )
         cut = 16.0 * h * h
         sups = [0.0, 0.0, 0.0]
@@ -62,7 +63,7 @@ def brute_omega2(f, w, lam, t, g, h_steps=32):
                     sups[0] = max(sups[0], float(val))
         for lo, hi, sign, idx in ((0.0, cut, +1, 1), (1.0 - cut, 1.0, -1, 2)):
             xs = np.unique(
-                np.concatenate([base[(base >= lo) & (base <= hi)], np.linspace(lo, hi, 129)])
+                np.concatenate([base[(base >= lo) & (base <= hi)], far(np.linspace(lo, hi, 129))])
             ) if hi > lo else []
             for x in xs:
                 p1, p2 = x + sign * h, x + sign * 2 * h
@@ -158,6 +159,14 @@ class TestOmega2:
             assert om == om_alone == pytest.approx(brute_omega2(f, W, 0.0, t, g), rel=1e-12)
             assert mp == mp_alone
 
+    def test_exclusion_radius_matches_brute_force(self):
+        # the ladder at t = 0.25 has steps whose added points straddle r = 0.1
+        f = corpus_member("abs_beta_0.5", W)
+        g = GridSpec(count=129, exclusion_radius=0.1)
+        ts = [0.25, 1e-4]
+        for t, (om, _) in zip(ts, moduli(f, 0.0, ts, g)):
+            assert om == pytest.approx(brute_omega2(f, W, 0.0, t, g), rel=1e-12)
+
     def test_square_bounded_by_closed_form(self):
         # symmetric/one-sided differences of x^2 are exactly 2 h^2
         f = corpus_member("square", W)
@@ -252,3 +261,22 @@ def test_one_symmetric_difference_per_ladder_step(monkeypatch):
     hs = h_ladder(0.25)
     moduli_module.ladder_band_sups(corpus_member("abs_beta_1.0", W, 0.0), W, 0.0, hs, G)
     assert len(calls) == hs.size > 1
+
+
+def test_every_weighted_centre_keeps_the_exclusion_radius():
+    # the grid, the points added near xi and the boundary-band padding alike
+    centres = []
+
+    class RecordingWeight:
+        xi = W.xi
+
+        def __call__(self, x):
+            centres.append(np.array(x, dtype=float))
+            return W(x)
+
+    f = corpus_member("abs_beta_0.5", W)
+    for r in (0.1, 0.3):
+        centres.clear()
+        ladder_moduli(f, RecordingWeight(), 0.0, [0.25, 1e-4], 32, GridSpec(count=129, exclusion_radius=r))
+        xs = np.concatenate(centres)
+        assert xs.size > 0 and np.min(np.abs(xs - W.xi)) >= r
