@@ -299,19 +299,19 @@ def basis_matrix(n: int, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def ksum(a: np.ndarray, axis: int = -1, block: int = 64):
+def ksum(a: np.ndarray, axis: int = -1):
     """Compensated sum along ``axis``.
 
-    Pairwise partial sums over short blocks are combined with an exact
+    Pairwise partial sums over blocks of 64 are combined with an exact
     two-sum (Kahan-style) running accumulation, so the result carries
     compensated-summation accuracy without a per-element Python loop.
     """
     am = np.moveaxis(np.asarray(a, dtype=float), axis, -1)
     nk = am.shape[-1]
-    nfull = (nk // block) * block
+    nfull = nk - nk % 64
     partials = []
     if nfull:
-        partials.append(am[..., :nfull].reshape(am.shape[:-1] + (-1, block)).sum(axis=-1))
+        partials.append(am[..., :nfull].reshape(am.shape[:-1] + (-1, 64)).sum(axis=-1))
     if nfull < nk:
         partials.append(am[..., nfull:].sum(axis=-1, keepdims=True))
     blocks = np.concatenate(partials, axis=-1) if len(partials) > 1 else partials[0]

@@ -241,7 +241,7 @@ def _run_checker(which: str, args: argparse.Namespace, w, g):
     if which == "theorem1":
         return [check_theorem1(tf, w, n_values, g) for tf in members]
     if which == "lemma7":
-        usable = w2_members(members, w)
+        usable = w2_members(members)
         if sel != "all" and not usable:
             raise ConfigError(f"--f {sel}: not usable by lemma7 (needs a smooth second derivative)")
         return [check_lemma7(tf, w, lam, n_values, g) for tf in usable]
@@ -250,7 +250,7 @@ def _run_checker(which: str, args: argparse.Namespace, w, g):
         if args.branch in ("cw", "both"):
             out += [check_theorem2(tf, w, lam, "cw", n_values, g) for tf in members]
         if args.branch in ("w2", "both"):
-            out += [check_theorem2(tf, w, lam, "w2", n_values, g) for tf in w2_members(members, w)]
+            out += [check_theorem2(tf, w, lam, "w2", n_values, g) for tf in w2_members(members)]
         return out
     usable = _rate_members(members)
     if not usable:
@@ -268,32 +268,31 @@ def cmd_check(args: argparse.Namespace) -> int:
             reports += _run_checker(name, args, w, g)
         except ArithmeticError as exc:
             raise ArithmeticError(f"check {name}: {exc}") from exc
-    passed = all(r.passed for r in reports)
+    passed = all(r["passed"] for r in reports)
 
     if args.format == "json":
         doc = {
             "schema_version": SCHEMAS["schema_version"], "command": "check",
             "params": {"which": list(args.which), "xi": w.xi, "alpha": w.alpha,
                        "lambda": args.lam},
-            "reports": [r.to_dict() for r in reports],
+            "reports": reports,
             "passed": passed,
         }
         _emit(json_dumps(doc), args.out)
     else:
         flat = []
-        for r in reports:
-            d = r.to_dict()
+        for d in reports:
             fn = d["params"].get("function", "")
             for row in d["rows"]:
                 flat.append({"check": d["name"], "function": fn, "row_kind": "data", **row})
             summary = {
                 "check": d["name"], "function": fn, "row_kind": "summary",
-                "slope": d.get("slope"), "residual": d.get("residual"),
+                "slope": d["slope"], "residual": d["residual"],
                 "spread": d.get("spread"), "passed": d["passed"],
             }
             if "fitted_alpha0" in d:
                 summary["fitted_alpha0"] = d["fitted_alpha0"]
-                summary["target"] = d.get("target")
+                summary["target"] = d["target"]
             flat.append(summary)
         _emit_csv(table_header(flat, ["check", "function", "row_kind"]), flat, args.out)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
@@ -334,18 +333,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_list_functions(args: argparse.Namespace) -> int:
-    w = SingularWeight(xi=args.xi, alpha=args.alpha)
+    members = corpus(SingularWeight(xi=args.xi, alpha=args.alpha), args.lam)
+    smooth = w2_members(members)
     rows = [
         {
             "name": tf.name,
             "singularity_exponent": tf.singularity_exponent,
             "expected_alpha0": tf.expected_alpha0,
             "lambda": tf.lam,
-            "smooth_second_derivative": tf.has_second_derivative
-            and tf.singularity_exponent is None,
+            "smooth_second_derivative": tf in smooth,
             "description": tf.description,
         }
-        for tf in corpus(w, args.lam)
+        for tf in members
     ]
     if args.format == "json":
         _emit(json_dumps({"schema_version": SCHEMAS["schema_version"], "functions": rows}),

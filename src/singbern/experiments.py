@@ -22,13 +22,13 @@ nodes, |x - xi| ~ n^(-1/2), so it decays like n^(-(beta + alpha)/2) and
 the target exponent is beta + alpha (lambda = 0 only).  The direct theorem
 covers exponents below 2; a larger target is pre-asymptotic and its
 report says so with ``beyond_saturation``.  Every report states where its
-targets come from in its header.
+targets come from in its header.  A report is the plain dict that ``check``
+and ``sweep`` print, built by ``_report`` (``_rate_report`` for the rates).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -59,8 +59,6 @@ __all__ = [
     "DEFAULT_N_VALUES",
     "DEFAULT_T_VALUES",
     "DEFAULT_WEIGHT",
-    "CheckReport",
-    "RateReport",
     "fit_rate",
     "trend_summary",
     "w2_members",
@@ -95,55 +93,26 @@ CONSISTENCY_TOLERANCE = 0.2
 SATURATION_EXPONENT = 2.0
 
 
-class _Report:
-    def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "extras"}
-        return {**out, **self.extras}
+def _report(name, params, rows, passed, **fields) -> dict:
+    """A report as ``check`` and ``sweep`` print it: the keys every report shares, then ``fields``."""
+    return {
+        "name": name, "params": params, "rows": rows, "passed": bool(passed),
+        "trivial": False, "notes": "", "header": REPORT_HEADER, **fields,
+    }
 
 
-@dataclass
-class CheckReport(_Report):
-    """One checker outcome: per-n rows plus a trend summary."""
-
-    name: str
-    params: dict
-    rows: list
-    slope: float | None
-    residual: float | None
-    spread: float | None
-    passed: bool
-    trivial: bool = False
-    notes: str = ""
-    header: str = REPORT_HEADER
-    extras: dict = field(default_factory=dict)
-
-
-@dataclass
-class RateReport(_Report):
-    """Rate-fit outcome: per-point rows, fitted decay exponent, target check.
+def _rate_report(name, params, rows, pairs, target, tolerance, passed=True, slope=None,
+                 residual=None, **fields) -> dict:
+    """A rate report; ``slope`` is the fitted decay exponent, None on a trivial exit.
 
     ``beyond_saturation`` marks a target above the direct theorem's range
     0 < alpha0 < 2, where the measured decay is pre-asymptotic.
     """
-
-    name: str
-    params: dict
-    pairs: list
-    slope: float | None
-    residual: float | None
-    fitted_alpha0: float | None
-    target: float | None
-    tolerance: float
-    passed: bool
-    rows: list = field(default_factory=list)
-    trivial: bool = False
-    notes: str = ""
-    header: str = REPORT_HEADER
-    extras: dict = field(default_factory=dict)
-    beyond_saturation: bool = field(init=False)
-
-    def __post_init__(self):
-        self.beyond_saturation = self.target is not None and self.target > SATURATION_EXPONENT
+    return _report(
+        name, params, rows, passed, pairs=pairs, slope=slope, residual=residual,
+        fitted_alpha0=slope, target=target, tolerance=tolerance,
+        beyond_saturation=target is not None and target > SATURATION_EXPONENT, **fields,
+    )
 
 
 def _loglog_fit(pairs) -> tuple[float, float, float]:
@@ -200,7 +169,7 @@ def trend_summary(
     return {"slope": slope, "residual": residual, "spread": spread, "passed": passed, "trivial": False}
 
 
-def w2_members(members, w: SingularWeight) -> list:
+def w2_members(members) -> list:
     """Members usable by smooth-class checks: analytic, non-singular f''."""
     return [
         tf
@@ -231,10 +200,10 @@ def _ratio_trend(ns, rows, key: str = "ratio", **bounds) -> dict:
     return trend_summary(ns, [r[key] for r in rows], **bounds)
 
 
-def _check(name, params, n_values, row, xi=None, trend=_ratio_trend) -> CheckReport:
+def _check(name, params, n_values, row, xi=None, trend=_ratio_trend) -> dict:
     """The bounded-ratio sweep: rows over the usable degrees, then a trend verdict."""
     good, rows, notes = _sweep_rows(n_values, row, xi)
-    return CheckReport(name=name, params=params, rows=rows, notes=notes, **trend(good, rows))
+    return _report(name, params, rows, notes=notes, **trend(good, rows))
 
 
 def _interior_grid(g: GridSpec, xi: float | None = None) -> np.ndarray:
@@ -242,7 +211,7 @@ def _interior_grid(g: GridSpec, xi: float | None = None) -> np.ndarray:
     return xs[(xs > 0.0) & (xs < 1.0)]
 
 
-def check_lemma1(n_values=DEFAULT_N_VALUES, g: GridSpec = GridSpec(), u: float = 1.0, v: float = 0.0) -> CheckReport:
+def check_lemma1(n_values=DEFAULT_N_VALUES, g: GridSpec = GridSpec(), u: float = 1.0, v: float = 0.0) -> dict:
     """Inverse-power moment sums against x^-u (1-x)^-v, ratio per degree."""
     xs = _interior_grid(g)
 
@@ -256,7 +225,7 @@ def check_lemma1(n_values=DEFAULT_N_VALUES, g: GridSpec = GridSpec(), u: float =
     return _check("lemma1", {"u": u, "v": v, "grid": g.key()}, n_values, row)
 
 
-def check_lemma4(n_values=DEFAULT_N_VALUES, g: GridSpec = GridSpec(), gamma: float = 2.0) -> CheckReport:
+def check_lemma4(n_values=DEFAULT_N_VALUES, g: GridSpec = GridSpec(), gamma: float = 2.0) -> dict:
     """Central absolute moments against (n^(1/2) phi)^gamma, ratio per degree."""
     xs = _interior_grid(g)
 
@@ -274,7 +243,7 @@ def _window(n: int, xi: float) -> np.ndarray:
     return k[np.abs(k - n * xi) <= math.sqrt(n)]
 
 
-def check_lemma5(w: SingularWeight, n_values=DEFAULT_N_VALUES, g: GridSpec = GridSpec()) -> CheckReport:
+def check_lemma5(w: SingularWeight, n_values=DEFAULT_N_VALUES, g: GridSpec = GridSpec()) -> dict:
     """Weighted basis mass near xi, rescaled by n^(alpha/2).
 
     The scaled max must stay flat: slope within [-0.3, 0.15] and spread
@@ -296,7 +265,7 @@ def check_lemma6(
     beta: float = 2.0,
     n_values=DEFAULT_N_VALUES,
     g: GridSpec = GridSpec(),
-) -> CheckReport:
+) -> dict:
     """Windowed absolute moments against n^((beta-alpha)/2) phi^beta."""
     if beta <= 0.0:
         raise ValueError("beta must be positive")
@@ -319,7 +288,7 @@ def check_lemma7(
     lam: float = 0.0,
     n_values=DEFAULT_N_VALUES,
     g: GridSpec = GridSpec(),
-) -> CheckReport:
+) -> dict:
     """Chord defect w |f - P| on [x1, x4] against its curvature majorant."""
     if not f.has_second_derivative:
         raise ValueError(f"{f.name!r} lacks a second derivative")
@@ -352,7 +321,7 @@ def check_lemma2(
     w: SingularWeight,
     n_values=DEFAULT_N_VALUES,
     g: GridSpec = GridSpec(),
-) -> CheckReport:
+) -> dict:
     """Operator stability: the weighted norm ratio of image to input."""
     fnorm = weighted_sup_norm(f, w, g)
 
@@ -390,7 +359,7 @@ def check_theorem1(
     w: SingularWeight,
     n_values=DEFAULT_N_VALUES,
     g: GridSpec = GridSpec(),
-) -> CheckReport:
+) -> dict:
     """Second-derivative norm against n^2 times the input norm."""
     fnorm = weighted_sup_norm(f, w, g)
 
@@ -409,7 +378,7 @@ def check_theorem2(
     branch: str = "cw",
     n_values=DEFAULT_N_VALUES,
     g: GridSpec = GridSpec(),
-) -> CheckReport:
+) -> dict:
     """Weighted second-derivative bound on w phi^(2 lam) (Bbar_n f)'', either class.
 
     The w2 branch divides by ||w phi^(2 lam) f''|| on the same grid and
@@ -454,7 +423,7 @@ def check_theorem2(
         summary = _ratio_trend(ns, rows)
         regimes = {f"regime_{k}": _ratio_trend(ns, rows, f"ratio_{k}") for k in ("small_phi", "large_phi")}
         summary["passed"] = summary["passed"] and all(s["passed"] for s in regimes.values())
-        return {**summary, "extras": regimes}
+        return {**summary, **regimes}
 
     return _check("theorem2", params, n_values, row, w.xi, trend)
 
@@ -465,13 +434,13 @@ def check_direct(
     lam: float = 0.0,
     n_values=DEFAULT_N_VALUES,
     g: GridSpec = GridSpec(),
-) -> RateReport:
+) -> dict:
     """Decay of the weighted approximation error across the degree sweep.
 
     The error normalized by the local rate factor to the target power must
     stay bounded, and the fitted decay exponent (log max error against
-    n^(-1/2), which must be positive at every degree, else EvaluationError)
-    must match the member's closed-form target within RATE_TOLERANCE.
+    n^(-1/2), which must lie above the trivial floor 1e-13 max(||w f||, 1) at
+    every degree, else EvaluationError) must match the member's closed-form target within RATE_TOLERANCE.
     """
     target = f.expected_alpha0
     params = {"function": f.name, "xi": w.xi, "alpha": w.alpha, "lambda": lam, "grid": g.key()}
@@ -490,18 +459,17 @@ def check_direct(
     fnorm = weighted_sup_norm(f, w, g)
     e_max_seq = [r["max_weighted_error"] for r in rows]
     pairs = list(zip(good, e_max_seq))
-    if max(e_max_seq) <= 1e-13 * max(fnorm, 1.0):
-        return RateReport(
-            name="direct", params=params, pairs=pairs, rows=rows, slope=None,
-            residual=None, fitted_alpha0=None, target=target, tolerance=RATE_TOLERANCE,
-            passed=True, trivial=True, notes=notes or "error identically zero",
-        )
+    floor = 1e-13 * max(fnorm, 1.0)
+    if max(e_max_seq) <= floor:
+        return _rate_report("direct", params, rows, pairs, target, RATE_TOLERANCE,
+                            trivial=True, notes=notes or "error identically zero")
     if target is None:
         raise ValueError(
             f"{f.name!r} has no rate target: the closed form covers abs_beta_* at lambda = 0"
         )
-    if zero := [n for n, e in pairs if e <= 0.0]:
-        raise EvaluationError(f"{f.name!r}: weighted error 0 on the grid at n={zero}, so no rate fit")
+    if zero := [n for n, e in pairs if e <= floor]:
+        raise EvaluationError(f"{f.name!r}: weighted error 0 on the grid at n={zero} "
+                              f"(at most {floor:.3g}, rounding level), so no rate fit")
 
     # The exponent is recovered against the large-n form of the rate factor,
     # which at a fixed x is a constant times n^(-1/2) (the resolution term
@@ -510,12 +478,8 @@ def check_direct(
     fitted, residual = fit_rate([(1.0 / math.sqrt(n), e) for n, e in zip(good, e_max_seq)])
     bounded = trend_summary(good, [row.get("normalized_error", 0.0) for row in rows])
     passed = bounded["passed"] and abs(fitted - target) <= RATE_TOLERANCE
-    return RateReport(
-        name="direct", params=params, pairs=pairs, rows=rows, slope=fitted,
-        residual=residual, fitted_alpha0=fitted, target=target,
-        tolerance=RATE_TOLERANCE, passed=passed, notes=notes,
-        extras={"bounded": bounded},
-    )
+    return _rate_report("direct", params, rows, pairs, target, RATE_TOLERANCE, passed, fitted,
+                        residual, notes=notes, bounded=bounded)
 
 
 def check_inverse(
@@ -525,7 +489,7 @@ def check_inverse(
     t_values=DEFAULT_T_VALUES,
     g: GridSpec = GridSpec(),
     h_steps: int = 32,
-) -> RateReport:
+) -> dict:
     """Modulus decay across widths, with the main-part sandwich checks.
 
     Fits the log-log slope of the modulus in distinct t; requires it to reach
@@ -547,12 +511,8 @@ def check_inverse(
     }
     scale = max(max(om for _, om in pairs), 1e-300)
     if scale <= 1e-13:
-        return RateReport(
-            name="inverse", params=params, pairs=pairs, rows=rows, slope=None,
-            residual=None, fitted_alpha0=None, target=target,
-            tolerance=INVERSE_SLOPE_SLACK, passed=True, trivial=True,
-            notes="modulus identically zero",
-        )
+        return _rate_report("inverse", params, rows, pairs, target, INVERSE_SLOPE_SLACK,
+                            trivial=True, notes="modulus identically zero")
     positive_pairs = [(t, v) for t, v in pairs if v > 0.0]
     main_pairs = [(r["t"], r["omega2_mainpart"]) for r in rows if r["omega2_mainpart"] > 0.0]
     if len(positive_pairs) < 3 or len(main_pairs) < 3:
@@ -578,17 +538,10 @@ def check_inverse(
     # the three-band modulus picks up boundary-band contributions at the
     # large-t end of the window, so the main-part slope is the headline
     # decay-exponent estimate
-    return RateReport(
-        name="inverse", params=params, pairs=pairs, rows=rows, slope=slope_main,
-        residual=res_main, fitted_alpha0=slope_main, target=target,
-        tolerance=INVERSE_SLOPE_SLACK, passed=bool(sandwich_ok and slopes_ok),
-        extras={
-            "omega_slope": slope_omega,
-            "omega_residual": res_omega,
-            "mainpart_slope": slope_main,
-            "sandwich_mainpart_over_full": s1,
-            "sandwich_full_over_integral": s2,
-        },
+    return _rate_report(
+        "inverse", params, rows, pairs, target, INVERSE_SLOPE_SLACK, sandwich_ok and slopes_ok,
+        slope_main, res_main, omega_slope=slope_omega, omega_residual=res_omega,
+        mainpart_slope=slope_main, sandwich_mainpart_over_full=s1, sandwich_full_over_integral=s2,
     )
 
 
@@ -606,16 +559,16 @@ def run_function_sweep(
     inverse = check_inverse(f, w, lam, t_values, g, h_steps)
     out = {
         "function": f.name,
-        "direct": direct.to_dict(),
-        "inverse": inverse.to_dict(),
+        "direct": direct,
+        "inverse": inverse,
     }
-    if direct.trivial or inverse.trivial:
+    if direct["trivial"] or inverse["trivial"]:
         out["consistency_delta"] = None
-        out["passed"] = direct.passed and inverse.passed
+        out["passed"] = direct["passed"] and inverse["passed"]
     else:
-        delta = abs(direct.fitted_alpha0 - inverse.fitted_alpha0)
+        delta = abs(direct["fitted_alpha0"] - inverse["fitted_alpha0"])
         out["consistency_delta"] = delta
         out["passed"] = (
-            direct.passed and inverse.passed and delta <= CONSISTENCY_TOLERANCE
+            direct["passed"] and inverse["passed"] and delta <= CONSISTENCY_TOLERANCE
         )
     return out

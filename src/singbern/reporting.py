@@ -26,17 +26,15 @@ def format_cell(v) -> str:
         return "true" if v else "false"
     if isinstance(v, float):
         return format_float(v)
-    if isinstance(v, (list, tuple)):
-        return ";".join(format_cell(x) for x in v)
     return str(v)
 
 
-def json_dumps(obj, indent: int = 2) -> str:
-    """JSON text with deterministic key order and 17-digit floats."""
+def json_dumps(obj) -> str:
+    """JSON text, indented by 2, with deterministic key order and 17-digit floats."""
 
     def emit(o, depth):
-        pad = " " * (indent * depth)
-        pad_in = " " * (indent * (depth + 1))
+        pad = "  " * depth
+        pad_in = "  " * (depth + 1)
         if o is None:
             return "null"
         if isinstance(o, bool):
@@ -94,8 +92,15 @@ SCHEMAS = {
     "check": {
         "csv_columns": ["check", "function", "row_kind", "..."],
         "row_kinds": ["data", "summary"],
-        "json": "list of reports: {name, header, params, rows, slope, residual, "
-                "spread, passed, trivial, notes}",
+        "json": {
+            "reports": "one per checker and function: the shared keys, the keys of its "
+                       "kind (rate: direct, inverse; bounded: the rest), and any of the "
+                       "checker's own",
+            "shared": ["name", "header", "params", "rows", "passed", "trivial", "notes"],
+            "bounded": ["slope", "residual", "spread"],
+            "rate": ["pairs", "slope", "residual", "fitted_alpha0", "target", "tolerance",
+                     "beyond_saturation"],
+        },
     },
     "sweep": {
         "json": "{schema_version, timestamp, config, results: [{function, direct, "

@@ -123,26 +123,16 @@ def weighted_values(f: Callable, w: SingularWeight, xs: np.ndarray) -> np.ndarra
     out = np.zeros(xs.shape)
     off = xs != w.xi
     if off.any():
-        try:
-            vals = np.asarray(f(xs[off]), dtype=float)
-        except Exception as exc:
-            for x in xs[off]:
-                try:
-                    f(np.asarray([x]))
-                except Exception:
-                    raise EvaluationError(f"evaluation failed at x={x!r}") from exc
-            raise EvaluationError(f"evaluation failed on grid: {exc}") from exc
-        out[off] = w(xs[off]) * vals
+        out[off] = w(xs[off]) * np.asarray(f(xs[off]), dtype=float)
     if not np.isfinite(out).all():
         bad = xs[~np.isfinite(out)]
         raise EvaluationError(f"non-finite weighted value at x={bad[0]!r}")
     return out
 
 
-def weighted_sup_norm(f: Callable, w: SingularWeight, g: GridSpec, extra=()) -> float:
+def weighted_sup_norm(f: Callable, w: SingularWeight, g: GridSpec) -> float:
     """max |w f| over the grid; deterministic for a fixed GridSpec."""
-    xs = grid_points(g, w.xi, extra)
-    return float(np.max(np.abs(weighted_values(f, w, xs))))
+    return float(np.max(np.abs(weighted_values(f, w, grid_points(g, w.xi)))))
 
 
 @dataclass(frozen=True)
@@ -175,9 +165,10 @@ class TestFunction:
         return self.second_derivative is not None
 
 
-def _smoothed_step(xi: float, half_width: float = 0.2):
-    lo = xi - half_width
-    inv = 1.0 / (2.0 * half_width)
+def _smoothed_step(xi: float):
+    """psi rising across [xi - 0.2, xi + 0.2], with its second derivative."""
+    lo = xi - 0.2
+    inv = 1.0 / 0.4
 
     def f(x):
         return psi((np.asarray(x, dtype=float) - lo) * inv)

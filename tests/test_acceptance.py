@@ -152,9 +152,9 @@ def test_criterion_05_near_singularity_mass_scaling():
         box["budget"] = 60.0
         for alpha in (0.5, 1.0, 2.0):
             rep = check_lemma5(SingularWeight(0.5, alpha), DEFAULT_N_VALUES, GRID)
-            assert rep.passed, (alpha, rep.slope, rep.spread)
-            assert -0.3 <= rep.slope <= 0.15
-            scaled = [row["scaled"] for row in rep.rows]
+            assert rep["passed"], (alpha, rep["slope"], rep["spread"])
+            assert -0.3 <= rep["slope"] <= 0.15
+            scaled = [row["scaled"] for row in rep["rows"]]
             assert max(scaled) <= 2.5 * float(np.median(scaled))
 
 
@@ -162,25 +162,25 @@ def test_criterion_06_bounded_ratio_checks():
     with criterion(6, "stability, second-derivative, and chord-defect bounds") as box:
         box["budget"] = 600.0
         members = corpus(DEFAULT_WEIGHT)
-        smooth = w2_members(members, DEFAULT_WEIGHT)
+        smooth = w2_members(members)
         failures = []
         for tf in members:
-            if not check_lemma2(tf, DEFAULT_WEIGHT, DEFAULT_N_VALUES, GRID).passed:
+            if not check_lemma2(tf, DEFAULT_WEIGHT, DEFAULT_N_VALUES, GRID)["passed"]:
                 failures.append(("lemma2", tf.name))
-            if not check_theorem1(tf, DEFAULT_WEIGHT, DEFAULT_N_VALUES, GRID).passed:
+            if not check_theorem1(tf, DEFAULT_WEIGHT, DEFAULT_N_VALUES, GRID)["passed"]:
                 failures.append(("theorem1", tf.name))
         for beta in (1.0, 2.0):
-            if not check_lemma6(DEFAULT_WEIGHT, beta, DEFAULT_N_VALUES, GRID).passed:
+            if not check_lemma6(DEFAULT_WEIGHT, beta, DEFAULT_N_VALUES, GRID)["passed"]:
                 failures.append(("lemma6", beta))
         for tf in smooth:
-            if not check_lemma7(tf, DEFAULT_WEIGHT, 0.0, DEFAULT_N_VALUES, GRID).passed:
+            if not check_lemma7(tf, DEFAULT_WEIGHT, 0.0, DEFAULT_N_VALUES, GRID)["passed"]:
                 failures.append(("lemma7", tf.name))
         for lam in (0.0, 0.5, 1.0):
             for tf in members:
-                if not check_theorem2(tf, DEFAULT_WEIGHT, lam, "cw", DEFAULT_N_VALUES, GRID).passed:
+                if not check_theorem2(tf, DEFAULT_WEIGHT, lam, "cw", DEFAULT_N_VALUES, GRID)["passed"]:
                     failures.append(("theorem2-cw", lam, tf.name))
             for tf in smooth:
-                if not check_theorem2(tf, DEFAULT_WEIGHT, lam, "w2", DEFAULT_N_VALUES, GRID).passed:
+                if not check_theorem2(tf, DEFAULT_WEIGHT, lam, "w2", DEFAULT_N_VALUES, GRID)["passed"]:
                     failures.append(("theorem2-w2", lam, tf.name))
         assert not failures, failures
 
@@ -205,8 +205,8 @@ def test_criterion_08_inverse_rate(rate_sweeps):
         f = corpus_member("square", DEFAULT_WEIGHT)
         ts = [2.0**-j for j in range(3, 9)]
         rep = check_inverse(f, DEFAULT_WEIGHT, 0.0, ts, GRID)
-        assert abs(rep.extras["omega_slope"] - 2.0) <= 0.1
-        assert abs(rep.extras["mainpart_slope"] - 2.0) <= 0.1
+        assert abs(rep["omega_slope"] - 2.0) <= 0.1
+        assert abs(rep["mainpart_slope"] - 2.0) <= 0.1
 
 
 def test_criterion_09_rate_equivalence(rate_sweeps):

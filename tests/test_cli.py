@@ -324,6 +324,17 @@ class TestMisc:
             "theorem1", "theorem2", "direct", "inverse",
         }
 
+    def test_reports_carry_their_schema_keys(self, capsys):
+        from singbern.reporting import SCHEMAS
+
+        _, out, _ = run_cli(capsys, "check", "--which", "all", "--n-values", "64,128,256,512",
+                            "--grid-count", "257", "--format", "json")
+        schema = SCHEMAS["check"]["json"]
+        for r in json.loads(out)["reports"]:
+            kind = "rate" if r["name"] in ("direct", "inverse") else "bounded"
+            assert set(schema["shared"] + schema[kind]) <= set(r), r["name"]
+            assert isinstance(r["passed"], bool), r["name"]
+
     def test_list_functions(self, capsys):
         code, out, _ = run_cli(capsys, "list-functions")
         assert code == 0
@@ -517,9 +528,14 @@ def test_exit_code_contract_per_command(command, xi, alpha, count, placement, ra
         (("check", "--which", "direct", "--f", "abs_beta_1.0", "--xi", "0.37", "--alpha", "1",
           "--grid-count", "5", "--grid-placement", "uniform", "--exclusion-radius", "0.36963",
           "--n-values", "64,100,256"), 3, "weighted error 0 on the grid at n=[256]"),
+        (("check", "--which", "direct", "--f", "abs_beta_1.0", "--xi", "0.4116532216984568",
+          "--alpha", "0.5", "--grid-count", "19", "--grid-placement", "uniform",
+          "--exclusion-radius", "0.41124156847675836", "--n-values", "20,32,128,200"),
+         3, "weighted error 0 on the grid at n=[128, 200]"),
     ],
     ids=["lemma1-two-points", "lemma6-excluded-centre", "sweep-two-points", "eval-two-points",
-         "modulus-two-points", "inverse-two-widths", "inverse-repeated-width", "direct-zero-error"],
+         "modulus-two-points", "inverse-two-widths", "inverse-repeated-width", "direct-zero-error",
+         "direct-rounding-error"],
 )
 def test_failures_exit_with_their_typed_error(capsys, argv, code, message):
     got, out, err = run_cli(capsys, *argv)

@@ -102,14 +102,14 @@ class TestLemmaCheckers:
 
     def test_lemma1_bounded(self):
         r = check_lemma1(NS, G, 1.0, 0.0)
-        assert r.passed
-        assert all(row["ratio"] > 0 for row in r.rows)
+        assert r["passed"]
+        assert all(row["ratio"] > 0 for row in r["rows"])
 
     def test_lemma4_gamma2_ratio_near_one(self):
         # second central moment equals n phi^2 exactly, so the ratio is 1
         r = check_lemma4(NS, G, 2.0)
-        assert r.passed
-        for row in r.rows:
+        assert r["passed"]
+        for row in r["rows"]:
             assert row["ratio"] == pytest.approx(1.0, rel=1e-10)
 
     def test_lemma5_weighted_mass_brute_force(self):
@@ -124,12 +124,12 @@ class TestLemmaCheckers:
     def test_lemma5_scaled_sequence_flat(self):
         for alpha in (0.5, 1.0, 2.0):
             r = check_lemma5(SingularWeight(0.5, alpha), NS, G)
-            assert r.passed, (alpha, r.slope, r.spread)
-            assert -0.3 <= r.slope <= 0.15
+            assert r["passed"], (alpha, r["slope"], r["spread"])
+            assert -0.3 <= r["slope"] <= 0.15
 
     def test_lemma6_bounded(self):
         r = check_lemma6(W1, 2.0, NS, G)
-        assert r.passed
+        assert r["passed"]
 
     def test_lemma6_windowed_sum_brute_force(self):
         n, x, beta = 400, 0.8, 2.0
@@ -144,7 +144,7 @@ class TestLemmaCheckers:
 
     def test_lemma7_linear_trivial(self):
         r = check_lemma7(corpus_member("linear", W1), W1, 0.0, NS, G)
-        assert r.passed and r.trivial
+        assert r["passed"] and r["trivial"]
 
     def test_lemma7_square_chord_defect(self):
         # for x^2 the chord defect is exactly (x - x1)(x4 - x)
@@ -156,7 +156,7 @@ class TestLemmaCheckers:
 
     def test_lemma7_bounded(self):
         r = check_lemma7(corpus_member("square", W1), W1, 0.0, NS, G)
-        assert r.passed
+        assert r["passed"]
 
     def test_lemma7_requires_second_derivative(self):
         from singbern.weight import TestFunction
@@ -168,24 +168,24 @@ class TestLemmaCheckers:
     def test_lemma2_stability(self):
         for name in ("abs_beta_0.5", "square", "smoothed_step"):
             r = check_lemma2(corpus_member(name, W1), W1, NS, G)
-            assert r.passed
-            assert max(row["ratio"] for row in r.rows) <= 2.5 * np.median(
-                [row["ratio"] for row in r.rows]
+            assert r["passed"]
+            assert max(row["ratio"] for row in r["rows"]) <= 2.5 * np.median(
+                [row["ratio"] for row in r["rows"]]
             )
 
 
 class TestTheoremCheckers:
     def test_theorem1_linear_trivial(self):
         r = check_theorem1(corpus_member("linear", W1), W1, NS, G)
-        assert r.passed and r.trivial
+        assert r["passed"] and r["trivial"]
 
     def test_theorem1_bounded_for_corpus(self):
         for name in ("abs_beta_0.5", "cubic"):
             r = check_theorem1(corpus_member(name, W1), W1, NS, G)
-            assert r.passed, (name, r.slope, r.spread)
+            assert r["passed"], (name, r["slope"], r["spread"])
 
     def test_theorem2_w2_branch_bounded(self):
-        for tf in w2_members(corpus(W1), W1):
+        for tf in w2_members(corpus(W1)):
             if tf.name == "smoothed_step":
                 # saturates only once the bridge zone is narrower than the
                 # step; needs the upper part of the sweep (acceptance runs
@@ -193,22 +193,22 @@ class TestTheoremCheckers:
                 r = check_theorem2(tf, W1, 1.0, "w2", (256, 512, 1024, 2048), G)
             else:
                 r = check_theorem2(tf, W1, 1.0, "w2", NS, G)
-            assert r.passed, (tf.name, r.slope, r.spread)
+            assert r["passed"], (tf.name, r["slope"], r["spread"])
 
     def test_theorem2_cw_branch_bounded(self):
         r = check_theorem2(corpus_member("abs_beta_1.0", W1), W1, 0.5, "cw", NS, G)
-        assert r.passed
+        assert r["passed"]
 
     def test_theorem2_lambda0_matches_theorem1(self):
         f = corpus_member("abs_beta_0.5", W1)
         r1 = check_theorem1(f, W1, NS, G)
         r2 = check_theorem2(f, W1, 0.0, "cw", NS, G)
-        for row1, row2 in zip(r1.rows, r2.rows):
+        for row1, row2 in zip(r1["rows"], r2["rows"]):
             shared = max(row2["ratio_small_phi"], row2["ratio_large_phi"])
             assert shared == pytest.approx(row1["ratio"], rel=1e-12)
 
     def test_w2_member_selection(self):
-        names = {tf.name for tf in w2_members(corpus(W1), W1)}
+        names = {tf.name for tf in w2_members(corpus(W1))}
         assert "square" in names and "cubic" in names and "linear" in names
         assert not any(n.startswith("abs_beta") for n in names)
 
@@ -219,19 +219,19 @@ class TestAsymmetricWeight:
         w = SingularWeight(0.3, 0.7)
         ns = (64, 128, 256, 512)
         g = GridSpec(count=513)
-        assert check_lemma5(w, ns, g).passed
-        assert check_lemma6(w, 2.0, ns, g).passed
-        assert check_theorem1(corpus_member("abs_beta_0.5", w), w, ns, g).passed
-        assert check_lemma2(corpus_member("abs_beta_1.0", w), w, ns, g).passed
+        assert check_lemma5(w, ns, g)["passed"]
+        assert check_lemma6(w, 2.0, ns, g)["passed"]
+        assert check_theorem1(corpus_member("abs_beta_0.5", w), w, ns, g)["passed"]
+        assert check_lemma2(corpus_member("abs_beta_1.0", w), w, ns, g)["passed"]
         r = check_inverse(corpus_member("square", w), w, 0.0, g=g)
-        assert abs(r.extras["mainpart_slope"] - 2.0) <= 0.15
-        assert r.passed
+        assert abs(r["mainpart_slope"] - 2.0) <= 0.15
+        assert r["passed"]
 
 
 class TestRatePipeline:
     def test_direct_linear_trivial(self):
         r = check_direct(corpus_member("linear", DEFAULT_WEIGHT), DEFAULT_WEIGHT, 0.0, NS, G)
-        assert r.passed and r.trivial
+        assert r["passed"] and r["trivial"]
 
     def test_direct_requires_target(self):
         f = corpus_member("smoothed_step", DEFAULT_WEIGHT)
@@ -242,9 +242,9 @@ class TestRatePipeline:
         f = corpus_member("abs_beta_1.0", DEFAULT_WEIGHT)
         assert f.expected_alpha0 == 1.5  # beta + alpha
         r = check_direct(f, DEFAULT_WEIGHT, 0.0, NS, G)
-        assert r.passed
-        assert r.target == 1.5
-        assert abs(r.fitted_alpha0 - r.target) <= r.tolerance
+        assert r["passed"]
+        assert r["target"] == 1.5
+        assert abs(r["fitted_alpha0"] - r["target"]) <= r["tolerance"]
 
     def test_targets_only_for_the_singular_family_at_lambda_zero(self):
         w = SingularWeight(0.37, 0.7)
@@ -261,23 +261,23 @@ class TestRatePipeline:
         f = corpus_member("abs_beta_1.5", w)
         direct = check_direct(f, w, 0.0, NS, G)
         inverse = check_inverse(f, w, 0.0, g=G)
-        assert direct.target == inverse.target == 1.5 + w.alpha
-        assert direct.beyond_saturation is inverse.beyond_saturation is beyond
-        assert direct.to_dict()["beyond_saturation"] is beyond
+        assert direct["target"] == inverse["target"] == 1.5 + w.alpha
+        assert direct["beyond_saturation"] is inverse["beyond_saturation"] is beyond
+        assert direct["beyond_saturation"] is beyond
 
     def test_inverse_square_slope_two(self):
         f = corpus_member("square", DEFAULT_WEIGHT)
         ts = tuple(2.0**-j for j in range(3, 9))
         r = check_inverse(f, DEFAULT_WEIGHT, 0.0, ts, G)
-        assert abs(r.extras["omega_slope"] - 2.0) <= 0.1
-        assert abs(r.extras["mainpart_slope"] - 2.0) <= 0.1
+        assert abs(r["omega_slope"] - 2.0) <= 0.1
+        assert abs(r["mainpart_slope"] - 2.0) <= 0.1
 
     def test_inverse_below_ladder_floor_matches_modulus(self):
         # below the 2^-12 ladder floor the modulus has the single step h = t
         f = corpus_member("abs_beta_1.0", DEFAULT_WEIGHT)
         g = GridSpec(count=257)
         r = check_inverse(f, DEFAULT_WEIGHT, 0.0, (0.125, 0.0625, 0.03125, 1e-4), g)
-        row = r.rows[0]
+        row = r["rows"][0]
         [(om, mp, _)] = ladder_moduli(f, DEFAULT_WEIGHT, 0.0, [1e-4], 32, g)
         assert row["t"] == 1e-4
         assert row["omega2"] == om > 0.0
@@ -299,11 +299,11 @@ class TestRatePipeline:
         g = GridSpec(count=65)
         once = check_inverse(f, DEFAULT_WEIGHT, 0.0, (0.25, 0.125, 0.0625), g)
         repeated = check_inverse(f, DEFAULT_WEIGHT, 0.0, (0.0625, 0.25, 0.125, 0.25, 0.0625), g)
-        assert repeated.to_dict() == once.to_dict()
+        assert repeated == once
 
     def test_inverse_linear_trivial(self):
         r = check_inverse(corpus_member("linear", DEFAULT_WEIGHT), DEFAULT_WEIGHT, 0.0, g=G)
-        assert r.passed and r.trivial
+        assert r["passed"] and r["trivial"]
 
     def test_sweep_consistency(self):
         f = corpus_member("abs_beta_1.0", DEFAULT_WEIGHT)

@@ -134,6 +134,13 @@ class TestWeightedNorm:
         with pytest.raises(EvaluationError, match="x="):
             weighted_sup_norm(f, w, GridSpec(count=33, placement="uniform"))
 
+    def test_defect_in_f_keeps_its_type(self):
+        def f(x):
+            raise TypeError("a defect in f")
+
+        with pytest.raises(TypeError, match="a defect in f"):
+            weighted_values(f, SingularWeight(0.5, 1.0), np.array([0.25, 0.75]))
+
 
 class TestCorpus:
     def test_required_members_present(self):
