@@ -14,12 +14,10 @@ from .basis import (
 from .bridge import (
     BridgeNodes,
     InvalidNodesError,
-    LinearJoiner,
+    chord,
     compute_nodes,
-    linear_joiner,
     min_valid_n,
     psi,
-    psi_bar,
     psi_derivatives,
     surrogate_eval,
 )
@@ -28,7 +26,6 @@ from .moduli import (
     ladder_moduli,
 )
 from .operators import (
-    SurrogateCoefficients,
     bbar_apply,
     bbar_second_derivative,
     bernstein_apply,
@@ -52,11 +49,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BridgeNodes", "EvaluationError", "GridSpec", "InvalidNodesError",
-    "LinearJoiner", "SingularWeight", "SurrogateCoefficients",
-    "TestFunction", "basis_matrix", "bbar_apply", "bbar_second_derivative",
-    "bernstein_apply", "build_surrogate", "compute_nodes", "corpus",
-    "corpus_member", "delta_n", "grid_points", "h_ladder", "ksum",
-    "ladder_moduli", "linear_joiner", "min_valid_n", "phi", "psi",
-    "psi_bar", "psi_derivatives", "surrogate_eval", "weighted_sup_norm",
-    "weighted_values",
+    "SingularWeight", "TestFunction", "basis_matrix", "bbar_apply",
+    "bbar_second_derivative", "bernstein_apply", "build_surrogate", "chord",
+    "compute_nodes", "corpus", "corpus_member", "delta_n", "grid_points",
+    "h_ladder", "ksum", "ladder_moduli", "min_valid_n", "phi", "psi",
+    "psi_derivatives", "surrogate_eval", "weighted_sup_norm", "weighted_values",
 ]

@@ -323,5 +323,4 @@ def ksum(a: np.ndarray, axis: int = -1):
         bb = t - s
         comp += (s - (t - bb)) + (term - bb)
         s = t
-    total = s + comp
-    return float(total) if total.ndim == 0 else total
+    return s + comp

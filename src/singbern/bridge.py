@@ -17,13 +17,11 @@ import numpy as np
 __all__ = [
     "InvalidNodesError",
     "BridgeNodes",
-    "LinearJoiner",
     "psi",
     "psi_derivatives",
     "compute_nodes",
     "min_valid_n",
-    "psi_bar",
-    "linear_joiner",
+    "chord",
     "surrogate_eval",
 ]
 
@@ -36,8 +34,7 @@ def psi(u):
     """C^2 ramp: 0 for u <= 0, 1 for u >= 1, 10u^3 - 15u^4 + 6u^5 between."""
     u = np.asarray(u, dtype=float)
     uc = np.clip(u, 0.0, 1.0)
-    out = uc * uc * uc * (10.0 + uc * (-15.0 + 6.0 * uc))
-    return float(out) if out.ndim == 0 else out
+    return uc * uc * uc * (10.0 + uc * (-15.0 + 6.0 * uc))
 
 
 def psi_derivatives(u):
@@ -49,12 +46,9 @@ def psi_derivatives(u):
     u = np.asarray(u, dtype=float)
     inside = (u > 0.0) & (u < 1.0)
     uc = np.clip(u, 0.0, 1.0)
-    p = uc * uc * uc * (10.0 + uc * (-15.0 + 6.0 * uc))
     d1 = np.where(inside, uc * uc * (30.0 + uc * (-60.0 + 30.0 * uc)), 0.0)
     d2 = np.where(inside, uc * (60.0 + uc * (-180.0 + 120.0 * uc)), 0.0)
-    if p.ndim == 0:
-        return float(p), float(d1), float(d2)
-    return p, d1, d2
+    return psi(u), d1, d2
 
 
 @dataclass(frozen=True)
@@ -139,73 +133,35 @@ def min_valid_n(xi: float) -> int:
     return hi
 
 
-def psi_bar(nodes: BridgeNodes, which: int, x):
-    """Ramp rescaled to [x1, x2] (which=1) or [x3, x4] (which=2)."""
-    nodes.require_valid()
-    if which == 1:
-        lo, hi = nodes.x1, nodes.x2
-    elif which == 2:
-        lo, hi = nodes.x3, nodes.x4
-    else:
-        raise ValueError(f"which must be 1 or 2, got {which}")
-    return psi((np.asarray(x, dtype=float) - lo) / (hi - lo))
+def chord(f: Callable, nodes: BridgeNodes, x) -> np.ndarray:
+    """The chord through (x1, f(x1)) and (x4, f(x4)) on the grid x."""
+    x = np.asarray(x, dtype=float)
+    x1, x4 = nodes.x1, nodes.x4
+    f1, f4 = float(f(x1)), float(f(x4))
+    span = x1 - x4
+    return (x - x4) / span * f1 + (x1 - x) / span * f4
 
 
-@dataclass(frozen=True)
-class LinearJoiner:
-    """Chord through (x1, f1) and (x4, f4)."""
-
-    x1: float
-    x4: float
-    f1: float
-    f4: float
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        span = self.x1 - self.x4
-        out = (x - self.x4) / span * self.f1 + (self.x1 - x) / span * self.f4
-        return float(out) if out.ndim == 0 else out
-
-
-def linear_joiner(f: Callable, nodes: BridgeNodes) -> LinearJoiner:
-    """Interpolate f at the outer nodes x1 and x4."""
-    nodes.require_valid()
-    f1 = float(f(nodes.x1))
-    f4 = float(f(nodes.x4))
-    if not (math.isfinite(f1) and math.isfinite(f4)):
-        raise ValueError(
-            f"function evaluation failed at outer nodes: f({nodes.x1})={f1}, "
-            f"f({nodes.x4})={f4}"
-        )
-    return LinearJoiner(x1=nodes.x1, x4=nodes.x4, f1=f1, f4=f4)
-
-
-def surrogate_eval(f: Callable, nodes: BridgeNodes, x):
-    """Piecewise blend: f outside [x1, x4], the chord on [x2, x3], ramped between.
+def surrogate_eval(f: Callable, nodes: BridgeNodes, x) -> np.ndarray:
+    """Piecewise blend on a 1-D grid: f outside [x1, x4], the chord on [x2, x3], ramped between.
 
     f is never evaluated on [x2, x3], so a function undefined at the
     singular point (which lies strictly inside (x2, x3)) is acceptable.
     """
     nodes.require_valid()
-    P = linear_joiner(f, nodes)
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty(x.shape)
-
+    if x.ndim != 1:
+        raise ValueError("x must be one-dimensional")
+    out = chord(f, nodes, x)
     outer = (x <= nodes.x1) | (x >= nodes.x4)
-    mid = (x >= nodes.x2) & (x <= nodes.x3)
-    ramp1 = (x > nodes.x1) & (x < nodes.x2)
-    ramp2 = (x > nodes.x3) & (x < nodes.x4)
-
     if outer.any():
         out[outer] = f(x[outer])
-    if mid.any():
-        out[mid] = P(x[mid])
+    ramp1 = (x > nodes.x1) & (x < nodes.x2)
     if ramp1.any():
-        s = psi_bar(nodes, 1, x[ramp1])
-        out[ramp1] = (1.0 - s) * f(x[ramp1]) + s * P(x[ramp1])
+        s = psi((x[ramp1] - nodes.x1) / (nodes.x2 - nodes.x1))
+        out[ramp1] = (1.0 - s) * f(x[ramp1]) + s * out[ramp1]
+    ramp2 = (x > nodes.x3) & (x < nodes.x4)
     if ramp2.any():
-        s = psi_bar(nodes, 2, x[ramp2])
-        out[ramp2] = (1.0 - s) * P(x[ramp2]) + s * f(x[ramp2])
-    return float(out[0]) if scalar else out
+        s = psi((x[ramp2] - nodes.x3) / (nodes.x4 - nodes.x3))
+        out[ramp2] = (1.0 - s) * out[ramp2] + s * f(x[ramp2])
+    return out

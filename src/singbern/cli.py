@@ -340,7 +340,7 @@ def cmd_list_functions(args: argparse.Namespace) -> int:
             "name": tf.name,
             "singularity_exponent": tf.singularity_exponent,
             "expected_alpha0": tf.expected_alpha0,
-            "lambda": tf.lam,
+            "lambda": args.lam,
             "smooth_second_derivative": tf in smooth,
             "description": tf.description,
         }

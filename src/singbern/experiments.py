@@ -33,7 +33,7 @@ from functools import partial
 
 import numpy as np
 
-from .bridge import InvalidNodesError, compute_nodes, linear_joiner, min_valid_n
+from .bridge import InvalidNodesError, chord, compute_nodes, min_valid_n
 from .moduli import ladder_moduli
 from .operators import (
     bbar_apply,
@@ -298,9 +298,8 @@ def check_lemma7(
 
     def row(n):
         nd = compute_nodes(n, w.xi)
-        P = linear_joiner(f, nd)
         xs = np.unique(np.concatenate([np.linspace(nd.x1, nd.x4, 257), [nd.x2, nd.x3]]))
-        defect = np.abs(weighted_values(lambda x: f(x) - P(x), w, xs))
+        defect = np.abs(weighted_values(lambda x: f(x) - chord(f, nd, x), w, xs))
         if curv_norm == 0.0:
             # curvature-free f: the chord reproduces it up to rounding
             return {"n": n, "ratio": 0.0 if float(np.max(defect)) <= 1e-12 else math.inf}
@@ -334,22 +333,22 @@ def check_lemma2(
 
 
 def _weighted_d2(f, n: int, w: SingularWeight, lam: float, g: GridSpec):
-    """The node grid, |w phi^(2 lam) (Bbar_n f)''| on it, and the coefficients."""
-    coeffs = build_surrogate(f, n, w)
-    xs = _node_grid(g, coeffs.nodes)
-    return xs, np.abs(w(xs) * phi(xs) ** (2.0 * lam) * bbar_second_derivative(coeffs, xs)), coeffs
+    """The node grid, |w phi^(2 lam) (Bbar_n f)''| on it, and the surrogate values."""
+    values = build_surrogate(f, n, w)
+    xs = _node_grid(g, compute_nodes(n, w.xi))
+    return xs, np.abs(w(xs) * phi(xs) ** (2.0 * lam) * bbar_second_derivative(values, xs)), values
 
 
-def _majorant_ratio(num: float, den: float, coeffs) -> float:
+def _majorant_ratio(num: float, den: float, values: np.ndarray) -> float:
     """num / den, where a vanishing majorant den leaves only rounding noise.
 
-    Rounding of the coefficient vector alone produces second differences
+    Rounding of the surrogate values alone produces second differences
     up to a few eps, amplified by n(n-1): a num below that floor gives 0,
     anything above it inf.
     """
     if den == 0.0:
-        n = coeffs.n
-        floor = 16.0 * n * n * np.finfo(float).eps * float(np.max(np.abs(coeffs.values)))
+        n = len(values) - 1
+        floor = 16.0 * n * n * np.finfo(float).eps * float(np.max(np.abs(values)))
         return 0.0 if num <= floor else math.inf
     return num / den
 
@@ -364,8 +363,8 @@ def check_theorem1(
     fnorm = weighted_sup_norm(f, w, g)
 
     def row(n):
-        _, num, coeffs = _weighted_d2(f, n, w, 0.0, g)
-        return {"n": n, "ratio": _majorant_ratio(float(np.max(num)), float(n) ** 2.0 * fnorm, coeffs)}
+        _, num, values = _weighted_d2(f, n, w, 0.0, g)
+        return {"n": n, "ratio": _majorant_ratio(float(np.max(num)), float(n) ** 2.0 * fnorm, values)}
 
     params = {"function": f.name, "xi": w.xi, "alpha": w.alpha, "grid": g.key()}
     return _check("theorem1", params, n_values, row, w.xi, partial(_ratio_trend, max_slope=0.1))
@@ -400,9 +399,9 @@ def check_theorem2(
             raise ValueError(f"{f.name!r} lacks a second derivative")
 
         def w2_row(n):
-            xs, num, coeffs = _weighted_d2(f, n, w, lam, g)
+            xs, num, values = _weighted_d2(f, n, w, lam, g)
             curv = np.abs(weighted_values(lambda x: phi(x) ** (2.0 * lam) * f.second_derivative(x), w, xs))
-            return {"n": n, "ratio": _majorant_ratio(float(np.max(num)), float(np.max(curv)), coeffs)}
+            return {"n": n, "ratio": _majorant_ratio(float(np.max(num)), float(np.max(curv)), values)}
 
         return _check("theorem2", params, n_values, w2_row, w.xi)
 

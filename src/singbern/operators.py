@@ -13,7 +13,6 @@ differentiation appears only in tests as an oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -21,11 +20,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .basis import band_start, basis_matrix, ksum
-from .bridge import BridgeNodes, compute_nodes, surrogate_eval
+from .bridge import compute_nodes, surrogate_eval
 from .weight import EvaluationError, SingularWeight
 
 __all__ = [
-    "SurrogateCoefficients",
     "collocation_matrix",
     "bernstein_apply",
     "build_surrogate",
@@ -52,69 +50,56 @@ def collocation_matrix(n: int, xs: np.ndarray) -> tuple:
     weights outside it (less than 1e-20 of each row) are dropped.  Both
     arrays are read-only.
     """
-    return _cached_band(n, np.asarray(xs, dtype=float).tobytes())
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1:
+        raise ValueError("xs must be one-dimensional")
+    return _cached_band(n, xs.tobytes())
 
 
-def bernstein_apply(values: np.ndarray, x):
-    """sum_k values[k] b(n, k, x) over each grid row's band, compensated.
+def bernstein_apply(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """sum_k values[k] b(n, k, x) at each point of the 1-D grid xs, compensated.
 
-    The degree n is len(values) - 1.  ``x`` may be a 1-D grid, or a scalar,
-    which is the one-point grid and gives a float.
+    The degree n is len(values) - 1; each row sums over its band only.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 2:
         raise ValueError("values must be a vector of n+1 >= 2 entries")
-    x = np.asarray(x, dtype=float)
-    start, B = collocation_matrix(values.size - 1, np.atleast_1d(x))
+    start, B = collocation_matrix(values.size - 1, xs)
     terms = sliding_window_view(values, B.shape[1])[start]
     terms *= B
-    out = ksum(terms, axis=1)
-    return float(out[0]) if x.ndim == 0 else out
+    return ksum(terms, axis=1)
 
 
-@dataclass(frozen=True, eq=False)
-class SurrogateCoefficients:
-    """Surrogate node values F(k/n), k = 0..n, with their bridge nodes."""
-
-    n: int
-    values: np.ndarray = field(repr=False)
-    nodes: BridgeNodes
-
-    def __post_init__(self):
-        if self.values.shape != (self.n + 1,):
-            raise ValueError("values must have length n+1")
-        self.values.flags.writeable = False
-
-
-def build_surrogate(f: Callable, n: int, w: SingularWeight) -> SurrogateCoefficients:
-    """Surrogate values F(k/n) for the modified operator at degree n; read-only.
+def build_surrogate(f: Callable, n: int, w: SingularWeight) -> np.ndarray:
+    """Surrogate values F(k/n), k = 0..n, of the modified operator at degree n; read-only.
 
     f is never sampled on [x2, x3].  Raises InvalidNodesError when the
-    bridge nodes around w.xi are invalid at this degree.
+    bridge nodes around w.xi are invalid at this degree, and
+    EvaluationError when a value is not finite.
     """
     nodes = compute_nodes(n, w.xi)
     nodes.require_valid()
     t = np.arange(nodes.n + 1) / float(nodes.n)
     values = surrogate_eval(f, nodes, t)
     if not np.isfinite(values).all():
-        raise EvaluationError(f"non-finite surrogate value at k/n={t[~np.isfinite(values)][0]!r}")
-    return SurrogateCoefficients(n=nodes.n, values=values, nodes=nodes)
+        raise EvaluationError(f"non-finite surrogate value at k/n={float(t[~np.isfinite(values)][0])!r}")
+    values.flags.writeable = False
+    return values
 
 
-def bbar_apply(f: Callable, n: int, w: SingularWeight, x):
+def bbar_apply(f: Callable, n: int, w: SingularWeight, xs: np.ndarray) -> np.ndarray:
     """Modified operator: the classical operator applied to surrogate values.
 
     A polynomial of degree at most n; reproduces linear functions and uses
     only f values on [0, x2] union [x3, 1].
     """
-    return bernstein_apply(build_surrogate(f, n, w).values, x)
+    return bernstein_apply(build_surrogate(f, n, w), xs)
 
 
-def bbar_second_derivative(coeffs: SurrogateCoefficients, x):
-    """Second derivative of the modified operator via second differences."""
-    n = coeffs.n
+def bbar_second_derivative(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Second derivative of the operator on node values F(k/n), via second differences."""
+    n = len(values) - 1
     if n < 2:
         raise ValueError("second derivative needs n >= 2")
-    v = coeffs.values
-    d2 = v[2:] - 2.0 * v[1:-1] + v[:-2]
-    return n * (n - 1.0) * bernstein_apply(d2, x)
+    d2 = values[2:] - 2.0 * values[1:-1] + values[:-2]
+    return n * (n - 1.0) * bernstein_apply(d2, xs)

@@ -51,8 +51,7 @@ class SingularWeight:
         x = np.asarray(x, dtype=float)
         if x.size and not ((x >= 0.0).all() and (x <= 1.0).all()):
             raise ValueError("x must lie in [0, 1]")
-        out = np.abs(x - self.xi) ** self.alpha
-        return float(out) if out.ndim == 0 else out
+        return np.abs(x - self.xi) ** self.alpha
 
 
 def phi(x):
@@ -60,8 +59,7 @@ def phi(x):
     x = np.asarray(x, dtype=float)
     if x.size and not ((x >= 0.0).all() and (x <= 1.0).all()):
         raise ValueError("x must lie in [0, 1]")
-    out = np.sqrt(x * (1.0 - x))
-    return float(out) if out.ndim == 0 else out
+    return np.sqrt(x * (1.0 - x))
 
 
 def delta_n(n: int, x):
@@ -126,7 +124,7 @@ def weighted_values(f: Callable, w: SingularWeight, xs: np.ndarray) -> np.ndarra
         out[off] = w(xs[off]) * np.asarray(f(xs[off]), dtype=float)
     if not np.isfinite(out).all():
         bad = xs[~np.isfinite(out)]
-        raise EvaluationError(f"non-finite weighted value at x={bad[0]!r}")
+        raise EvaluationError(f"non-finite weighted value at x={float(bad[0])!r}")
     return out
 
 
@@ -151,7 +149,6 @@ class TestFunction:
     f: Callable = field(repr=False)
     singularity_exponent: float | None = None
     expected_alpha0: float | None = None
-    lam: float = 0.0
     second_derivative: Callable | None = field(default=None, repr=False)
     description: str = ""
 
@@ -214,7 +211,6 @@ def corpus(w: SingularWeight, lam: float = 0.0) -> list[TestFunction]:
                 f=f,
                 singularity_exponent=beta,
                 expected_alpha0=beta + w.alpha if lam == 0.0 else None,
-                lam=lam,
                 second_derivative=d2,
                 description=f"|x - xi|^{beta}; derivative singularity at xi",
             )
@@ -224,7 +220,6 @@ def corpus(w: SingularWeight, lam: float = 0.0) -> list[TestFunction]:
         TestFunction(
             name="square",
             f=lambda x: np.asarray(x, dtype=float) ** 2,
-            lam=lam,
             second_derivative=lambda x: np.full(np.shape(x), 2.0),
             description="x^2; smooth reference with closed-form differences",
         )
@@ -233,7 +228,6 @@ def corpus(w: SingularWeight, lam: float = 0.0) -> list[TestFunction]:
         TestFunction(
             name="cubic",
             f=lambda x: np.asarray(x, dtype=float) ** 3,
-            lam=lam,
             second_derivative=lambda x: 6.0 * np.asarray(x, dtype=float),
             description="x^3; smooth-class member",
         )
@@ -244,7 +238,6 @@ def corpus(w: SingularWeight, lam: float = 0.0) -> list[TestFunction]:
         TestFunction(
             name="smoothed_step",
             f=step_f,
-            lam=lam,
             second_derivative=step_d2,
             description="C^2 step across xi with large second derivative",
         )

@@ -1,4 +1,4 @@
-"""Tests for the quintic ramp, bridge nodes, joiner, and surrogate blend."""
+"""Tests for the quintic ramp, bridge nodes, chord, and surrogate blend."""
 
 import math
 
@@ -8,11 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from singbern.bridge import (
     InvalidNodesError,
+    chord,
     compute_nodes,
-    linear_joiner,
     min_valid_n,
     psi,
-    psi_bar,
     psi_derivatives,
     surrogate_eval,
 )
@@ -24,11 +23,10 @@ def surrogate_eval_oneline(f, nodes, x):
     Algebraically equal to ``surrogate_eval`` because the ramps saturate
     outside their spans.
     """
-    P = linear_joiner(f, nodes)
     x = np.asarray(x, dtype=float)
-    s1 = psi_bar(nodes, 1, x)
-    s2 = psi_bar(nodes, 2, x)
-    return f(x) * (1.0 - s1 + s2) + s1 * (1.0 - s2) * P(x)
+    s1 = psi((x - nodes.x1) / (nodes.x2 - nodes.x1))
+    s2 = psi((x - nodes.x3) / (nodes.x4 - nodes.x3))
+    return f(x) * (1.0 - s1 + s2) + s1 * (1.0 - s2) * chord(f, nodes, x)
 
 
 class TestPsi:
@@ -124,45 +122,30 @@ def min_valid_n_walk(xi):
     return n
 
 
-class TestPsiBar:
-    def test_saturation_at_nodes(self):
-        nd = compute_nodes(400, 0.5)
-        assert psi_bar(nd, 1, nd.x1) == 0.0
-        assert psi_bar(nd, 1, nd.x2) == 1.0
-        assert psi_bar(nd, 2, nd.x3) == 0.0
-        assert psi_bar(nd, 2, nd.x4) == 1.0
-
-    def test_midpoint(self):
-        nd = compute_nodes(400, 0.5)
-        assert psi_bar(nd, 1, 0.425) == pytest.approx(0.5, abs=1e-14)
-
-    def test_invalid_nodes_raise(self):
-        nd = compute_nodes(4, 0.5)
-        with pytest.raises(InvalidNodesError):
-            psi_bar(nd, 1, 0.5)
-
-
 class TestLinearJoiner:
+    """The chord, the linear joiner of f across the outer nodes x1 and x4."""
+
     def test_reproduces_linear(self):
         nd = compute_nodes(400, 0.5)
         f = lambda x: 3.0 * np.asarray(x) - 1.0
-        P = linear_joiner(f, nd)
         xs = np.linspace(nd.x1, nd.x4, 101)
-        np.testing.assert_allclose(P(xs), f(xs), atol=1e-13)
+        np.testing.assert_allclose(chord(f, nd, xs), f(xs), atol=1e-13)
 
     def test_symmetric_absolute_value(self):
         nd = compute_nodes(400, 0.5)
-        P = linear_joiner(lambda x: np.abs(np.asarray(x) - 0.5), nd)
-        assert P(nd.x1) == pytest.approx(0.10, abs=1e-14)
-        assert P(nd.x4) == pytest.approx(0.10, abs=1e-14)
-        assert P(0.5) == pytest.approx(0.10, abs=1e-14)
+        P = chord(lambda x: np.abs(np.asarray(x) - 0.5), nd, [nd.x1, nd.x4, 0.5])
+        np.testing.assert_allclose(P, 0.10, rtol=0, atol=1e-14)
 
     def test_midpoint_mean(self):
         nd = compute_nodes(100, 0.5)
         f = lambda x: np.asarray(x) ** 2
-        P = linear_joiner(f, nd)
         mid = 0.5 * (nd.x1 + nd.x4)
-        assert P(mid) == pytest.approx(0.5 * (f(nd.x1) + f(nd.x4)), rel=1e-14)
+        assert chord(f, nd, [mid])[0] == pytest.approx(0.5 * (f(nd.x1) + f(nd.x4)), rel=1e-14)
+
+    def test_interpolates_at_outer_nodes_exactly(self):
+        nd = compute_nodes(300, 0.4)
+        f = lambda x: np.abs(np.asarray(x) - 0.4) ** 0.5
+        np.testing.assert_allclose(chord(f, nd, [nd.x1, nd.x4]), [f(nd.x1), f(nd.x4)], atol=0, rtol=0)
 
 
 class TestSurrogate:
@@ -175,10 +158,33 @@ class TestSurrogate:
     def test_chord_zone_ignores_f(self):
         nd = compute_nodes(400, 0.5)
         f = lambda x: np.abs(np.asarray(x) - 0.5)
-        assert surrogate_eval(f, nd, 0.5) == pytest.approx(0.10, abs=1e-14)
+        assert surrogate_eval(f, nd, [0.5])[0] == pytest.approx(0.10, abs=1e-14)
         xs = np.linspace(nd.x2, nd.x3, 57)
-        P = linear_joiner(f, nd)
-        np.testing.assert_allclose(surrogate_eval(f, nd, xs), P(xs), atol=0)
+        np.testing.assert_allclose(surrogate_eval(f, nd, xs), chord(f, nd, xs), atol=0)
+
+    def test_bridge_nodes_take_f_outside_and_the_chord_inside(self):
+        # the ramps saturate at the nodes: 0 at x1 and x3, 1 at x2 and x4
+        nd = compute_nodes(400, 0.5)
+        f = lambda x: np.abs(np.asarray(x) - 0.5) ** 0.5
+        x1, x2, x3, x4 = nd.x1, nd.x2, nd.x3, nd.x4
+        expected = [f(x1), *chord(f, nd, [x2, x3]), f(x4)]
+        np.testing.assert_allclose(surrogate_eval(f, nd, [x1, x2, x3, x4]), expected, atol=0, rtol=0)
+
+    def test_ramp_midpoint_is_the_mean(self):
+        # psi(1/2) = 1/2 halfway across [x1, x2] = [0.40, 0.45]
+        nd = compute_nodes(400, 0.5)
+        f = lambda x: np.asarray(x) ** 2
+        mean = 0.5 * (f(0.425) + chord(f, nd, [0.425])[0])
+        assert surrogate_eval(f, nd, [0.425])[0] == pytest.approx(mean, abs=1e-14)
+
+    def test_invalid_nodes_raise(self):
+        with pytest.raises(InvalidNodesError):
+            surrogate_eval(lambda x: np.asarray(x), compute_nodes(4, 0.5), [0.5])
+
+    @pytest.mark.parametrize("grid", [np.full((2, 2), 0.1), 0.1, 0.5], ids=["2-d", "0-d-outer", "0-d-chord"])
+    def test_grid_must_be_one_dimensional(self, grid):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            surrogate_eval(lambda x: np.abs(np.asarray(x) - 0.5), compute_nodes(400, 0.5), grid)
 
     def test_forms_agree_for_polynomials(self):
         nd = compute_nodes(300, 0.4)

@@ -342,6 +342,11 @@ class TestMisc:
         names = [line.split(",")[0] for line in out.strip().splitlines()[1:]]
         assert "abs_beta_1.0" in names and "linear" in names
 
+    def test_list_functions_rows_carry_the_lambda(self, capsys):
+        code, out, _ = run_cli(capsys, "list-functions", "--lambda", "1", "--format", "json")
+        assert code == 0
+        assert [row["lambda"] for row in json.loads(out)["functions"]] == [1.0] * 7
+
     def test_schema_flag(self, capsys):
         code, out, _ = run_cli(capsys, "--schema")
         assert code == 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from singbern.basis import basis_values, ksum
-from singbern.bridge import compute_nodes, linear_joiner
+from singbern.bridge import chord, compute_nodes
 from singbern.experiments import (
     DEFAULT_WEIGHT,
     check_direct,
@@ -150,9 +150,8 @@ class TestLemmaCheckers:
         # for x^2 the chord defect is exactly (x - x1)(x4 - x)
         nd = compute_nodes(400, 0.5)
         f = corpus_member("square", W1)
-        P = linear_joiner(f, nd)
-        for x in (0.45, 0.5, 0.55):
-            assert P(x) - f(x) == pytest.approx((x - nd.x1) * (nd.x4 - x), rel=1e-11)
+        xs = np.array([0.45, 0.5, 0.55])
+        np.testing.assert_allclose(chord(f, nd, xs) - f(xs), (xs - nd.x1) * (nd.x4 - xs), rtol=1e-11)
 
     def test_lemma7_bounded(self):
         r = check_lemma7(corpus_member("square", W1), W1, 0.0, NS, G)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from singbern.bridge import InvalidNodesError, compute_nodes
+from singbern.bridge import InvalidNodesError, chord, compute_nodes
 from singbern.operators import (
     bbar_apply,
     bbar_second_derivative,
@@ -13,7 +13,9 @@ from singbern.operators import (
     build_surrogate,
 )
 from singbern.experiments import check_theorem1, check_theorem2
-from singbern.weight import GridSpec, SingularWeight, TestFunction, corpus_member, weighted_sup_norm
+from singbern.weight import (
+    EvaluationError, GridSpec, SingularWeight, TestFunction, corpus_member, weighted_sup_norm,
+)
 
 W = SingularWeight(xi=0.5, alpha=1.0)
 
@@ -69,34 +71,43 @@ class TestBernsteinApply:
         )
 
     def test_hat_at_half(self):
-        assert bernstein_apply(np.array([0.0, 1.0, 0.0]), 0.5) == pytest.approx(0.5)
+        assert bernstein_apply(np.array([0.0, 1.0, 0.0]), np.array([0.5]))[0] == pytest.approx(0.5)
 
-    def test_scalar_and_grid_agree(self):
+    def test_one_point_grid_agrees_with_full_grid(self):
         values = np.sin(np.arange(21))
         xs = np.array([0.0, 0.2, 0.9, 1.0])
         grid = bernstein_apply(values, xs)
-        for i, x in enumerate(xs):
-            assert grid[i] == pytest.approx(bernstein_apply(values, float(x)), rel=1e-14)
+        for i in range(xs.size):
+            assert grid[i] == pytest.approx(bernstein_apply(values, xs[i:i + 1])[0], rel=1e-14)
+
+    @pytest.mark.parametrize("grid", [np.full((2, 3), 0.5), np.float64(0.5)], ids=["2-d", "0-d"])
+    def test_grid_must_be_one_dimensional(self, grid):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            bernstein_apply(np.sin(np.arange(9)), grid)
 
 
 class TestBuildSurrogate:
     def test_linear_is_sampled_unchanged(self):
         f = corpus_member("linear", W)
-        coeffs = build_surrogate(f, 128, W)
+        values = build_surrogate(f, 128, W)
         t = np.arange(129) / 128.0
-        np.testing.assert_allclose(coeffs.values, f(t), atol=1e-13)
+        np.testing.assert_allclose(values, f(t), atol=1e-13)
 
     def test_chord_zone_entries(self):
         f = lambda x: np.abs(np.asarray(x) - 0.5)
-        coeffs = build_surrogate(f, 400, W)
-        nd = coeffs.nodes
-        assert coeffs.values[200] == pytest.approx(0.10, abs=1e-14)
-        assert coeffs.values[0] == pytest.approx(0.5, abs=1e-15)
-        from singbern.bridge import linear_joiner
+        values = build_surrogate(f, 400, W)
+        nd = compute_nodes(400, W.xi)
+        assert values[200] == pytest.approx(0.10, abs=1e-14)
+        assert values[0] == pytest.approx(0.5, abs=1e-15)
+        k = np.arange(nd.k2, nd.k3 + 1)
+        np.testing.assert_allclose(values[k], chord(f, nd, k / 400.0), rtol=0, atol=1e-13)
 
-        P = linear_joiner(f, nd)
-        for k in range(nd.k2, nd.k3 + 1):
-            assert coeffs.values[k] == pytest.approx(P(k / 400.0), abs=1e-13)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the chord's 0 * inf
+    def test_non_finite_outer_node_value_is_an_evaluation_error(self):
+        x1 = compute_nodes(400, W.xi).x1
+        f = lambda x: np.where(np.asarray(x) == x1, np.inf, 1.0)
+        with pytest.raises(EvaluationError, match=rf"k/n={x1}$"):
+            build_surrogate(f, 400, W)
 
     def test_invalid_nodes_raise(self):
         with pytest.raises(InvalidNodesError):
@@ -113,12 +124,12 @@ class TestBuildSurrogate:
 
         a = build_surrogate(base, 512, W)
         b = build_surrogate(bumped, 512, W)
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a, b)
 
     def test_coefficients_are_immutable(self):
-        coeffs = build_surrogate(corpus_member("square", W), 64, W)
+        values = build_surrogate(corpus_member("square", W), 64, W)
         with pytest.raises(ValueError):
-            coeffs.values[0] = 1.0
+            values[0] = 1.0
 
 
 class TestBbarApply:
@@ -137,13 +148,13 @@ class TestBbarApply:
         f = lambda x: np.abs(np.asarray(x) - 0.5) ** 0.5
         fs = lambda x: abs(x - 0.5) ** 0.5
         for x in (0.5, 0.3, 0.9):
-            got = bbar_apply(f, 400, W, x)
+            got = bbar_apply(f, 400, W, np.array([x]))[0]
             assert got == pytest.approx(bbar_oracle(fs, 400, 0.5, x), rel=1e-12)
 
     def test_endpoint_interpolation_exact(self):
         f = corpus_member("abs_beta_0.5", W)
-        assert bbar_apply(f, 256, W, 0.0) == f(0.0)
-        assert bbar_apply(f, 256, W, 1.0) == f(1.0)
+        ends = np.array([0.0, 1.0])
+        np.testing.assert_array_equal(bbar_apply(f, 256, W, ends), f(ends))
 
     def test_positivity(self):
         rng = np.random.default_rng(3)
@@ -177,40 +188,38 @@ class TestSecondDerivative:
     def test_linear_values_vanish(self):
         f = corpus_member("linear", W)
         for n in (64, 400):
-            coeffs = build_surrogate(f, n, W)
+            values = build_surrogate(f, n, W)
             xs = np.linspace(0.05, 0.95, 17)
-            assert np.max(np.abs(bbar_second_derivative(coeffs, xs))) <= 1e-9 * n * n
+            assert np.max(np.abs(bbar_second_derivative(values, xs))) <= 1e-9 * n * n
 
     def test_square_closed_form(self):
         # node values (k/n)^2 have second differences exactly 2/n^2,
         # so the identity gives 2 (1 - 1/n) at every x
         f = corpus_member("square", W)
         n = 256
-        coeffs = build_surrogate(f, n, W)
+        values = build_surrogate(f, n, W)
         xs = np.linspace(0.02, 0.2, 9)  # far enough that bridge basis mass is nil
         expected = np.full_like(xs, 2.0 * (1.0 - 1.0 / n))
-        got = bbar_second_derivative(coeffs, xs)
+        got = bbar_second_derivative(values, xs)
         np.testing.assert_allclose(got, expected, rtol=1e-9)
 
     def test_matches_finite_difference_oracle(self):
         f = corpus_member("abs_beta_1.0", W)
         n = 100
-        coeffs = build_surrogate(f, n, W)
+        values = build_surrogate(f, n, W)
         h = 1e-4
         for x in (0.2, 0.45, 0.8):
+            x = np.array([x])
             fd = (
                 bbar_apply(f, n, W, x + h)
                 - 2 * bbar_apply(f, n, W, x)
                 + bbar_apply(f, n, W, x - h)
             ) / (h * h)
-            assert bbar_second_derivative(coeffs, x) == pytest.approx(fd, rel=1e-5)
+            assert bbar_second_derivative(values, x)[0] == pytest.approx(fd[0], rel=1e-5)
 
     def test_requires_degree_two(self):
-        f = corpus_member("square", W)
-        coeffs = build_surrogate(f, 64, W)
-        object.__setattr__(coeffs, "n", 1)  # simulate degenerate degree
         with pytest.raises(ValueError):
-            bbar_second_derivative(coeffs, 0.5)
+            bbar_second_derivative(np.array([0.0, 1.0]), np.array([0.5]))  # degree 1
 
 
 class TestNormRatio:
