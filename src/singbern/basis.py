@@ -24,7 +24,11 @@ than 1e-20 of its mass, and the block costs O(G sqrt(n)) memory for a
 grid of G points instead of O(G n).  The block is built in passes that
 each hold a fixed budget of band entries, sized so that a pass's
 temporaries stay in cache, and the parts of log b that depend on k alone
-or on x alone are computed once per block.
+or on x alone are computed once per block.  The log-space arithmetic of
+every pass runs in one scratch workspace that the call makes and reuses
+pass after pass, so a pass allocates no deviance temporaries; the
+workspace is never shared between calls.  ``basis_values`` runs its
+flattened input in passes of the same size over one workspace.
 """
 
 from __future__ import annotations
@@ -43,12 +47,15 @@ __all__ = [
 BAND_EPS = 1e-20
 _BAND_LOG = math.log(2.0 / BAND_EPS)
 _LN_2PI = math.log(2.0 * math.pi)
-# Band entries per pass of ``basis_matrix``: a pass keeps about a dozen
-# temporaries of this many doubles (128 KiB each), which stay in cache.
-# Measured on a 2-vCPU AMD EPYC VM, passes of 8k/16k/32k/64k entries:
-# ``eval --n 16384`` took 0.13/0.13/0.16/0.15 s, and a default sweep took
-# 0.36/0.33/0.31/0.33 s at a peak RSS of 114.6/114.6/117.4/121.5 MiB.
+# Entries per pass of ``basis_matrix`` and ``basis_values``: a pass works in
+# _LOG_B_ROWS scratch rows of this many doubles (128 KiB each), which stay
+# in cache.  Measured on a 2-vCPU Intel Xeon (AVX-512) VM, each command in
+# a fresh interpreter, medians of 6, passes of 8k/16k/32k/64k entries:
+# ``eval --n 16384`` took 0.44/0.38/0.39/0.40 s, and a default sweep took
+# 1.24/1.16/0.99/1.06 s at a peak RSS of 95.2/94.9/96.1/100.6 MiB.
 _PASS_ENTRIES = 16384
+# Scratch rows of ``_log_b``: five for ``_bd0``, then log b and n - k.
+_LOG_B_ROWS = 7
 
 # stirlerr(n) = log(n!) - (0.5*log(2*pi*n) + n*log(n) - n), n = 1..15.
 # Index 0 is a placeholder; the decomposition never uses stirlerr(0).
@@ -117,35 +124,48 @@ def _series_terms(v2max: float) -> int:
     return max(1, math.ceil((120.0 * math.log(2.0) / -math.log(v2max) + 1.0) / 2.0))
 
 
-def _bd0(a, m, mlo=0.0):
-    """Deviance term a*log(a/m) + m - a for a, m > 0.
+def _bd0(a, m, mlo=0.0, ws=None):
+    """Deviance term a*log(a/m) + m - a for a, m > 0, into scratch ``ws``.
 
     Near a == m the direct formula cancels badly, so a series in
     v = (a-m)/(a+m) is used there, with a term count fixed up front from
     the largest v^2; elsewhere v is set to 0, so the series contributes
     nothing and the direct formula fills in.  ``mlo`` is a low-order
     correction to ``m`` (from an exact product split); it enters through
-    the first derivative d/dm = (m-a)/m.
+    the first derivative d/dm = (m-a)/m.  ``ws`` is a ``_workspace`` of
+    a's shape, of which the first five rows are used; the result is its
+    row 3.  Without ``ws`` the call makes its own.
     """
-    a, m = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(m, dtype=float))
-    d = a - m
-    near = np.abs(d) < 0.25 * (a + m)
-    v = np.where(near, d / (a + m), 0.0)
-    out = d * v
-    ej = 2.0 * a * v
-    v2 = v * v
-    for j in range(1, _series_terms(float(v2.max(initial=0.0))) + 1):
-        ej *= v2
-        out += ej / (2 * j + 1)
-    far = ~near
+    if ws is None:
+        a, m = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(m, dtype=float))
+        ws = _workspace(5, *a.shape)
+    (d, s, v, out, ej), far = ws[0][:5], ws[1]
+    np.subtract(a, m, out=d)
+    np.add(a, m, out=s)
+    # far: not |d| < 0.25 (a + m)
+    np.less(np.abs(d, out=out), np.multiply(s, 0.25, out=v), out=far)
+    np.logical_not(far, out=far)
+    np.divide(d, s, out=v)
+    np.copyto(v, 0.0, where=far)
+    np.multiply(d, v, out=out)
+    np.multiply(a, 2.0, out=ej)
+    ej *= v
+    v *= v  # v^2 from here on
+    for j in range(1, _series_terms(float(v.max(initial=0.0))) + 1):
+        ej *= v
+        out += np.divide(ej, 2 * j + 1, out=s)
     if far.any():
-        af = a[far]
-        mf = m[far]
         with np.errstate(over="ignore"):
             # a/m can overflow for subnormal m; inf is the right limit here
-            out[far] = af * np.log(af / mf) + mf - af
+            np.divide(a, m, out=s, where=far)
+            np.log(s, out=s, where=far)
+            np.multiply(a, s, out=s, where=far)
+            np.add(s, m, out=s, where=far)
+            np.subtract(s, a, out=out, where=far)
     if np.any(mlo):
-        out -= (np.asarray(mlo) / m) * d
+        np.divide(mlo, m, out=s)
+        s *= d
+        out -= s
     return out
 
 
@@ -167,10 +187,27 @@ def _log_const(n: int, k: np.ndarray) -> np.ndarray:
     )
 
 
-def _log_b(n: int, k: np.ndarray, const: np.ndarray, moments) -> np.ndarray:
-    """log b(n, k, x) from the k-only ``const`` and the x-only ``_split_moments``."""
+def _workspace(rows: int, *shape: int) -> tuple:
+    """Scratch for one evaluation: ``rows`` float rows and one bool row, each of ``shape``.
+
+    Every call that evaluates weights makes its own and drops it on return,
+    so calls on several threads share no scratch.
+    """
+    return np.empty((rows, *shape)), np.empty(shape, dtype=bool)
+
+
+def _log_b(n: int, k: np.ndarray, const: np.ndarray, moments, ws: tuple) -> np.ndarray:
+    """log b(n, k, x) from the k-only ``const`` and the x-only ``_split_moments``.
+
+    Works in the first len(k) entries of the first _LOG_B_ROWS rows of
+    workspace ``ws`` and returns row 5 there.
+    """
     nx, nx_lo, n1x, n1x_lo = moments
-    return const - _bd0(k, nx, nx_lo) - _bd0(n - k, n1x, n1x_lo)
+    ws = ws[0][:, :k.size], ws[1][:k.size]
+    out, nk = ws[0][5], ws[0][6]
+    np.subtract(const, _bd0(k, nx, nx_lo, ws), out=out)
+    np.subtract(n, k, out=nk)
+    return np.subtract(out, _bd0(nk, n1x, n1x_lo, ws), out=out)
 
 
 def basis_values(n: int, x, k) -> np.ndarray:
@@ -179,7 +216,9 @@ def basis_values(n: int, x, k) -> np.ndarray:
     The one evaluator behind every row, band and window.  Relative error
     stays below 1e-12 for n up to 1e6.  Endpoints are exact: x=0 gives 1
     iff k=0, x=1 gives 1 iff k=n; the k=0 and k=n weights are direct
-    powers.
+    powers.  The broadcast input is evaluated in passes of _PASS_ENTRIES
+    entries over one workspace, so memory beyond the input and the result
+    is bounded whatever its size.
     """
     n = int(n)
     if n < 1:
@@ -191,25 +230,34 @@ def basis_values(n: int, x, k) -> np.ndarray:
         raise ValueError("x must lie in [0, 1]")
     if k.size and not (k.min() >= 0 and k.max() <= n):
         raise ValueError(f"index k must lie in [0, {n}]")
-    xf = x.ravel()
-    return _values(n, xf, k.ravel(), _split_moments(n, xf),
-                   lambda kk: _log_const(n, kk.astype(float))).reshape(x.shape)
+    xf, kf = x.ravel(), k.ravel()
+    out = np.empty(xf.shape)
+    ws = _workspace(_LOG_B_ROWS, min(xf.size, _PASS_ENTRIES))
+    for lo in range(0, xf.size, _PASS_ENTRIES):
+        sl = slice(lo, lo + _PASS_ENTRIES)
+        out[sl] = _values(n, xf[sl], kf[sl], _split_moments(n, xf[sl]),
+                          lambda kk: _log_const(n, kk.astype(float)), ws)
+    return out.reshape(x.shape)
 
 
-def _values(n: int, x: np.ndarray, k: np.ndarray, moments, log_const) -> np.ndarray:
+def _values(n: int, x: np.ndarray, k: np.ndarray, moments, log_const, ws: tuple) -> np.ndarray:
     """Flat checked ``basis_values``: x in [0, 1], integer k in [0, n], one length.
 
     ``moments`` is ``_split_moments(n, x)`` and ``log_const`` maps interior
-    k to ``_log_const``; the caller computes both once.  The closed forms
-    for k in {0, n} and x in {0, 1} live here alone.
+    k to ``_log_const``; the caller computes both once.  ``ws`` is a
+    workspace of at least _LOG_B_ROWS rows and len(x) entries; the result
+    may be one of its rows.  The closed forms for k in {0, n} and x in
+    {0, 1} live here alone.
     """
     inside = (x > 0.0) & (x < 1.0)
     mid = inside & (k > 0) & (k < n)
     if mid.all():
-        return np.exp(_log_b(n, k.astype(float), log_const(k), moments))
+        r = _log_b(n, k.astype(float), log_const(k), moments, ws)
+        return np.exp(r, out=r)
     out = np.zeros(x.shape)
     km = k[mid]
-    out[mid] = np.exp(_log_b(n, km.astype(float), log_const(km), [m[mid] for m in moments]))
+    r = _log_b(n, km.astype(float), log_const(km), [m[mid] for m in moments], ws)
+    out[mid] = np.exp(r, out=r)
     out[((x == 0.0) & (k == 0)) | ((x == 1.0) & (k == n))] = 1.0
     first = inside & (k == 0)
     out[first] = np.exp(n * np.log1p(-x[first]))
@@ -261,9 +309,10 @@ def basis_matrix(n: int, xs: np.ndarray) -> np.ndarray:
     further than the Bernstein radius from n xs[i] are left 0: each row
     drops less than BAND_EPS = 1e-20 of its mass, and every kept entry is
     bit-identical to ``basis_values``.  Memory is O(len(xs) sqrt(n)).
-    The rows are built in passes of about _PASS_ENTRIES band entries, so
-    each pass's temporaries stay in cache; the k-only and x-only parts of
-    log b are computed once per call and gathered by every pass.  A pass
+    The rows are built in passes of about _PASS_ENTRIES band entries, each
+    in the same scratch workspace, which stays in cache; the k-only and
+    x-only parts of log b are computed once per call and gathered by every
+    pass.  A pass
     that holds a k = 0 or k = n entry, as every pass with an endpoint row
     does, adds the closed forms of ``basis_values``'s own path.
     """
@@ -283,6 +332,7 @@ def basis_matrix(n: int, xs: np.ndarray) -> np.ndarray:
     const = _log_const(n, np.arange(1.0, n))  # k = 1..n-1
     moments = _split_moments(n, xs)
     rows = max(1, _PASS_ENTRIES // cols.size)
+    ws = _workspace(_LOG_B_ROWS, min(rows, xs.size) * cols.size)
     for lo in range(0, xs.size, rows):
         sl = slice(lo, lo + rows)
         x = xs[sl]
@@ -293,9 +343,10 @@ def basis_matrix(n: int, xs: np.ndarray) -> np.ndarray:
         parts = [np.repeat(m[sl], counts) for m in moments]
         # a row at x = 0 or x = 1 keeps k = 0 or k = n, so this pass is interior
         if k.min() > 0 and k.max() < n:
-            out[sl][mask] = np.exp(_log_b(n, k.astype(float), const[k - 1], parts))
+            r = _log_b(n, k.astype(float), const[k - 1], parts, ws)
+            out[sl][mask] = np.exp(r, out=r)
         else:
-            out[sl][mask] = _values(n, np.repeat(x, counts), k, parts, lambda kk: const[kk - 1])
+            out[sl][mask] = _values(n, np.repeat(x, counts), k, parts, lambda kk: const[kk - 1], ws)
     return out
 
 

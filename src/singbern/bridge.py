@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
+    "EvaluationError",
     "InvalidNodesError",
     "BridgeNodes",
     "psi",
@@ -24,6 +25,10 @@ __all__ = [
     "chord",
     "surrogate_eval",
 ]
+
+
+class EvaluationError(RuntimeError):
+    """A test function failed to produce a finite value on the grid."""
 
 
 class InvalidNodesError(ValueError):
@@ -134,10 +139,16 @@ def min_valid_n(xi: float) -> int:
 
 
 def chord(f: Callable, nodes: BridgeNodes, x) -> np.ndarray:
-    """The chord through (x1, f(x1)) and (x4, f(x4)) on the grid x."""
+    """The chord through (x1, f(x1)) and (x4, f(x4)) on the grid x.
+
+    Raises EvaluationError, naming the node, when f is not finite at x1 or x4.
+    """
     x = np.asarray(x, dtype=float)
     x1, x4 = nodes.x1, nodes.x4
     f1, f4 = float(f(x1)), float(f(x4))
+    for name, node, value in (("x1", x1, f1), ("x4", x4, f4)):
+        if not math.isfinite(value):
+            raise EvaluationError(f"non-finite f({name}) = {value!r} at bridge node k/n={node!r}")
     span = x1 - x4
     return (x - x4) / span * f1 + (x1 - x) / span * f4
 

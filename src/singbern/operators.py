@@ -31,6 +31,15 @@ __all__ = [
     "bbar_second_derivative",
 ]
 
+# Band entries per chunk of ``bernstein_apply`` (1 MiB of products).  Measured
+# on a 2-vCPU Intel Xeon (AVX-512) VM, band cached, medians of 15, chunks of
+# 2^15/2^16/2^17/2^18/2^19 entries on the default grid: the seven default
+# degrees together took 37.2/31.9/28.8/27.7/39.8 ms and n = 16384 took
+# 36.2/23.5/19.9/17.2/18.6 ms.  Summing the whole band at once took 26.3 and
+# 23.9 ms, but held a second copy of the block (40 MB at n = 16384).
+_APPLY_ENTRIES = 2**17
+
+
 # Band blocks are shared by everything that evaluates on a common grid, so
 # keep the last few around; each costs O(G sqrt(n)) memory for G points.
 @lru_cache(maxsize=16)
@@ -59,15 +68,24 @@ def collocation_matrix(n: int, xs: np.ndarray) -> tuple:
 def bernstein_apply(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """sum_k values[k] b(n, k, x) at each point of the 1-D grid xs, compensated.
 
-    The degree n is len(values) - 1; each row sums over its band only.
+    The degree n is len(values) - 1; each row sums over its band only.  The
+    band is gathered, multiplied and summed in chunks of about
+    _APPLY_ENTRIES entries, each writing its own rows of the result; the
+    compensated sum is row by row, so the chunking changes no bit.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 2:
         raise ValueError("values must be a vector of n+1 >= 2 entries")
     start, B = collocation_matrix(values.size - 1, xs)
-    terms = sliding_window_view(values, B.shape[1])[start]
-    terms *= B
-    return ksum(terms, axis=1)
+    windows = sliding_window_view(values, B.shape[1])
+    rows = max(1, _APPLY_ENTRIES // B.shape[1])
+    out = np.empty(B.shape[0])
+    for lo in range(0, B.shape[0], rows):
+        sl = slice(lo, lo + rows)
+        terms = windows[start[sl]]
+        terms *= B[sl]
+        out[sl] = ksum(terms, axis=1)
+    return out
 
 
 def build_surrogate(f: Callable, n: int, w: SingularWeight) -> np.ndarray:

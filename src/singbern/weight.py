@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bridge import psi, psi_derivatives
+from .bridge import EvaluationError, psi, psi_derivatives
 
 __all__ = [
     "SingularWeight",
@@ -28,10 +28,6 @@ __all__ = [
     "corpus",
     "corpus_member",
 ]
-
-
-class EvaluationError(RuntimeError):
-    """A test function failed to produce a finite value on the grid."""
 
 
 @dataclass(frozen=True)

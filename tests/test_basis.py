@@ -354,6 +354,48 @@ class TestBandPasses:
         assert_band_matches_values(65536, grid_points(GridSpec()))
 
 
+def test_basis_values_passes_match_short_calls():
+    # three passes of _PASS_ENTRIES, the endpoint closed forms in the first
+    # and the last; every entry as it comes from calls of 1000 entries
+    n = 5000
+    rng = np.random.default_rng(11)
+    size = 2 * _PASS_ENTRIES + 3
+    x = rng.uniform(0.0, 1.0, size)
+    k = np.clip(np.rint(n * x + rng.normal(0.0, 2.0 * math.sqrt(n), size)), 0, n).astype(np.int64)
+    x[[5, size - 2]] = 0.0, 1.0
+    k[[7, size - 1]] = 0, n
+    got = basis_values(n, x, k)
+    assert np.count_nonzero(got) > size // 2
+    want = np.concatenate([basis_values(n, x[lo:lo + 1000], k[lo:lo + 1000]) for lo in range(0, size, 1000)])
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(basis_values(n, x[:, None], k[None, :8]), basis_values(n, x, k[:8, None]).T)
+
+
+def test_concurrent_calls_share_no_scratch():
+    # every call makes its own workspace: threads interleaving their passes
+    # (NumPy releases the interpreter lock inside each operation) get the
+    # serial results
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    xs = grid_points(GridSpec())
+    jobs = [(n, xs[i::3]) for i in range(3) for n in (1000, 4096)]
+    want = [(basis_matrix(n, x), basis_values(n, x[:, None], np.arange(0, n + 1, 97)[None, :])) for n, x in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(lambda j: (basis_matrix(j[0], j[1]),
+                                              basis_values(j[0], j[1][:, None], np.arange(0, j[0] + 1, 97)[None, :])),
+                                   job) for job in jobs * 2]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for (b, v), (wb, wv) in zip(got, want * 2):
+        np.testing.assert_array_equal(b, wb)
+        np.testing.assert_array_equal(v, wv)
+
+
 @pytest.mark.parametrize("n", (1024, 16384))
 def test_one_k_table_per_basis_matrix_call(monkeypatch, n):
     # the endpoint passes read the same table as the interior ones

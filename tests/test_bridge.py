@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from singbern.bridge import (
+    EvaluationError,
     InvalidNodesError,
     chord,
     compute_nodes,
@@ -146,6 +147,16 @@ class TestLinearJoiner:
         nd = compute_nodes(300, 0.4)
         f = lambda x: np.abs(np.asarray(x) - 0.4) ** 0.5
         np.testing.assert_allclose(chord(f, nd, [nd.x1, nd.x4]), [f(nd.x1), f(nd.x4)], atol=0, rtol=0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("node", ("x1", "x4"))
+    @pytest.mark.parametrize("bad", (np.inf, np.nan))
+    def test_non_finite_end_value_raises_naming_the_node(self, node, bad):
+        nd = compute_nodes(400, 0.5)
+        at = getattr(nd, node)
+        f = lambda x: np.where(np.asarray(x) == at, bad, 1.0)
+        with pytest.raises(EvaluationError, match=rf"^non-finite f\({node}\) = {bad!r} at bridge node k/n={at}$"):
+            chord(f, nd, np.linspace(0.0, 1.0, 5))
 
 
 class TestSurrogate:

@@ -18,6 +18,37 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_cli_peak_mib(*argv):
+    """Exit code and peak resident memory in MiB of ``main(argv)`` in a fresh interpreter."""
+    import os
+    import subprocess
+    import sys
+
+    import singbern
+
+    # On Linux ru_maxrss carries over the high-water mark of the process
+    # that forked the child (here the test runner), so the child reports
+    # the peak of its own address space, VmHWM, where the system has it.
+    code = (
+        "import os, resource, sys\n"
+        "from singbern.cli import main\n"
+        "sys.stdout = open(os.devnull, 'w')\n"
+        f"rc = main({list(argv)!r})\n"
+        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "if os.path.exists('/proc/self/status'):\n"
+        "    for line in open('/proc/self/status'):\n"
+        "        if line.startswith('VmHWM:'):\n"
+        "            peak = int(line.split()[1])\n"
+        "print(rc, peak, file=sys.stderr)\n"
+    )
+    src = os.path.dirname(os.path.dirname(singbern.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    rc, peak_kib = map(int, proc.stderr.split()[-2:])
+    return rc, peak_kib / 1024.0
+
+
 class TestEval:
     def test_linear_error_column_tiny(self, capsys):
         code, out, _ = run_cli(
@@ -281,35 +312,20 @@ class TestMisc:
         assert proc.returncode == 0
         assert proc.stdout.startswith("name,")
 
-    def test_eval_at_degree_65536_stays_under_400_mib(self, tmp_path):
+    def test_eval_at_degree_65536_stays_under_160_mib(self, tmp_path):
         # a dense (grid x (n+1)) basis block alone would take 2 GiB here
-        import os
-        import subprocess
-        import sys
-
-        import singbern
-
-        # On Linux ru_maxrss carries over the high-water mark of the process
-        # that forked the child (here the test runner), so the child reports
-        # the peak of its own address space, VmHWM, where the system has it.
-        code = (
-            "import os, resource\n"
-            "from singbern.cli import main\n"
-            f"rc = main(['eval', '--f', 'abs_beta_1.0', '--n', '65536', '--out', {str(tmp_path / 'e.csv')!r}])\n"
-            "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "if os.path.exists('/proc/self/status'):\n"
-            "    for line in open('/proc/self/status'):\n"
-            "        if line.startswith('VmHWM:'):\n"
-            "            peak = int(line.split()[1])\n"
-            "print(rc, peak)\n"
-        )
-        src = os.path.dirname(os.path.dirname(singbern.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-        rc, peak_kib = map(int, proc.stdout.split())
+        out = tmp_path / "e.csv"
+        rc, peak = run_cli_peak_mib("eval", "--f", "abs_beta_1.0", "--n", "65536", "--out", str(out))
         assert rc == 0
-        assert (tmp_path / "e.csv").read_text().count("\n") == 4102  # header + 4097 + 4 nodes
-        assert peak_kib / 1024.0 < 400.0, peak_kib
+        assert out.read_text().count("\n") == 4102  # header + 4097 + 4 nodes
+        assert peak < 160.0, peak
+
+    def test_window_lemmas_at_degree_65536_stay_under_200_mib(self):
+        # lemma5 and lemma6 evaluate a (grid x window) block of basis weights,
+        # 4097 x 513 entries at n = 65536
+        rc, peak = run_cli_peak_mib("check", "--which", "lemma5,lemma6", "--n-values", "16384,32768,65536")
+        assert rc == 0
+        assert peak < 200.0, peak
 
     def test_check_all_small_sweep(self, capsys):
         code, out, _ = run_cli(

@@ -4,17 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from singbern.basis import ksum
 from singbern.bridge import InvalidNodesError, chord, compute_nodes
 from singbern.operators import (
+    _APPLY_ENTRIES,
     bbar_apply,
     bbar_second_derivative,
     bernstein_apply,
     build_surrogate,
+    collocation_matrix,
 )
 from singbern.experiments import check_theorem1, check_theorem2
 from singbern.weight import (
-    EvaluationError, GridSpec, SingularWeight, TestFunction, corpus_member, weighted_sup_norm,
+    EvaluationError, GridSpec, SingularWeight, TestFunction, corpus_member, grid_points, weighted_sup_norm,
 )
 
 W = SingularWeight(xi=0.5, alpha=1.0)
@@ -86,6 +90,40 @@ class TestBernsteinApply:
             bernstein_apply(np.sin(np.arange(9)), grid)
 
 
+def bernstein_apply_one_shot(values, xs):
+    """The whole band block gathered, multiplied and summed in one step."""
+    start, B = collocation_matrix(values.size - 1, xs)
+    return ksum(sliding_window_view(values, B.shape[1])[start] * B, axis=1)
+
+
+class TestChunkedApply:
+    """The band is summed in row chunks; every row equals the one-shot sum bit for bit."""
+
+    @staticmethod
+    def chunk_rows(n):
+        return max(1, _APPLY_ENTRIES // collocation_matrix(n, np.array([0.5]))[1].shape[1])
+
+    @pytest.mark.parametrize("size", ["1", "rows-1", "rows", "rows+1", "4101"])
+    def test_grid_sizes_around_one_chunk(self, size):
+        n = 1024
+        rows = self.chunk_rows(n)
+        assert 1 < rows < 4100
+        size = {"1": 1, "rows-1": rows - 1, "rows": rows, "rows+1": rows + 1, "4101": 4101}[size]
+        xs = np.linspace(0.0, 1.0, size) if size > 1 else np.array([0.37])
+        values = np.random.default_rng(size).standard_normal(n + 1)
+        np.testing.assert_array_equal(bernstein_apply(values, xs), bernstein_apply_one_shot(values, xs))
+
+    @pytest.mark.parametrize("n", [64, 16384], ids=["band-is-the-row", "16384"])
+    def test_default_grid(self, n):
+        xs = grid_points(GridSpec())
+        B = collocation_matrix(n, xs)[1]
+        assert B.shape[0] > self.chunk_rows(n)
+        if n == 64:
+            assert B.shape[1] == n + 1
+        values = np.random.default_rng(n).standard_normal(n + 1)
+        np.testing.assert_array_equal(bernstein_apply(values, xs), bernstein_apply_one_shot(values, xs))
+
+
 class TestBuildSurrogate:
     def test_linear_is_sampled_unchanged(self):
         f = corpus_member("linear", W)
@@ -102,7 +140,7 @@ class TestBuildSurrogate:
         k = np.arange(nd.k2, nd.k3 + 1)
         np.testing.assert_allclose(values[k], chord(f, nd, k / 400.0), rtol=0, atol=1e-13)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the chord's 0 * inf
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # no warning ahead of the error
     def test_non_finite_outer_node_value_is_an_evaluation_error(self):
         x1 = compute_nodes(400, W.xi).x1
         f = lambda x: np.where(np.asarray(x) == x1, np.inf, 1.0)
