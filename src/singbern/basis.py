@@ -28,7 +28,7 @@ or on x alone are computed once per block.  The log-space arithmetic of
 every pass runs in one scratch workspace that the call makes and reuses
 pass after pass, so a pass allocates no deviance temporaries; the
 workspace is never shared between calls.  ``basis_values`` runs its
-flattened input in passes of the same size over one workspace.
+broadcast input in passes of the same size over one workspace.
 """
 
 from __future__ import annotations
@@ -216,9 +216,9 @@ def basis_values(n: int, x, k) -> np.ndarray:
     The one evaluator behind every row, band and window.  Relative error
     stays below 1e-12 for n up to 1e6.  Endpoints are exact: x=0 gives 1
     iff k=0, x=1 gives 1 iff k=n; the k=0 and k=n weights are direct
-    powers.  The broadcast input is evaluated in passes of _PASS_ENTRIES
-    entries over one workspace, so memory beyond the input and the result
-    is bounded whatever its size.
+    powers.  A buffered iterator copies the broadcast input out in passes
+    of at most _PASS_ENTRIES entries, each evaluated in one workspace, so
+    memory beyond the result is bounded whatever the input's size.
     """
     n = int(n)
     if n < 1:
@@ -230,14 +230,13 @@ def basis_values(n: int, x, k) -> np.ndarray:
         raise ValueError("x must lie in [0, 1]")
     if k.size and not (k.min() >= 0 and k.max() <= n):
         raise ValueError(f"index k must lie in [0, {n}]")
-    xf, kf = x.ravel(), k.ravel()
-    out = np.empty(xf.shape)
-    ws = _workspace(_LOG_B_ROWS, min(xf.size, _PASS_ENTRIES))
-    for lo in range(0, xf.size, _PASS_ENTRIES):
-        sl = slice(lo, lo + _PASS_ENTRIES)
-        out[sl] = _values(n, xf[sl], kf[sl], _split_moments(n, xf[sl]),
-                          lambda kk: _log_const(n, kk.astype(float)), ws)
-    return out.reshape(x.shape)
+    out = np.empty(x.shape)
+    ws = _workspace(_LOG_B_ROWS, min(x.size, _PASS_ENTRIES))
+    with np.nditer([x, k, out], ["external_loop", "buffered", "zerosize_ok"],
+                   [["readonly"], ["readonly"], ["writeonly"]], buffersize=_PASS_ENTRIES) as passes:
+        for xp, kp, op in passes:
+            op[...] = _values(n, xp, kp, _split_moments(n, xp), lambda kk: _log_const(n, kk.astype(float)), ws)
+    return out
 
 
 def _values(n: int, x: np.ndarray, k: np.ndarray, moments, log_const, ws: tuple) -> np.ndarray:

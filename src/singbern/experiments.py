@@ -24,6 +24,9 @@ covers exponents below 2; a larger target is pre-asymptotic and its
 report says so with ``beyond_saturation``.  Every report states where its
 targets come from in its header.  A report is the plain dict that ``check``
 and ``sweep`` print, built by ``_report`` (``_rate_report`` for the rates).
+Rounding noise has one rule: a quantity at most ROUNDING * gain * scale is
+zeroed where it is computed (scale: max |F| of the surrogate values, ||w f||
+on the grid; gain: n(n-1) for (Bbar_n f)'', else 1), so trends see exact zeros.
 """
 
 from __future__ import annotations
@@ -91,6 +94,8 @@ RATE_TOLERANCE = 0.15
 INVERSE_SLOPE_SLACK = 0.15
 CONSISTENCY_TOLERANCE = 0.2
 SATURATION_EXPONENT = 2.0
+# above the operators' stated rounding bounds, and 8x above a 31 eps ||w f|| direct error on a 19-point grid
+ROUNDING = 256.0 * np.finfo(float).eps
 
 
 def _report(name, params, rows, passed, **fields) -> dict:
@@ -144,7 +149,7 @@ def trend_summary(
 ) -> dict:
     """Boundedness verdict for a ratio sequence over an increasing sweep.
 
-    All-zero sequences pass trivially (the bound's left side vanishes).
+    Fewer than 3 nonzero values pass trivially; only exact zeros vanish.
     A NaN or infinite ratio fails: it is an unbounded or undefined left
     side, never a vanishing one.  Spread is measured around the fitted
     power law so that decaying ratios are not penalized for decaying.
@@ -154,12 +159,10 @@ def trend_summary(
     if np.any(values < 0.0):
         raise ValueError("ratio sequence must be non-negative")
     finite = bool(np.all(np.isfinite(values)))
-    scale = float(np.max(values)) if values.size else 0.0
-    significant = values > 1e-12 * scale
-    if not finite or scale <= 1e-300 or significant.sum() < 3:
-        # a non-finite left side fails; a vanishing (or underflow-dotted) one cannot grow
+    nonzero = values > 0.0
+    if not finite or nonzero.sum() < 3:
         return {"slope": None, "residual": None, "spread": None, "passed": finite, "trivial": finite}
-    xs, values = xs[significant], values[significant]
+    xs, values = xs[nonzero], values[nonzero]
     slope, intercept, residual = _loglog_fit(zip(xs, values))
     detrended = values / np.exp(slope * np.log(xs) + intercept)
     spread = float(np.max(detrended) / np.median(detrended))
@@ -302,7 +305,7 @@ def check_lemma7(
         defect = np.abs(weighted_values(lambda x: f(x) - chord(f, nd, x), w, xs))
         if curv_norm == 0.0:
             # curvature-free f: the chord reproduces it up to rounding
-            return {"n": n, "ratio": 0.0 if float(np.max(defect)) <= 1e-12 else math.inf}
+            return {"n": n, "ratio": 0.0 if float(np.max(defect)) <= ROUNDING * weighted_sup_norm(f, w, g) else math.inf}
         majorant = (delta_n(n, xs) / (math.sqrt(n) * phi(xs) ** lam)) ** 2 * curv_norm
         return {"n": n, "ratio": float(np.max(defect / majorant))}
 
@@ -333,23 +336,18 @@ def check_lemma2(
 
 
 def _weighted_d2(f, n: int, w: SingularWeight, lam: float, g: GridSpec):
-    """The node grid, |w phi^(2 lam) (Bbar_n f)''| on it, and the surrogate values."""
+    """The node grid and |w phi^(2 lam) (Bbar_n f)''| on it, with the noise rule applied to (Bbar_n f)''."""
     values = build_surrogate(f, n, w)
     xs = _node_grid(g, compute_nodes(n, w.xi))
-    return xs, np.abs(w(xs) * phi(xs) ** (2.0 * lam) * bbar_second_derivative(values, xs)), values
+    d2 = bbar_second_derivative(values, xs)
+    d2[np.abs(d2) <= ROUNDING * n * (n - 1.0) * float(np.max(np.abs(values)))] = 0.0
+    return xs, np.abs(w(xs) * phi(xs) ** (2.0 * lam) * d2)
 
 
-def _majorant_ratio(num: float, den: float, values: np.ndarray) -> float:
-    """num / den, where a vanishing majorant den leaves only rounding noise.
-
-    Rounding of the surrogate values alone produces second differences
-    up to a few eps, amplified by n(n-1): a num below that floor gives 0,
-    anything above it inf.
-    """
+def _majorant_ratio(num: float, den: float) -> float:
+    """num / den, where 0 / 0 is 0 (both sides vanish) and num / 0 is inf."""
     if den == 0.0:
-        n = len(values) - 1
-        floor = 16.0 * n * n * np.finfo(float).eps * float(np.max(np.abs(values)))
-        return 0.0 if num <= floor else math.inf
+        return 0.0 if num == 0.0 else math.inf
     return num / den
 
 
@@ -363,8 +361,8 @@ def check_theorem1(
     fnorm = weighted_sup_norm(f, w, g)
 
     def row(n):
-        _, num, values = _weighted_d2(f, n, w, 0.0, g)
-        return {"n": n, "ratio": _majorant_ratio(float(np.max(num)), float(n) ** 2.0 * fnorm, values)}
+        _, num = _weighted_d2(f, n, w, 0.0, g)
+        return {"n": n, "ratio": _majorant_ratio(float(np.max(num)), float(n) ** 2.0 * fnorm)}
 
     params = {"function": f.name, "xi": w.xi, "alpha": w.alpha, "grid": g.key()}
     return _check("theorem1", params, n_values, row, w.xi, partial(_ratio_trend, max_slope=0.1))
@@ -399,16 +397,16 @@ def check_theorem2(
             raise ValueError(f"{f.name!r} lacks a second derivative")
 
         def w2_row(n):
-            xs, num, values = _weighted_d2(f, n, w, lam, g)
+            xs, num = _weighted_d2(f, n, w, lam, g)
             curv = np.abs(weighted_values(lambda x: phi(x) ** (2.0 * lam) * f.second_derivative(x), w, xs))
-            return {"n": n, "ratio": _majorant_ratio(float(np.max(num)), float(np.max(curv)), values)}
+            return {"n": n, "ratio": _majorant_ratio(float(np.max(num)), float(np.max(curv)))}
 
         return _check("theorem2", params, n_values, w2_row, w.xi)
 
     fnorm = weighted_sup_norm(f, w, g)
 
     def row(n):
-        xs, num, _ = _weighted_d2(f, n, w, lam, g)
+        xs, num = _weighted_d2(f, n, w, lam, g)
         with np.errstate(divide="ignore"):
             majorant = n * np.maximum(n ** (1.0 - lam), phi(xs) ** (2.0 * (lam - 1.0))) * fnorm
             pointwise = float(np.max(np.where(np.isfinite(majorant), num / majorant, 0.0)))
@@ -438,8 +436,9 @@ def check_direct(
 
     The error normalized by the local rate factor to the target power must
     stay bounded, and the fitted decay exponent (log max error against
-    n^(-1/2), which must lie above the trivial floor 1e-13 max(||w f||, 1) at
-    every degree, else EvaluationError) must match the member's closed-form target within RATE_TOLERANCE.
+    n^(-1/2)) must match the member's closed-form target within
+    RATE_TOLERANCE.  An error at most ROUNDING ||w f|| is noise: at every
+    degree the check is trivial, at some an EvaluationError (no rate fit).
     """
     target = f.expected_alpha0
     params = {"function": f.name, "xi": w.xi, "alpha": w.alpha, "lambda": lam, "grid": g.key()}
@@ -455,10 +454,9 @@ def check_direct(
         return out
 
     good, rows, notes = _sweep_rows(n_values, row, w.xi)
-    fnorm = weighted_sup_norm(f, w, g)
     e_max_seq = [r["max_weighted_error"] for r in rows]
     pairs = list(zip(good, e_max_seq))
-    floor = 1e-13 * max(fnorm, 1.0)
+    floor = ROUNDING * weighted_sup_norm(f, w, g)
     if max(e_max_seq) <= floor:
         return _rate_report("direct", params, rows, pairs, target, RATE_TOLERANCE,
                             trivial=True, notes=notes or "error identically zero")
@@ -508,8 +506,7 @@ def check_inverse(
         "function": f.name, "xi": w.xi, "alpha": w.alpha, "lambda": lam,
         "grid": g.key(), "h_steps": h_steps,
     }
-    scale = max(max(om for _, om in pairs), 1e-300)
-    if scale <= 1e-13:
+    if max(om for _, om in pairs) <= ROUNDING * weighted_sup_norm(f, w, g):
         return _rate_report("inverse", params, rows, pairs, target, INVERSE_SLOPE_SLACK,
                             trivial=True, notes="modulus identically zero")
     positive_pairs = [(t, v) for t, v in pairs if v > 0.0]

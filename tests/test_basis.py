@@ -371,6 +371,25 @@ def test_basis_values_passes_match_short_calls():
     np.testing.assert_array_equal(basis_values(n, x[:, None], k[None, :8]), basis_values(n, x, k[:8, None]).T)
 
 
+def test_basis_values_copies_only_one_pass_of_a_broadcast():
+    # the lemma windows at n = 65536 on the default grid: a 16 MiB result,
+    # and the broadcast x and k must not be copied to full size beside it
+    import tracemalloc
+
+    n = 65536
+    xs = grid_points(GridSpec())
+    k = np.arange(n + 1)
+    window = k[np.abs(k - n / 2) <= math.sqrt(n)]
+    tracemalloc.start()
+    try:
+        got = basis_values(n, xs[:, None], window[None, :])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (xs.size, window.size)
+    assert peak <= 24 * 2**20, peak / 2**20
+
+
 def test_concurrent_calls_share_no_scratch():
     # every call makes its own workspace: threads interleaving their passes
     # (NumPy releases the interpreter lock inside each operation) get the

@@ -171,6 +171,18 @@ class TestCheck:
         summary = [l for l in out.splitlines() if ",summary," in l]
         assert summary and ",true" in summary[0]
 
+    def test_linear_theorems_pass_on_a_non_power_of_two_sweep(self, capsys):
+        # nodes k/n that are not dyadic leave rounding noise in (Bbar_n f)'',
+        # which must read as 0, not as a ratio with a trend
+        code, out, _ = run_cli(
+            capsys, "check", "--which", "theorem1,theorem2", "--f", "linear",
+            "--n-values", "50,100,200,400,800", "--grid-count", "513", "--format", "json",
+        )
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert {r["name"] for r in reports} == {"theorem1", "theorem2"}
+        assert all(r["passed"] and r["trivial"] for r in reports)
+
     def test_lemma5_passes(self, capsys):
         code, out, _ = run_cli(
             capsys, "check", "--which", "lemma5", "--xi", "0.5", "--alpha", "1",

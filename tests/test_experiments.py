@@ -30,6 +30,8 @@ from singbern.weight import EvaluationError, GridSpec, SingularWeight, corpus, c
 W1 = SingularWeight(0.5, 1.0)
 G = GridSpec(count=513)
 NS = (64, 128, 256, 512)
+# sweeps whose non-power-of-two degrees leave rounding noise in (Bbar_n f)''
+NOISY_NS = [NS, (50, 100, 200, 400, 800), (60, 100, 300, 1000), (70, 140, 280, 560)]
 
 
 class TestFitRate:
@@ -78,6 +80,13 @@ class TestTrendSummary:
     def test_all_zero_trivial(self):
         s = trend_summary([64, 128, 256], [0.0, 0.0, 0.0])
         assert s["passed"] and s["trivial"]
+
+    def test_tiny_values_are_not_vanishing(self):
+        # lemma6 at beta = 50 (grid 257): only exact zeros vanish, so this
+        # steep decay is fitted, not waved through as trivial
+        s = trend_summary([64, 128, 256, 512], [9.5e45, 8.7e34, 1.3e33, 2.4e32])
+        assert not s["trivial"] and not s["passed"]
+        assert s["slope"] == pytest.approx(-14.2, abs=0.1)
 
     def test_spike_fails(self):
         s = trend_summary([64, 128, 256, 512, 1024], [1.0, 1.0, 30.0, 1.0, 1.0])
@@ -174,9 +183,17 @@ class TestLemmaCheckers:
 
 
 class TestTheoremCheckers:
-    def test_theorem1_linear_trivial(self):
-        r = check_theorem1(corpus_member("linear", W1), W1, NS, G)
+    @pytest.mark.parametrize("ns", NOISY_NS, ids=lambda ns: "-".join(map(str, ns)))
+    def test_theorem1_linear_trivial(self, ns):
+        r = check_theorem1(corpus_member("linear", W1), W1, ns, G)
         assert r["passed"] and r["trivial"]
+        assert [row["ratio"] for row in r["rows"]] == [0.0] * len(ns)
+
+    @pytest.mark.parametrize("ns", NOISY_NS, ids=lambda ns: "-".join(map(str, ns)))
+    @pytest.mark.parametrize("name", ["linear", "abs_beta_1.0"])
+    def test_theorem2_cw_passes_on_noisy_sweeps(self, name, ns):
+        r = check_theorem2(corpus_member(name, W1), W1, 0.0, "cw", ns, G)
+        assert r["passed"], (r["regime_small_phi"], r["regime_large_phi"])
 
     def test_theorem1_bounded_for_corpus(self):
         for name in ("abs_beta_0.5", "cubic"):
