@@ -29,6 +29,11 @@ every pass runs in one scratch workspace that the call makes and reuses
 pass after pass, so a pass allocates no deviance temporaries; the
 workspace is never shared between calls.  ``basis_values`` runs its
 broadcast input in passes of the same size over one workspace.
+
+Every basis-weighted sum, sum_k c(k, x) b(n, k, x), goes through one
+compensated column walk, ``block_sum``: the caller hands it a function
+that returns the terms of 64 columns, so only one such block of terms is
+live at a time.  ``ksum`` is the same walk over a materialised array.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ __all__ = [
     "basis_values",
     "basis_matrix",
     "band_start",
+    "block_sum",
     "ksum",
 ]
 
@@ -124,7 +130,7 @@ def _series_terms(v2max: float) -> int:
     return max(1, math.ceil((120.0 * math.log(2.0) / -math.log(v2max) + 1.0) / 2.0))
 
 
-def _bd0(a, m, mlo=0.0, ws=None):
+def _bd0(a, m, mlo, ws):
     """Deviance term a*log(a/m) + m - a for a, m > 0, into scratch ``ws``.
 
     Near a == m the direct formula cancels badly, so a series in
@@ -134,11 +140,8 @@ def _bd0(a, m, mlo=0.0, ws=None):
     correction to ``m`` (from an exact product split); it enters through
     the first derivative d/dm = (m-a)/m.  ``ws`` is a ``_workspace`` of
     a's shape, of which the first five rows are used; the result is its
-    row 3.  Without ``ws`` the call makes its own.
+    row 3.
     """
-    if ws is None:
-        a, m = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(m, dtype=float))
-        ws = _workspace(5, *a.shape)
     (d, s, v, out, ej), far = ws[0][:5], ws[1]
     np.subtract(a, m, out=d)
     np.add(a, m, out=s)
@@ -311,9 +314,8 @@ def basis_matrix(n: int, xs: np.ndarray) -> np.ndarray:
     The rows are built in passes of about _PASS_ENTRIES band entries, each
     in the same scratch workspace, which stays in cache; the k-only and
     x-only parts of log b are computed once per call and gathered by every
-    pass.  A pass
-    that holds a k = 0 or k = n entry, as every pass with an endpoint row
-    does, adds the closed forms of ``basis_values``'s own path.
+    pass, and every pass runs ``basis_values``'s own path, closed forms
+    for k = 0 and k = n included.
     """
     n = int(n)
     if n < 1:
@@ -340,37 +342,30 @@ def basis_matrix(n: int, xs: np.ndarray) -> np.ndarray:
         counts = mask.sum(axis=1)
         k = k[mask]
         parts = [np.repeat(m[sl], counts) for m in moments]
-        # a row at x = 0 or x = 1 keeps k = 0 or k = n, so this pass is interior
-        if k.min() > 0 and k.max() < n:
-            r = _log_b(n, k.astype(float), const[k - 1], parts, ws)
-            out[sl][mask] = np.exp(r, out=r)
-        else:
-            out[sl][mask] = _values(n, np.repeat(x, counts), k, parts, lambda kk: const[kk - 1], ws)
+        out[sl][mask] = _values(n, np.repeat(x, counts), k, parts, lambda kk: const[kk - 1], ws)
     return out
 
 
-def ksum(a: np.ndarray, axis: int = -1):
-    """Compensated sum along ``axis``.
+def block_sum(block, width: int):
+    """Compensated sum of ``width`` columns of terms, 64 columns at a time.
 
-    Pairwise partial sums over blocks of 64 are combined with an exact
-    two-sum (Kahan-style) running accumulation, so the result carries
-    compensated-summation accuracy without a per-element Python loop.
+    ``block(sl)`` returns the terms of the columns in slice ``sl`` along its
+    last axis.  Each block is summed pairwise and the block sums are
+    combined with an exact two-sum (Kahan-style) running accumulation, so
+    the result carries compensated-summation accuracy while only one block
+    of terms is live at a time.
     """
-    am = np.moveaxis(np.asarray(a, dtype=float), axis, -1)
-    nk = am.shape[-1]
-    nfull = nk - nk % 64
-    partials = []
-    if nfull:
-        partials.append(am[..., :nfull].reshape(am.shape[:-1] + (-1, 64)).sum(axis=-1))
-    if nfull < nk:
-        partials.append(am[..., nfull:].sum(axis=-1, keepdims=True))
-    blocks = np.concatenate(partials, axis=-1) if len(partials) > 1 else partials[0]
-    s = np.zeros(blocks.shape[:-1])
-    comp = np.zeros_like(s)
-    for i in range(blocks.shape[-1]):
-        term = blocks[..., i]
+    s = comp = 0.0
+    for lo in range(0, width, 64):
+        term = block(slice(lo, lo + 64)).sum(axis=-1)
         t = s + term
         bb = t - s
-        comp += (s - (t - bb)) + (term - bb)
+        comp = comp + ((s - (t - bb)) + (term - bb))
         s = t
     return s + comp
+
+
+def ksum(a: np.ndarray, axis: int = -1):
+    """Compensated sum along ``axis``: ``block_sum`` over the columns of ``a``."""
+    am = np.moveaxis(np.asarray(a, dtype=float), axis, -1)
+    return block_sum(lambda sl: am[..., sl], am.shape[-1])

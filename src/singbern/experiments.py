@@ -45,7 +45,7 @@ from .operators import (
     build_surrogate,
     collocation_matrix,
 )
-from .basis import basis_values, ksum
+from .basis import basis_values, block_sum
 from .weight import (
     EvaluationError,
     GridSpec,
@@ -234,8 +234,8 @@ def check_lemma4(n_values=DEFAULT_N_VALUES, g: GridSpec = GridSpec(), gamma: flo
 
     def row(n):
         start, B = collocation_matrix(n, xs)
-        dev = np.abs(start[:, None] + np.arange(B.shape[1]) - n * xs[:, None]) ** gamma
-        sums = ksum(B * dev, axis=1)
+        k0, nx, cols = start[:, None], n * xs[:, None], np.arange(B.shape[1])
+        sums = block_sum(lambda sl: B[:, sl] * np.abs(k0 + cols[sl] - nx) ** gamma, B.shape[1])
         return {"n": n, "ratio": float(np.max(sums / (n ** (gamma / 2.0) * phi(xs) ** gamma)))}
 
     return _check("lemma4", {"gamma": gamma, "grid": g.key()}, n_values, row)
@@ -255,7 +255,8 @@ def check_lemma5(w: SingularWeight, n_values=DEFAULT_N_VALUES, g: GridSpec = Gri
     xs = grid_points(g, w.xi)
 
     def row(n):
-        mass = ksum(basis_values(n, xs[:, None], _window(n, w.xi)[None, :]), axis=1)
+        win = _window(n, w.xi)
+        mass = block_sum(lambda sl: basis_values(n, xs[:, None], win[None, sl]), win.size)
         a_max = float(np.max(w(xs) * mass))
         return {"n": n, "max_weighted_mass": a_max, "scaled": a_max * n ** (w.alpha / 2.0)}
 
@@ -275,9 +276,9 @@ def check_lemma6(
     xs = _interior_grid(g, w.xi)
 
     def row(n):
-        win = _window(n, w.xi)
-        dev = np.abs(win[None, :].astype(float) - n * xs[:, None]) ** beta
-        sums = ksum(basis_values(n, xs[:, None], win[None, :]) * dev, axis=1)
+        win, nx = _window(n, w.xi), n * xs[:, None]
+        sums = block_sum(lambda sl: basis_values(n, xs[:, None], win[None, sl]) * np.abs(win[sl] - nx) ** beta,
+                         win.size)
         ratio = float(np.max(w(xs) * sums / (n ** ((beta - w.alpha) / 2.0) * phi(xs) ** beta)))
         return {"n": n, "ratio": ratio}
 

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .basis import band_start, basis_matrix, ksum
+from .basis import band_start, basis_matrix, block_sum
 from .bridge import compute_nodes, surrogate_eval
 from .weight import EvaluationError, SingularWeight
 
@@ -30,14 +30,6 @@ __all__ = [
     "bbar_apply",
     "bbar_second_derivative",
 ]
-
-# Band entries per chunk of ``bernstein_apply`` (1 MiB of products).  Measured
-# on a 2-vCPU Intel Xeon (AVX-512) VM, band cached, medians of 15, chunks of
-# 2^15/2^16/2^17/2^18/2^19 entries on the default grid: the seven default
-# degrees together took 37.2/31.9/28.8/27.7/39.8 ms and n = 16384 took
-# 36.2/23.5/19.9/17.2/18.6 ms.  Summing the whole band at once took 26.3 and
-# 23.9 ms, but held a second copy of the block (40 MB at n = 16384).
-_APPLY_ENTRIES = 2**17
 
 
 # Band blocks are shared by everything that evaluates on a common grid, so
@@ -70,23 +62,22 @@ def bernstein_apply(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
     The degree n is len(values) - 1; each row sums over its band only, to
     within 8 eps max |values| of the exact band sum for n up to 65535.  The
-    band is gathered, multiplied and summed in chunks of about
-    _APPLY_ENTRIES entries, each writing its own rows of the result; the
-    compensated sum is row by row, so the chunking changes no bit.
+    band goes through ``block_sum``: each block of 64 band columns is
+    gathered for every row, multiplied by its weights and summed before
+    the next is gathered.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 2:
         raise ValueError("values must be a vector of n+1 >= 2 entries")
     start, B = collocation_matrix(values.size - 1, xs)
-    windows = sliding_window_view(values, B.shape[1])
-    rows = max(1, _APPLY_ENTRIES // B.shape[1])
-    out = np.empty(B.shape[0])
-    for lo in range(0, B.shape[0], rows):
-        sl = slice(lo, lo + rows)
-        terms = windows[start[sl]]
-        terms *= B[sl]
-        out[sl] = ksum(terms, axis=1)
-    return out
+
+    def terms(sl):
+        weights = B[:, sl]
+        t = sliding_window_view(values[sl.start:], weights.shape[1])[start]
+        t *= weights
+        return t
+
+    return block_sum(terms, B.shape[1])
 
 
 def build_surrogate(f: Callable, n: int, w: SingularWeight) -> np.ndarray:

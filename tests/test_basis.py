@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 from singbern.basis import (
     _PASS_ENTRIES,
     _bd0,
+    _workspace,
     band_start,
     basis_matrix,
     basis_values,
+    block_sum,
     ksum,
 )
 from singbern.weight import GridSpec, grid_points
@@ -230,16 +232,16 @@ class TestDeviance:
         mlo = np.array([c[2] for c in cases]) * m
         assert np.all(np.abs(a - m) < 0.25 * (a + m))
         for lo in (0.0, mlo):
-            np.testing.assert_array_equal(_bd0(a, m, lo), bd0_adaptive(a, m, lo))
+            np.testing.assert_array_equal(_bd0(a, m, lo, _workspace(5, a.size)), bd0_adaptive(a, m, lo))
             for i in range(a.size):
-                assert _bd0(a[i:i + 1], m[i:i + 1]) == bd0_adaptive(a[i:i + 1], m[i:i + 1])
+                assert _bd0(a[i:i + 1], m[i:i + 1], 0.0, _workspace(5, 1)) == bd0_adaptive(a[i:i + 1], m[i:i + 1])
 
     def test_integer_counts_match_adaptive_loop(self):
         # the shapes the basis uses: integer k against n x at n = 4096
         n = 4096
         x = np.linspace(0.001, 0.999, 97)[:, None]
         k = np.arange(1, n, dtype=float)[None, :]
-        np.testing.assert_array_equal(_bd0(k, n * x), bd0_adaptive(k, n * x))
+        np.testing.assert_array_equal(_bd0(k, n * x, 0.0, _workspace(5, x.size, k.size)), bd0_adaptive(k, n * x))
 
 
 def test_basis_values_against_live_mpmath():
@@ -466,6 +468,30 @@ class TestMomentSums:
         assert got <= 5.0 / x
 
 
+def ksum_blocks_reference(a):
+    """Compensated last-axis sum of a whole array: 64-entry blocks in one reshape, then a two-sum.
+
+    The summation order every basis-weighted sum keeps: each block of 64
+    summed pairwise, the tail block on its own, the block sums combined in
+    order with an exact two-sum.
+    """
+    nk = a.shape[-1]
+    nfull = nk - nk % 64
+    parts = [a[..., :nfull].reshape(a.shape[:-1] + (-1, 64)).sum(axis=-1)] if nfull else []
+    if nfull < nk:
+        parts.append(a[..., nfull:].sum(axis=-1, keepdims=True))
+    blocks = np.concatenate(parts, axis=-1)
+    s = np.zeros(blocks.shape[:-1])
+    comp = np.zeros_like(s)
+    for i in range(blocks.shape[-1]):
+        term = blocks[..., i]
+        t = s + term
+        bb = t - s
+        comp += (s - (t - bb)) + (term - bb)
+        s = t
+    return s + comp
+
+
 class TestKsum:
     def test_matches_fsum_on_mixed_signs(self):
         rng = np.random.default_rng(42)
@@ -479,3 +505,30 @@ class TestKsum:
 
     def test_scalar_result_for_1d(self):
         assert isinstance(ksum(np.array([1.0, 2.0, 3.0])), float)
+
+    @pytest.mark.parametrize("width", [1, 63, 64, 65, 127, 128, 129, 191, 192, 193, 1231])
+    def test_block_sum_over_slices_matches_ksum_of_the_array(self, width):
+        # the terms of a basis-weighted sum, made one 64-column block at a time or all at once
+        rng = np.random.default_rng(width)
+        coef = rng.standard_normal(width) * 10.0 ** rng.uniform(-30.0, 30.0, width)
+        n, xs, k = width + 3, np.linspace(0.01, 0.99, 7)[:, None], np.arange(width)
+        whole = basis_values(n, xs, k[None, :]) * coef
+        seen = []
+
+        def block(sl):
+            seen.append(sl)
+            return basis_values(n, xs, k[None, sl]) * coef[sl]
+
+        got = block_sum(block, width)
+        assert [(sl.start, min(sl.stop, width)) for sl in seen] == [
+            (lo, min(lo + 64, width)) for lo in range(0, width, 64)]
+        np.testing.assert_array_equal(got, ksum(whole, axis=1))
+        np.testing.assert_array_equal(got, ksum_blocks_reference(whole))
+
+    @pytest.mark.parametrize("width", [1, 63, 64, 65, 257, 2477])
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_matches_the_whole_array_reference(self, width, axis):
+        rng = np.random.default_rng(width)
+        a = rng.standard_normal((3, width, 4)) * 10.0 ** rng.uniform(-300.0, 300.0, (3, width, 4))
+        a = np.moveaxis(a, 1, axis)
+        np.testing.assert_array_equal(ksum(a, axis), ksum_blocks_reference(np.moveaxis(a, axis, -1)))

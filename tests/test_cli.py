@@ -332,12 +332,20 @@ class TestMisc:
         assert out.read_text().count("\n") == 4102  # header + 4097 + 4 nodes
         assert peak < 160.0, peak
 
-    def test_window_lemmas_at_degree_65536_stay_under_200_mib(self):
-        # lemma5 and lemma6 evaluate a (grid x window) block of basis weights,
-        # 4097 x 513 entries at n = 65536
+    def test_window_lemmas_at_degree_65536_stay_under_60_mib(self):
+        # lemma5 and lemma6 sum 4097 x 513 window weights at n = 65536; a whole
+        # (grid x window) block of them, with its products, peaks near 67 MiB
         rc, peak = run_cli_peak_mib("check", "--which", "lemma5,lemma6", "--n-values", "16384,32768,65536")
         assert rc == 0
-        assert peak < 200.0, peak
+        assert peak < 60.0, peak
+
+    def test_lemma4_at_degree_65536_stays_under_250_mib(self):
+        # the three cached band blocks take about 170 MiB; a (grid x band)
+        # deviation array and its products beside them (4095 x 2477 entries
+        # each at n = 65536) peak near 360 MiB
+        rc, peak = run_cli_peak_mib("check", "--which", "lemma4", "--n-values", "16384,32768,65536")
+        assert rc == 0
+        assert peak < 250.0, peak
 
     def test_check_all_small_sweep(self, capsys):
         code, out, _ = run_cli(

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from singbern.basis import basis_values, ksum
+from singbern.basis import basis_values, block_sum, ksum
 from singbern.bridge import chord, compute_nodes
 from singbern.experiments import (
     DEFAULT_WEIGHT,
@@ -25,7 +25,7 @@ from singbern.experiments import (
     w2_members,
 )
 from singbern.moduli import ladder_moduli
-from singbern.weight import EvaluationError, GridSpec, SingularWeight, corpus, corpus_member
+from singbern.weight import EvaluationError, GridSpec, SingularWeight, corpus, corpus_member, grid_points
 
 W1 = SingularWeight(0.5, 1.0)
 G = GridSpec(count=513)
@@ -150,6 +150,26 @@ class TestLemmaCheckers:
         dev = np.abs(np.array(win, dtype=float) - n * x) ** beta
         ours = W1(x) * ksum(basis_values(n, x, win) * dev)
         assert ours == pytest.approx(brute, rel=1e-11)
+
+    def test_lemma6_large_beta_sum_against_mpmath(self):
+        # at beta = 50 (grid 257) the n = 64 ratio 9.5e45 sits at the last
+        # interior grid point; its windowed sum is accurate, so the blow-up
+        # comes from the n^((beta-alpha)/2) phi^beta normalisation there
+        mpmath = pytest.importorskip("mpmath")
+        w, n, beta = DEFAULT_WEIGHT, 64, 50.0
+        r = check_lemma6(w, beta, NS, GridSpec(count=257))
+        assert not r["passed"]
+        x = grid_points(GridSpec(count=257), w.xi)[-2]
+        win = np.arange(24, 41)  # |k - n xi| <= sqrt(n)
+        ours = block_sum(lambda sl: basis_values(n, x, win[sl]) * np.abs(win[sl] - n * x) ** beta, win.size)
+        with mpmath.workdps(60):
+            X = mpmath.mpf(x)
+            exact = mpmath.fsum(abs(k - n * X) ** 50 * mpmath.binomial(n, k) * X ** k * (1 - X) ** (n - k)
+                                for k in range(24, 41))
+            ratio = abs(X - w.xi) ** mpmath.mpf(w.alpha) * exact / (
+                n ** ((50 - mpmath.mpf(w.alpha)) / 2) * mpmath.sqrt(X * (1 - X)) ** 50)
+        assert ours == pytest.approx(float(exact), rel=1e-12)
+        assert r["rows"][0]["ratio"] == pytest.approx(float(ratio), rel=1e-12)
 
     def test_lemma7_linear_trivial(self):
         r = check_lemma7(corpus_member("linear", W1), W1, 0.0, NS, G)

@@ -9,7 +9,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from singbern.basis import ksum
 from singbern.bridge import InvalidNodesError, chord, compute_nodes
 from singbern.operators import (
-    _APPLY_ENTRIES,
     bbar_apply,
     bbar_second_derivative,
     bernstein_apply,
@@ -99,18 +98,18 @@ def bernstein_apply_one_shot(values, xs):
 
 
 class TestChunkedApply:
-    """The band is summed in row chunks; every row equals the one-shot sum bit for bit."""
+    """The band is summed in chunks of 64 columns; every row equals the one-shot sum bit for bit."""
 
-    @staticmethod
-    def chunk_rows(n):
-        return max(1, _APPLY_ENTRIES // collocation_matrix(n, np.array([0.5]))[1].shape[1])
+    @pytest.mark.parametrize("n, width", [(62, 63), (63, 64), (64, 65), (170, 129)])
+    def test_band_widths_around_one_chunk(self, n, width):
+        xs = grid_points(GridSpec(count=257))
+        assert collocation_matrix(n, xs)[1].shape[1] == width
+        values = np.random.default_rng(n).standard_normal(n + 1)
+        np.testing.assert_array_equal(bernstein_apply(values, xs), bernstein_apply_one_shot(values, xs))
 
-    @pytest.mark.parametrize("size", ["1", "rows-1", "rows", "rows+1", "4101"])
-    def test_grid_sizes_around_one_chunk(self, size):
+    @pytest.mark.parametrize("size", [1, 4101])
+    def test_grid_sizes(self, size):
         n = 1024
-        rows = self.chunk_rows(n)
-        assert 1 < rows < 4100
-        size = {"1": 1, "rows-1": rows - 1, "rows": rows, "rows+1": rows + 1, "4101": 4101}[size]
         xs = np.linspace(0.0, 1.0, size) if size > 1 else np.array([0.37])
         values = np.random.default_rng(size).standard_normal(n + 1)
         np.testing.assert_array_equal(bernstein_apply(values, xs), bernstein_apply_one_shot(values, xs))
@@ -119,9 +118,7 @@ class TestChunkedApply:
     def test_default_grid(self, n):
         xs = grid_points(GridSpec())
         B = collocation_matrix(n, xs)[1]
-        assert B.shape[0] > self.chunk_rows(n)
-        if n == 64:
-            assert B.shape[1] == n + 1
+        assert B.shape[1] == (n + 1 if n == 64 else 1239)
         values = np.random.default_rng(n).standard_normal(n + 1)
         np.testing.assert_array_equal(bernstein_apply(values, xs), bernstein_apply_one_shot(values, xs))
 
