@@ -27,13 +27,19 @@ temporaries stay in cache, and the parts of log b that depend on k alone
 or on x alone are computed once per block.  The log-space arithmetic of
 every pass runs in one scratch workspace that the call makes and reuses
 pass after pass, so a pass allocates no deviance temporaries; the
-workspace is never shared between calls.  ``basis_values`` runs its
-broadcast input in passes of the same size over one workspace.
+workspace is never shared between calls.  ``basis_matrix`` writes each
+pass straight into the whole block; ``_band_passes`` also hands the
+passes out one at a time from one reused buffer, so a caller that
+reduces each pass as it comes never holds the block.  ``basis_values``
+runs its broadcast input in passes of the same size over one workspace.
 
-Every basis-weighted sum, sum_k c(k, x) b(n, k, x), goes through one
-compensated column walk, ``block_sum``: the caller hands it a function
-that returns the terms of 64 columns, so only one such block of terms is
-live at a time.  ``ksum`` is the same walk over a materialised array.
+Every basis-weighted sum, sum_k c(k, x) b(n, k, x), is summed 64 columns
+at a time: each block of terms is summed pairwise and the block sums are
+joined by one exact two-sum accumulation, ``_two_sum_total``.
+``block_sum`` asks its caller for one block of terms at a time, so only
+one block is live; ``ksum`` is the same walk over a materialised array.
+The operator's apply takes the band pass by pass instead and keeps one
+block sum per row and 64 columns until the accumulation.
 """
 
 from __future__ import annotations
@@ -311,12 +317,17 @@ def basis_matrix(n: int, xs: np.ndarray) -> np.ndarray:
     further than the Bernstein radius from n xs[i] are left 0: each row
     drops less than BAND_EPS = 1e-20 of its mass, and every kept entry is
     bit-identical to ``basis_values``.  Memory is O(len(xs) sqrt(n)).
-    The rows are built in passes of about _PASS_ENTRIES band entries, each
-    in the same scratch workspace, which stays in cache; the k-only and
-    x-only parts of log b are computed once per call and gathered by every
-    pass, and every pass runs ``basis_values``'s own path, closed forms
-    for k = 0 and k = n included.
+    The passes of ``_band_passes`` write straight into the block.
     """
+    n, xs, width = _band_grid(n, xs)
+    out = np.zeros((xs.size, width))
+    for _ in _band_passes(n, xs, width, out):
+        pass
+    return out
+
+
+def _band_grid(n: int, xs) -> tuple:
+    """(n, xs, band width) checked as ``basis_matrix`` takes them."""
     n = int(n)
     if n < 1:
         raise ValueError(f"degree n must be >= 1, got {n}")
@@ -325,39 +336,70 @@ def basis_matrix(n: int, xs: np.ndarray) -> np.ndarray:
         raise ValueError("xs must be one-dimensional")
     if xs.size and not (xs.min() >= 0.0 and xs.max() <= 1.0):
         raise ValueError("grid points must lie in [0, 1]")
+    return n, xs, min(n + 1, 2 * _band_radius(n) + 1)
+
+
+def _pass_rows(width: int) -> int:
+    """Band rows per pass: about _PASS_ENTRIES entries of ``width`` columns."""
+    return max(1, _PASS_ENTRIES // width)
+
+
+def _band_passes(n: int, xs: np.ndarray, width: int, out: np.ndarray | None = None):
+    """Build the band block of ``basis_matrix(n, xs)`` pass by pass.
+
+    Takes n, xs and width as ``_band_grid`` returns them and yields
+    (rows, block) for consecutive slices ``rows`` of ``_pass_rows`` grid
+    points: block holds the band rows of xs[rows].  Given ``out``, a zero
+    array of the whole block's shape, each block is out[rows], so the
+    passes fill ``out``; without it every block is one buffer, zeroed and
+    refilled by each pass.  Every pass runs in the same scratch
+    workspace, which stays in cache; the k-only and x-only parts of log b
+    are computed once per call and gathered by every pass, and every pass
+    runs ``basis_values``'s own path, closed forms for k = 0 and k = n
+    included.
+    """
     w = _band_radius(n)
     start = _band_start(n, xs, w)
     radius = _kept_radius(n, xs, w)
-    cols = np.arange(min(n + 1, 2 * w + 1))
-    out = np.zeros((xs.size, cols.size))
+    cols = np.arange(width)
     const = _log_const(n, np.arange(1.0, n))  # k = 1..n-1
     moments = _split_moments(n, xs)
-    rows = max(1, _PASS_ENTRIES // cols.size)
-    ws = _workspace(_LOG_B_ROWS, min(rows, xs.size) * cols.size)
+    rows = _pass_rows(width)
+    size = min(rows, xs.size)
+    ws = _workspace(_LOG_B_ROWS, size * width)
+    buf = np.empty((size, width)) if out is None else None
     for lo in range(0, xs.size, rows):
         sl = slice(lo, lo + rows)
         x = xs[sl]
+        if out is None:
+            block = buf[:x.size]
+            block.fill(0.0)
+        else:
+            block = out[sl]
         k = start[sl, None] + cols
         mask = np.abs(k - n * x[:, None]) <= radius[sl, None]
         counts = mask.sum(axis=1)
         k = k[mask]
         parts = [np.repeat(m[sl], counts) for m in moments]
-        out[sl][mask] = _values(n, np.repeat(x, counts), k, parts, lambda kk: const[kk - 1], ws)
-    return out
+        block[mask] = _values(n, np.repeat(x, counts), k, parts, lambda kk: const[kk - 1], ws)
+        yield sl, block
 
 
 def block_sum(block, width: int):
     """Compensated sum of ``width`` columns of terms, 64 columns at a time.
 
     ``block(sl)`` returns the terms of the columns in slice ``sl`` along its
-    last axis.  Each block is summed pairwise and the block sums are
-    combined with an exact two-sum (Kahan-style) running accumulation, so
-    the result carries compensated-summation accuracy while only one block
-    of terms is live at a time.
+    last axis.  Each block is summed pairwise and the block sums are joined
+    by ``_two_sum_total``, so the result carries compensated-summation
+    accuracy while only one block of terms is live at a time.
     """
+    return _two_sum_total(block(slice(lo, lo + 64)).sum(axis=-1) for lo in range(0, width, 64))
+
+
+def _two_sum_total(terms):
+    """Sum of an iterable of arrays by an exact two-sum (Kahan-style) running accumulation."""
     s = comp = 0.0
-    for lo in range(0, width, 64):
-        term = block(slice(lo, lo + 64)).sum(axis=-1)
+    for term in terms:
         t = s + term
         bb = t - s
         comp = comp + ((s - (t - bb)) + (term - bb))

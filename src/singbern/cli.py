@@ -181,7 +181,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     nodes.require_valid()
     xs = grid_points(g, w.xi, extra=(nodes.x1, nodes.x2, nodes.x3, nodes.x4))
     fv = np.asarray(f(xs), dtype=float)
-    bv = bbar_apply(f, args.n, w, xs)
+    bv = bbar_apply(f, args.n, w, xs, reuse=False)  # one apply: stream the band
     werr = np.abs(w(xs) * (fv - bv))
     rows = [
         {"x": float(x), "f": float(a), "bbar": float(b), "weighted_error": float(e)}

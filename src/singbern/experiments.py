@@ -54,6 +54,7 @@ from .weight import (
     delta_n,
     grid_points,
     phi,
+    sorted_distinct,
     weighted_sup_norm,
     weighted_values,
 )
@@ -302,7 +303,7 @@ def check_lemma7(
 
     def row(n):
         nd = compute_nodes(n, w.xi)
-        xs = np.unique(np.concatenate([np.linspace(nd.x1, nd.x4, 257), [nd.x2, nd.x3]]))
+        xs = sorted_distinct(np.concatenate([np.linspace(nd.x1, nd.x4, 257), [nd.x2, nd.x3]]))
         defect = np.abs(weighted_values(lambda x: f(x) - chord(f, nd, x), w, xs))
         if curv_norm == 0.0:
             # curvature-free f: the chord reproduces it up to rounding

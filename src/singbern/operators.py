@@ -9,6 +9,16 @@ forward-difference identity
 
 which is exact for the polynomial the operator produces; numerical
 differentiation appears only in tests as an oracle.
+
+The apply takes the band a pass of rows at a time (about 16384 entries):
+it gathers the value windows of the pass, multiplies them by the band
+rows and sums every 64 columns pairwise while the pass is in cache, then
+joins each row's block sums with one exact two-sum accumulation.  The
+band rows come from the cached block by default, since sweeps and
+checks apply many times on one grid; a caller that applies once passes
+``reuse=False`` and the band is built pass by pass into one reused
+buffer, so only one pass of it is ever held.  Both sources give the same
+bits.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .basis import band_start, basis_matrix, block_sum
+from .basis import _band_grid, _band_passes, _pass_rows, _two_sum_total, band_start, basis_matrix
 from .bridge import compute_nodes, surrogate_eval
 from .weight import EvaluationError, SingularWeight
 
@@ -57,27 +67,47 @@ def collocation_matrix(n: int, xs: np.ndarray) -> tuple:
     return _cached_band(n, xs.tobytes())
 
 
-def bernstein_apply(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def bernstein_apply(values: np.ndarray, xs: np.ndarray, reuse: bool = True) -> np.ndarray:
     """sum_k values[k] b(n, k, x) at each point of the 1-D grid xs, compensated.
 
     The degree n is len(values) - 1; each row sums over its band only, to
-    within 8 eps max |values| of the exact band sum for n up to 65535.  The
-    band goes through ``block_sum``: each block of 64 band columns is
-    gathered for every row, multiplied by its weights and summed before
-    the next is gathered.
+    within 8 eps max |values| of the exact band sum for n up to 65535.
+    With ``reuse`` the band comes from the ``collocation_matrix`` cache;
+    without it the band is built pass by pass and never held whole, for a
+    caller that applies once.  Both give the same bits.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 2:
         raise ValueError("values must be a vector of n+1 >= 2 entries")
-    start, B = collocation_matrix(values.size - 1, xs)
+    if reuse:
+        start, B = collocation_matrix(values.size - 1, xs)
+        rows = _pass_rows(B.shape[1])
+        passes = ((slice(lo, lo + rows), B[lo:lo + rows]) for lo in range(0, B.shape[0], rows))
+        return _band_sum(values, start, B.shape[1], passes)
+    n, xs, width = _band_grid(values.size - 1, xs)
+    return _band_sum(values, band_start(n, xs), width, _band_passes(n, xs, width))
 
-    def terms(sl):
-        weights = B[:, sl]
-        t = sliding_window_view(values[sl.start:], weights.shape[1])[start]
-        t *= weights
-        return t
 
-    return block_sum(terms, B.shape[1])
+def _band_sum(values: np.ndarray, start: np.ndarray, width: int, passes) -> np.ndarray:
+    """Compensated band sums of ``values`` against band rows that arrive in passes.
+
+    ``passes`` yields (rows, block): the band rows of the grid points in
+    slice ``rows``, whose bands begin at start[rows].  Each pass gathers
+    its value windows, multiplies them by the block and sums every 64
+    columns pairwise, while the pass is still in cache; then the block
+    sums of all rows are joined by the exact two-sum of ``block_sum``, in
+    its order, so the result is ``block_sum`` over the whole band.
+    """
+    windows = sliding_window_view(values, width)
+    whole = width // 64  # blocks of a full 64 columns; a shorter one may follow
+    sums = np.empty((start.size, -(-width // 64)))
+    for sl, B in passes:
+        t = windows[start[sl]]
+        t *= B
+        t[:, :64 * whole].reshape(t.shape[0], whole, 64).sum(axis=-1, out=sums[sl, :whole])
+        if whole < sums.shape[1]:
+            t[:, 64 * whole:].sum(axis=-1, out=sums[sl, whole])
+    return _two_sum_total(sums.T)
 
 
 def build_surrogate(f: Callable, n: int, w: SingularWeight) -> np.ndarray:
@@ -97,13 +127,14 @@ def build_surrogate(f: Callable, n: int, w: SingularWeight) -> np.ndarray:
     return values
 
 
-def bbar_apply(f: Callable, n: int, w: SingularWeight, xs: np.ndarray) -> np.ndarray:
+def bbar_apply(f: Callable, n: int, w: SingularWeight, xs: np.ndarray, reuse: bool = True) -> np.ndarray:
     """Modified operator: the classical operator applied to surrogate values.
 
     A polynomial of degree at most n; reproduces linear functions and uses
-    only f values on [0, x2] union [x3, 1].
+    only f values on [0, x2] union [x3, 1].  ``reuse`` is passed on to
+    ``bernstein_apply``.
     """
-    return bernstein_apply(build_surrogate(f, n, w), xs)
+    return bernstein_apply(build_surrogate(f, n, w), xs, reuse)
 
 
 def bbar_second_derivative(values: np.ndarray, xs: np.ndarray) -> np.ndarray:

@@ -14,8 +14,6 @@ SCHEMA_VERSION = 1
 
 
 def format_float(v: float) -> str:
-    if not math.isfinite(v):
-        return "inf" if v > 0 else ("-inf" if v < 0 else "nan")
     return format(float(v), ".17g")
 
 

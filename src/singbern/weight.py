@@ -23,6 +23,7 @@ __all__ = [
     "phi",
     "delta_n",
     "grid_points",
+    "sorted_distinct",
     "weighted_values",
     "weighted_sup_norm",
     "corpus",
@@ -108,7 +109,20 @@ def grid_points(g: GridSpec, xi: float | None = None, extra=()) -> np.ndarray:
         xs = np.concatenate([xs, np.asarray(extra, dtype=float)])
     if xi is not None:
         xs = g.outside(xs, xi)
-    return np.unique(xs)
+    return sorted_distinct(xs)
+
+
+def sorted_distinct(xs: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D float array: sorted, each value kept once.
+
+    The same sort and adjacent-duplicate mask as ``np.unique``, without the
+    lazy import of ``numpy.ma`` that its first call costs (10-20 ms).
+    """
+    xs = np.sort(xs)
+    keep = np.empty(xs.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(xs[1:], xs[:-1], out=keep[1:])
+    return xs[keep]
 
 
 def weighted_values(f: Callable, w: SingularWeight, xs: np.ndarray) -> np.ndarray:

@@ -393,28 +393,34 @@ def test_basis_values_copies_only_one_pass_of_a_broadcast():
 
 
 def test_concurrent_calls_share_no_scratch():
-    # every call makes its own workspace: threads interleaving their passes
-    # (NumPy releases the interpreter lock inside each operation) get the
-    # serial results
+    # every call makes its own workspace and streamed applies their own pass
+    # buffer: threads interleaving their passes (NumPy releases the
+    # interpreter lock inside each operation) get the serial results
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
+    from singbern.operators import bernstein_apply
+
     xs = grid_points(GridSpec())
     jobs = [(n, xs[i::3]) for i in range(3) for n in (1000, 4096)]
-    want = [(basis_matrix(n, x), basis_values(n, x[:, None], np.arange(0, n + 1, 97)[None, :])) for n, x in jobs]
+
+    def run(job):
+        n, x = job
+        values = np.sin(np.arange(n + 1.0))
+        return (basis_matrix(n, x), basis_values(n, x[:, None], np.arange(0, n + 1, 97)[None, :]),
+                bernstein_apply(values, x, reuse=False))
+
+    want = [run(job) for job in jobs]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(lambda j: (basis_matrix(j[0], j[1]),
-                                              basis_values(j[0], j[1][:, None], np.arange(0, j[0] + 1, 97)[None, :])),
-                                   job) for job in jobs * 2]
-            got = [f.result(timeout=120) for f in futures]
+            got = [f.result(timeout=120) for f in [pool.submit(run, job) for job in jobs * 2]]
     finally:
         sys.setswitchinterval(interval)
-    for (b, v), (wb, wv) in zip(got, want * 2):
-        np.testing.assert_array_equal(b, wb)
-        np.testing.assert_array_equal(v, wv)
+    for g, w in zip(got, want * 2):
+        for a, b in zip(g, w):
+            np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("n", (1024, 16384))
@@ -425,6 +431,18 @@ def test_one_k_table_per_basis_matrix_call(monkeypatch, n):
     real, calls = basis._log_const, []
     monkeypatch.setattr(basis, "_log_const", lambda *a: calls.append(1) or real(*a))
     basis_matrix(n, grid_points(GridSpec()))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", (1024, 16384))
+def test_one_k_table_per_streamed_apply(monkeypatch, n):
+    # a streamed apply builds every pass of its band from one table
+    import singbern.basis as basis
+    from singbern.operators import bernstein_apply
+
+    real, calls = basis._log_const, []
+    monkeypatch.setattr(basis, "_log_const", lambda *a: calls.append(1) or real(*a))
+    bernstein_apply(np.ones(n + 1), grid_points(GridSpec()), reuse=False)
     assert len(calls) == 1
 
 

@@ -324,13 +324,24 @@ class TestMisc:
         assert proc.returncode == 0
         assert proc.stdout.startswith("name,")
 
-    def test_eval_at_degree_65536_stays_under_160_mib(self, tmp_path):
-        # a dense (grid x (n+1)) basis block alone would take 2 GiB here
+    def test_eval_at_degree_65536_stays_under_60_mib(self, tmp_path):
+        # a dense (grid x (n+1)) basis block alone would take 2 GiB here, and
+        # the whole (4101 x 2477) band block with its products near 110 MiB;
+        # eval streams the band and holds one pass of it
         out = tmp_path / "e.csv"
         rc, peak = run_cli_peak_mib("eval", "--f", "abs_beta_1.0", "--n", "65536", "--out", str(out))
         assert rc == 0
         assert out.read_text().count("\n") == 4102  # header + 4097 + 4 nodes
-        assert peak < 160.0, peak
+        assert peak < 60.0, peak
+
+    def test_eval_on_a_grid_of_16385_points_stays_under_60_mib(self, tmp_path):
+        # the whole (16389 x 1239) band block at n = 16384 takes 155 MiB
+        out = tmp_path / "e.csv"
+        rc, peak = run_cli_peak_mib("eval", "--f", "abs_beta_1.0", "--n", "16384", "--grid-count", "16385",
+                                    "--out", str(out))
+        assert rc == 0
+        assert out.read_text().count("\n") == 16390  # header + 16385 + 4 nodes
+        assert peak < 60.0, peak
 
     def test_window_lemmas_at_degree_65536_stay_under_60_mib(self):
         # lemma5 and lemma6 sum 4097 x 513 window weights at n = 65536; a whole

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from singbern.basis import ksum
+from singbern.basis import _PASS_ENTRIES, ksum
 from singbern.bridge import InvalidNodesError, chord, compute_nodes
 from singbern.operators import (
     bbar_apply,
@@ -121,6 +121,84 @@ class TestChunkedApply:
         assert B.shape[1] == (n + 1 if n == 64 else 1239)
         values = np.random.default_rng(n).standard_normal(n + 1)
         np.testing.assert_array_equal(bernstein_apply(values, xs), bernstein_apply_one_shot(values, xs))
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestStreamedApply:
+    """``reuse=False`` builds the band pass by pass; every row equals the one-shot sum bit for bit."""
+
+    @pytest.mark.parametrize("n, width", [(62, 63), (63, 64), (64, 65), (170, 129)])
+    def test_band_widths_around_one_block(self, n, width):
+        xs = grid_points(GridSpec(count=257))
+        assert collocation_matrix(n, xs)[1].shape[1] == width
+        values = np.random.default_rng(n).standard_normal(n + 1)
+        assert_same_bits(bernstein_apply(values, xs, reuse=False), bernstein_apply_one_shot(values, xs))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_band_is_the_whole_row(self, n):
+        xs = np.concatenate([grid_points(GridSpec()), [1e-9, 0.5]])
+        values = np.random.default_rng(n).standard_normal(n + 1)
+        assert_same_bits(bernstein_apply(values, xs, reuse=False), bernstein_apply_one_shot(values, xs))
+
+    @pytest.mark.parametrize("x", [0.0, 0.37, 1.0])
+    def test_one_point_grid(self, x):
+        values = np.random.default_rng(5).standard_normal(1025)
+        xs = np.array([x])
+        assert_same_bits(bernstein_apply(values, xs, reuse=False), bernstein_apply_one_shot(values, xs))
+
+    def test_unsorted_grid_with_endpoints_mid_pass(self):
+        n = 16384
+        rows = _PASS_ENTRIES // collocation_matrix(n, np.array([0.5]))[1].shape[1]
+        xs = np.random.default_rng(3).permutation(np.linspace(0.2, 0.8, 4 * rows + 3))
+        # x = 0 and x = 1 inside passes whose other rows are all interior
+        xs[rows // 2] = 0.0
+        xs[rows + rows // 2] = 1.0
+        values = np.random.default_rng(4).standard_normal(n + 1)
+        assert_same_bits(bernstein_apply(values, xs, reuse=False), bernstein_apply_one_shot(values, xs))
+
+    def test_default_grid_at_degree_16384(self):
+        n = 16384
+        xs = grid_points(GridSpec())
+        values = np.random.default_rng(n).standard_normal(n + 1)
+        assert_same_bits(bernstein_apply(values, xs, reuse=False), bernstein_apply_one_shot(values, xs))
+
+    def test_leaves_the_band_cache_alone(self):
+        from singbern.operators import _cached_band
+
+        xs = np.linspace(0.0, 1.0, 333)
+        before = _cached_band.cache_info()
+        bbar_apply(corpus_member("square", W), 999, W, xs, reuse=False)
+        after = _cached_band.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_holds_one_pass_not_the_band(self):
+        # the (4097 x 1239) band block at n = 16384 takes 39 MiB; the streamed
+        # apply holds one pass of it and one block sum per 64 columns
+        import tracemalloc
+
+        n = 16384
+        xs = grid_points(GridSpec())
+        values = np.random.default_rng(1).standard_normal(n + 1)
+        tracemalloc.start()
+        try:
+            bernstein_apply(values, xs, reuse=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, peak / 2**20
+
+    @pytest.mark.parametrize("grid", [np.full((2, 3), 0.5), np.float64(0.5)], ids=["2-d", "0-d"])
+    def test_grid_must_be_one_dimensional(self, grid):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            bernstein_apply(np.sin(np.arange(9)), grid, reuse=False)
+
+    def test_grid_must_lie_in_the_unit_interval(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            bernstein_apply(np.sin(np.arange(9)), np.array([0.5, 1.5]), reuse=False)
 
 
 class TestBuildSurrogate:

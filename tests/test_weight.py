@@ -15,6 +15,7 @@ from singbern.weight import (
     delta_n,
     grid_points,
     phi,
+    sorted_distinct,
     weighted_sup_norm,
     weighted_values,
 )
@@ -85,6 +86,26 @@ class TestGrids:
         xs = grid_points(GridSpec(count=11, placement="uniform"), extra=[0.123, 0.5])
         assert 0.123 in xs
         assert np.unique(xs).size == xs.size
+
+    @pytest.mark.parametrize("g, xi, extra", [
+        (GridSpec(count=4097, placement="uniform"), None, ()),
+        (GridSpec(), None, ()),
+        (GridSpec(count=1025, exclusion_radius=0.01), 0.37, ()),
+        (GridSpec(count=513, placement="uniform"), 0.5, (0.5 - 1 / 64, 0.5, 0.5, 0.5 + 1 / 64, 0.25)),
+        (GridSpec(count=4097), 0.37, (0.3, 0.35, 0.39, 0.44, 0.0, 1.0)),
+    ], ids=["uniform", "chebyshev", "exclusion-radius", "extra-on-grid", "extra-nodes"])
+    def test_distinct_points_match_numpy_unique(self, g, xi, extra):
+        # grid_points drops duplicates without np.unique, to the same doubles
+        xs = grid_points(g, xi, extra)
+        np.testing.assert_array_equal(xs, np.unique(xs))
+        raw = np.random.default_rng(0).permutation(np.concatenate([xs, xs[::7], np.asarray(extra, dtype=float)]))
+        np.testing.assert_array_equal(sorted_distinct(raw), np.unique(raw))
+
+    def test_distinct_of_empty_and_signed_zero(self):
+        assert sorted_distinct(np.array([])).size == 0
+        for raw in (np.array([0.0, -0.0, 0.5, 0.0]), np.array([-0.0, 0.0, 1.0, 1.0])):
+            want = np.unique(raw)
+            np.testing.assert_array_equal(sorted_distinct(raw).view(np.int64), want.view(np.int64))
 
     def test_refinement_is_nested(self):
         for placement in ("uniform", "chebyshev"):
