@@ -196,6 +196,20 @@ def _log_const(n: int, k: np.ndarray) -> np.ndarray:
     )
 
 
+def _log_const_table(n: int) -> np.ndarray:
+    """``_log_const`` at k = 1..n-1, built in chunks of _PASS_ENTRIES.
+
+    Each chunk runs the same elementwise operations as the one-shot
+    ``_log_const(n, np.arange(1.0, n))``, so the bits are the same, but the
+    temporaries are one chunk's, not n's.
+    """
+    out = np.empty(max(n - 1, 0))
+    for lo in range(1, n, _PASS_ENTRIES):
+        hi = min(lo + _PASS_ENTRIES, n)
+        out[lo - 1:hi - 1] = _log_const(n, np.arange(float(lo), hi))
+    return out
+
+
 def _workspace(rows: int, *shape: int) -> tuple:
     """Scratch for one evaluation: ``rows`` float rows and one bool row, each of ``shape``.
 
@@ -362,7 +376,7 @@ def _band_passes(n: int, xs: np.ndarray, width: int, out: np.ndarray | None = No
     start = _band_start(n, xs, w)
     radius = _kept_radius(n, xs, w)
     cols = np.arange(width)
-    const = _log_const(n, np.arange(1.0, n))  # k = 1..n-1
+    const = _log_const_table(n)  # k = 1..n-1
     moments = _split_moments(n, xs)
     rows = _pass_rows(width)
     size = min(rows, xs.size)

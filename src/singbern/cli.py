@@ -256,7 +256,7 @@ def _run_checker(which: str, args: argparse.Namespace, w, g):
     if not usable:
         raise ConfigError(f"--f {sel}: {_NO_RATE_TARGET}")
     if which == "direct":
-        return [check_direct(tf, w, lam, n_values, g) for tf in usable]
+        return check_direct(usable, w, lam, n_values, g)
     return [check_inverse(tf, w, lam, args.t_values, g, args.h_steps) for tf in usable]
 
 
@@ -311,8 +311,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         missing = [tf.name for tf in chosen if tf not in _rate_members(chosen)]
         if missing:
             raise ConfigError(f"--functions {','.join(missing)}: {_NO_RATE_TARGET}")
-    results = [run_function_sweep(tf, w, lam, args.n_values, args.t_values, g, args.h_steps)
-               for tf in chosen]
+    # each degree's band is read once, by all members together: stream it
+    results = run_function_sweep(chosen, w, lam, args.n_values, args.t_values, g, args.h_steps,
+                                 reuse=False)
     passed = all(r["passed"] for r in results)
     doc = {
         "schema_version": SCHEMAS["schema_version"],

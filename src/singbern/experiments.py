@@ -14,7 +14,11 @@ singularity), builds one row per degree with the checker's row function,
 notes the skipped degrees, and hands the rows to a trend rule, by default
 ``trend_summary`` on the rows' ``ratio``.  A checker is its parameters,
 its row function and, where it differs, its trend rule.  The direct-rate
-check reuses the same degree filter and row loop.
+check reuses the same degree filter and degree loop, for a sequence of
+members at once: at each degree their surrogates are stacked and applied
+in one pass over the band, which ``sweep`` streams (``reuse=False``) and
+``check`` reads from the band cache, and each member gets the report of
+its own run.
 
 Rate targets are a closed form, not fitted numbers: for |x - xi|^beta
 under the weight |x - xi|^alpha the weighted error peaks at the bridge
@@ -95,6 +99,8 @@ RATE_TOLERANCE = 0.15
 INVERSE_SLOPE_SLACK = 0.15
 CONSISTENCY_TOLERANCE = 0.2
 SATURATION_EXPONENT = 2.0
+# a member's domain errors, held by the batched direct check until the member's turn
+_MEMBER_ERRORS = (EvaluationError, ArithmeticError)
 # above the operators' stated rounding bounds, and 8x above a 31 eps ||w f|| direct error on a 19-point grid
 ROUNDING = 256.0 * np.finfo(float).eps
 
@@ -166,11 +172,21 @@ def trend_summary(
     xs, values = xs[nonzero], values[nonzero]
     slope, intercept, residual = _loglog_fit(zip(xs, values))
     detrended = values / np.exp(slope * np.log(xs) + intercept)
-    spread = float(np.max(detrended) / np.median(detrended))
+    spread = float(np.max(detrended) / _median(detrended))
     passed = slope <= max_slope and spread <= max_spread
     if min_slope is not None:
         passed = passed and slope >= min_slope
     return {"slope": slope, "residual": residual, "spread": spread, "passed": passed, "trivial": False}
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a 1-D array without NaNs, bit for bit: the middle value, or the mean of the two.
+
+    ``np.median`` lazily imports ``numpy.ma`` on its first call (10-20 ms).
+    """
+    s = np.sort(values)
+    mid = s.size // 2
+    return s[mid] if s.size % 2 else (s[mid - 1] + s[mid]) / 2.0
 
 
 def w2_members(members) -> list:
@@ -428,34 +444,68 @@ def check_theorem2(
 
 
 def check_direct(
-    f: TestFunction,
+    members,
     w: SingularWeight,
     lam: float = 0.0,
     n_values=DEFAULT_N_VALUES,
     g: GridSpec = GridSpec(),
-) -> dict:
-    """Decay of the weighted approximation error across the degree sweep.
+    reuse: bool = True,
+) -> list:
+    """Decay of the weighted approximation error across the degree sweep, one report per member.
 
     The error normalized by the local rate factor to the target power must
     stay bounded, and the fitted decay exponent (log max error against
     n^(-1/2)) must match the member's closed-form target within
     RATE_TOLERANCE.  An error at most ROUNDING ||w f|| is noise: at every
     degree the check is trivial, at some an EvaluationError (no rate fit).
+
+    The members share the node grid of each degree, so the degree's
+    surrogates are stacked and applied in one pass over its band; ``reuse``
+    is passed on to ``bernstein_apply``.  The reports, and the error
+    raised, are those of one-member calls in member order: a member's
+    first domain error is held until its turn, and its later degrees are
+    skipped.
     """
+    members = list(members)
+    rows = [[] for _ in members]  # a member's rows, or the first error they raised
+
+    def degree(n):
+        xs = _node_grid(g, compute_nodes(n, w.xi))
+        live, values = [], []
+        for i, f in enumerate(members):
+            if isinstance(rows[i], _MEMBER_ERRORS):
+                continue
+            try:
+                values.append(build_surrogate(f, n, w))
+                live.append(i)
+            except _MEMBER_ERRORS as exc:
+                rows[i] = exc
+        applied = bernstein_apply(np.array(values), xs[xs != w.xi], reuse) if live else ()
+        with np.errstate(divide="ignore"):
+            factor = phi(xs) ** (-lam) * delta_n(n, xs) / math.sqrt(n)
+        for i, bv in zip(live, applied):
+            f, target = members[i], members[i].expected_alpha0
+            try:
+                err = np.abs(weighted_values(lambda x: f(x) - bv, w, xs))
+            except _MEMBER_ERRORS as exc:
+                rows[i] = exc
+                continue
+            row = {"n": n, "max_weighted_error": float(np.max(err))}
+            if target is not None:
+                power = factor ** target
+                row["normalized_error"] = float(np.max(np.where(np.isfinite(power), err / power, 0.0)))
+            rows[i].append(row)
+
+    good, _, notes = _sweep_rows(n_values, degree, w.xi)  # degree() fills ``rows``
+    return [_direct_report(f, w, lam, g, good, r, notes) for f, r in zip(members, rows)]
+
+
+def _direct_report(f: TestFunction, w: SingularWeight, lam: float, g: GridSpec, good, rows, notes) -> dict:
+    """One member's direct-rate report from its rows over the usable degrees ``good``, or its held error."""
+    if isinstance(rows, _MEMBER_ERRORS):
+        raise rows
     target = f.expected_alpha0
     params = {"function": f.name, "xi": w.xi, "alpha": w.alpha, "lambda": lam, "grid": g.key()}
-
-    def row(n):
-        xs = _node_grid(g, compute_nodes(n, w.xi))
-        err = np.abs(weighted_values(lambda x: f(x) - bbar_apply(f, n, w, x), w, xs))
-        out = {"n": n, "max_weighted_error": float(np.max(err))}
-        if target is not None:
-            with np.errstate(divide="ignore"):
-                factor = (phi(xs) ** (-lam) * delta_n(n, xs) / math.sqrt(n)) ** target
-            out["normalized_error"] = float(np.max(np.where(np.isfinite(factor), err / factor, 0.0)))
-        return out
-
-    good, rows, notes = _sweep_rows(n_values, row, w.xi)
     e_max_seq = [r["max_weighted_error"] for r in rows]
     pairs = list(zip(good, e_max_seq))
     floor = ROUNDING * weighted_sup_norm(f, w, g)
@@ -544,17 +594,28 @@ def check_inverse(
 
 
 def run_function_sweep(
-    f: TestFunction,
+    members,
     w: SingularWeight,
     lam: float = 0.0,
     n_values=DEFAULT_N_VALUES,
     t_values=DEFAULT_T_VALUES,
     g: GridSpec = GridSpec(),
     h_steps: int = 32,
-) -> dict:
-    """Direct + inverse rate pipeline and their cross-consistency."""
-    direct = check_direct(f, w, lam, n_values, g)
-    inverse = check_inverse(f, w, lam, t_values, g, h_steps)
+    reuse: bool = True,
+) -> list:
+    """Direct + inverse rate pipeline and their cross-consistency, one result per member.
+
+    The direct checks of all members run first, together (``check_direct``),
+    then each member's inverse check in member order.
+    """
+    members = list(members)
+    directs = check_direct(members, w, lam, n_values, g, reuse)
+    return [_sweep_result(f, direct, check_inverse(f, w, lam, t_values, g, h_steps))
+            for f, direct in zip(members, directs)]
+
+
+def _sweep_result(f: TestFunction, direct: dict, inverse: dict) -> dict:
+    """One member's direct and inverse reports and their cross-consistency."""
     out = {
         "function": f.name,
         "direct": direct,

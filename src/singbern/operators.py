@@ -13,11 +13,16 @@ differentiation appears only in tests as an oracle.
 The apply takes the band a pass of rows at a time (about 16384 entries):
 it gathers the value windows of the pass, multiplies them by the band
 rows and sums every 64 columns pairwise while the pass is in cache, then
-joins each row's block sums with one exact two-sum accumulation.  The
-band rows come from the cached block by default, since sweeps and
-checks apply many times on one grid; a caller that applies once passes
-``reuse=False`` and the band is built pass by pass into one reused
-buffer, so only one pass of it is ever held.  Both sources give the same
+joins each row's block sums with one exact two-sum accumulation.  It
+applies one coefficient vector or a stack of them: a stack shares each
+pass, and every vector gets the bits of its own apply.
+
+Where the band rows come from is the command's choice.  With ``reuse``,
+the default, they come from the cached block: ``check`` runs many
+checkers on the same (degree, grid) pairs.  With ``reuse=False`` the band
+is built pass by pass into one reused buffer, so only one pass of it is
+ever held: ``eval`` applies once, and ``sweep`` applies every member's
+surrogate in one stacked apply per degree.  Both sources give the same
 bits.
 """
 
@@ -70,44 +75,49 @@ def collocation_matrix(n: int, xs: np.ndarray) -> tuple:
 def bernstein_apply(values: np.ndarray, xs: np.ndarray, reuse: bool = True) -> np.ndarray:
     """sum_k values[k] b(n, k, x) at each point of the 1-D grid xs, compensated.
 
-    The degree n is len(values) - 1; each row sums over its band only, to
-    within 8 eps max |values| of the exact band sum for n up to 65535.
-    With ``reuse`` the band comes from the ``collocation_matrix`` cache;
-    without it the band is built pass by pass and never held whole, for a
-    caller that applies once.  Both give the same bits.
+    The degree n is values.shape[-1] - 1; each row sums over its band only,
+    to within 8 eps max |values| of the exact band sum for n up to 65535.
+    ``values`` is one vector of n+1 entries, or an (m, n+1) stack of them
+    applied in one pass over the band, giving (m, len(xs)); each vector
+    gets the same bits as its own apply.  With ``reuse`` the band comes
+    from the ``collocation_matrix`` cache; without it the band is built
+    pass by pass and never held whole, for a caller that applies once.
+    Both give the same bits.
     """
     values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size < 2:
-        raise ValueError("values must be a vector of n+1 >= 2 entries")
+    if values.ndim not in (1, 2) or values.shape[-1] < 2:
+        raise ValueError("values must be a vector of n+1 >= 2 entries, or a stack of them")
+    n = values.shape[-1] - 1
     if reuse:
-        start, B = collocation_matrix(values.size - 1, xs)
+        start, B = collocation_matrix(n, xs)
         rows = _pass_rows(B.shape[1])
         passes = ((slice(lo, lo + rows), B[lo:lo + rows]) for lo in range(0, B.shape[0], rows))
         return _band_sum(values, start, B.shape[1], passes)
-    n, xs, width = _band_grid(values.size - 1, xs)
+    n, xs, width = _band_grid(n, xs)
     return _band_sum(values, band_start(n, xs), width, _band_passes(n, xs, width))
 
 
 def _band_sum(values: np.ndarray, start: np.ndarray, width: int, passes) -> np.ndarray:
-    """Compensated band sums of ``values`` against band rows that arrive in passes.
+    """Compensated band sums of ``values``, a vector or a stack of them, against band rows in passes.
 
     ``passes`` yields (rows, block): the band rows of the grid points in
     slice ``rows``, whose bands begin at start[rows].  Each pass gathers
-    its value windows, multiplies them by the block and sums every 64
-    columns pairwise, while the pass is still in cache; then the block
-    sums of all rows are joined by the exact two-sum of ``block_sum``, in
-    its order, so the result is ``block_sum`` over the whole band.
+    the value windows of every vector, multiplies them by the block and
+    sums every 64 columns pairwise, while the pass is still in cache; then
+    the block sums of all rows are joined by the exact two-sum of
+    ``block_sum``, in its order, so each vector's result is ``block_sum``
+    over the whole band.
     """
-    windows = sliding_window_view(values, width)
+    windows = sliding_window_view(values, width, axis=-1)
     whole = width // 64  # blocks of a full 64 columns; a shorter one may follow
-    sums = np.empty((start.size, -(-width // 64)))
+    sums = np.empty((*values.shape[:-1], start.size, -(-width // 64)))
     for sl, B in passes:
-        t = windows[start[sl]]
+        t = windows[..., start[sl], :]
         t *= B
-        t[:, :64 * whole].reshape(t.shape[0], whole, 64).sum(axis=-1, out=sums[sl, :whole])
-        if whole < sums.shape[1]:
-            t[:, 64 * whole:].sum(axis=-1, out=sums[sl, whole])
-    return _two_sum_total(sums.T)
+        t[..., :64 * whole].reshape(*t.shape[:-1], whole, 64).sum(axis=-1, out=sums[..., sl, :whole])
+        if whole < sums.shape[-1]:
+            t[..., 64 * whole:].sum(axis=-1, out=sums[..., sl, whole])
+    return _two_sum_total(np.moveaxis(sums, -1, 0))
 
 
 def build_surrogate(f: Callable, n: int, w: SingularWeight) -> np.ndarray:

@@ -61,14 +61,9 @@ def criterion(num, desc):
 @pytest.fixture(scope="module")
 def rate_sweeps():
     """Shared full-rate pipeline runs for criteria 7-9."""
-    out = {}
-    for tf in corpus(DEFAULT_WEIGHT):
-        if tf.expected_alpha0 is None:
-            continue
-        out[tf.name] = run_function_sweep(
-            tf, DEFAULT_WEIGHT, 0.0, DEFAULT_N_VALUES, DEFAULT_T_VALUES, GRID
-        )
-    return out
+    members = [tf for tf in corpus(DEFAULT_WEIGHT) if tf.expected_alpha0 is not None]
+    results = run_function_sweep(members, DEFAULT_WEIGHT, 0.0, DEFAULT_N_VALUES, DEFAULT_T_VALUES, GRID)
+    return {tf.name: result for tf, result in zip(members, results)}
 
 
 def test_criterion_01_linear_reproduction():

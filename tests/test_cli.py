@@ -343,6 +343,37 @@ class TestMisc:
         assert out.read_text().count("\n") == 16390  # header + 16385 + 4 nodes
         assert peak < 60.0, peak
 
+    def test_sweep_to_degree_16384_stays_under_60_mib(self):
+        # every degree's (4101 x band) block held in the band cache peaks near
+        # 159 MiB; the sweep streams each degree's band once for all members
+        rc, peak = run_cli_peak_mib("sweep", "--functions", "all",
+                                    "--n-values", "64,128,256,512,1024,2048,4096,8192,16384")
+        assert rc == 0
+        assert peak < 60.0, peak
+
+    @pytest.mark.parametrize("argv", [("sweep", "--functions", "all"), ("check", "--which", "direct")],
+                             ids=["sweep", "check-direct"])
+    def test_numpy_ma_is_never_imported(self, argv):
+        # its lazy import costs 10-20 ms; np.median and np.unique trigger it
+        import os
+        import subprocess
+        import sys
+
+        import singbern
+
+        code = (
+            "import os, sys\n"
+            "from singbern.cli import main\n"
+            "sys.stdout = open(os.devnull, 'w')\n"
+            f"rc = main({list(argv)!r})\n"
+            "print(rc, 'numpy.ma' in sys.modules, file=sys.stderr)\n"
+        )
+        src = os.path.dirname(os.path.dirname(singbern.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.split()[-2:] == ["0", "False"], proc.stderr
+
     def test_window_lemmas_at_degree_65536_stay_under_60_mib(self):
         # lemma5 and lemma6 sum 4097 x 513 window weights at n = 65536; a whole
         # (grid x window) block of them, with its products, peaks near 67 MiB

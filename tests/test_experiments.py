@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from singbern.basis import basis_values, block_sum, ksum
-from singbern.bridge import chord, compute_nodes
+from singbern.bridge import InvalidNodesError, chord, compute_nodes
 from singbern.experiments import (
     DEFAULT_WEIGHT,
     check_direct,
@@ -25,7 +25,9 @@ from singbern.experiments import (
     w2_members,
 )
 from singbern.moduli import ladder_moduli
-from singbern.weight import EvaluationError, GridSpec, SingularWeight, corpus, corpus_member, grid_points
+from singbern.weight import (
+    EvaluationError, GridSpec, SingularWeight, TestFunction, corpus, corpus_member, grid_points,
+)
 
 W1 = SingularWeight(0.5, 1.0)
 G = GridSpec(count=513)
@@ -266,18 +268,18 @@ class TestAsymmetricWeight:
 
 class TestRatePipeline:
     def test_direct_linear_trivial(self):
-        r = check_direct(corpus_member("linear", DEFAULT_WEIGHT), DEFAULT_WEIGHT, 0.0, NS, G)
+        [r] = check_direct([corpus_member("linear", DEFAULT_WEIGHT)], DEFAULT_WEIGHT, 0.0, NS, G)
         assert r["passed"] and r["trivial"]
 
     def test_direct_requires_target(self):
         f = corpus_member("smoothed_step", DEFAULT_WEIGHT)
         with pytest.raises(ValueError, match="target"):
-            check_direct(f, DEFAULT_WEIGHT, 0.0, NS, G)
+            check_direct([f], DEFAULT_WEIGHT, 0.0, NS, G)
 
     def test_direct_hits_closed_form_target(self):
         f = corpus_member("abs_beta_1.0", DEFAULT_WEIGHT)
         assert f.expected_alpha0 == 1.5  # beta + alpha
-        r = check_direct(f, DEFAULT_WEIGHT, 0.0, NS, G)
+        [r] = check_direct([f], DEFAULT_WEIGHT, 0.0, NS, G)
         assert r["passed"]
         assert r["target"] == 1.5
         assert abs(r["fitted_alpha0"] - r["target"]) <= r["tolerance"]
@@ -295,7 +297,7 @@ class TestRatePipeline:
     def test_beyond_saturation_marks_targets_above_two(self, w, beyond):
         # abs_beta_1.5 at alpha = 1 has target 2.5, past the direct theorem's 0 < alpha0 < 2
         f = corpus_member("abs_beta_1.5", w)
-        direct = check_direct(f, w, 0.0, NS, G)
+        [direct] = check_direct([f], w, 0.0, NS, G)
         inverse = check_inverse(f, w, 0.0, g=G)
         assert direct["target"] == inverse["target"] == 1.5 + w.alpha
         assert direct["beyond_saturation"] is inverse["beyond_saturation"] is beyond
@@ -343,12 +345,71 @@ class TestRatePipeline:
 
     def test_sweep_consistency(self):
         f = corpus_member("abs_beta_1.0", DEFAULT_WEIGHT)
-        out = run_function_sweep(f, DEFAULT_WEIGHT, 0.0, NS, g=G)
+        [out] = run_function_sweep([f], DEFAULT_WEIGHT, 0.0, NS, g=G)
         assert out["passed"]
         assert out["consistency_delta"] <= 0.2
 
     def test_determinism(self):
         f = corpus_member("abs_beta_0.5", DEFAULT_WEIGHT)
-        a = run_function_sweep(f, DEFAULT_WEIGHT, 0.0, NS, g=G)
-        b = run_function_sweep(f, DEFAULT_WEIGHT, 0.0, NS, g=G)
+        a = run_function_sweep([f], DEFAULT_WEIGHT, 0.0, NS, g=G)
+        b = run_function_sweep([f], DEFAULT_WEIGHT, 0.0, NS, g=G)
         assert a == b
+
+
+def _failing_member(name, bad_x):
+    """abs_beta_1.0 under the default weight, but infinite at ``bad_x``."""
+    base = corpus_member("abs_beta_1.0", DEFAULT_WEIGHT)
+
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x == bad_x, np.inf, base(x))
+
+    return TestFunction(name, f, expected_alpha0=base.expected_alpha0)
+
+
+class TestBatchedDirect:
+    """Several members at once give the reports, and the error, of one-member calls in member order."""
+
+    MEMBERS = ("linear", "abs_beta_0.5", "abs_beta_1.0", "abs_beta_1.5")
+
+    @pytest.mark.parametrize("reuse", [True, False], ids=["cached", "streamed"])
+    def test_check_direct_equals_one_member_calls(self, reuse):
+        members = [corpus_member(name, W1) for name in self.MEMBERS]
+        together = check_direct(members, W1, 0.0, NS, G, reuse)
+        assert together == [check_direct([f], W1, 0.0, NS, G)[0] for f in members]
+        assert [r["params"]["function"] for r in together] == list(self.MEMBERS)
+
+    def test_run_function_sweep_equals_one_member_calls(self):
+        members = [corpus_member(name, DEFAULT_WEIGHT) for name in self.MEMBERS]
+        together = run_function_sweep(members, DEFAULT_WEIGHT, 0.0, NS, g=G, reuse=False)
+        assert together == [run_function_sweep([f], DEFAULT_WEIGHT, 0.0, NS, g=G)[0] for f in members]
+
+    def test_no_members_no_reports(self):
+        assert check_direct([], DEFAULT_WEIGHT, 0.0, NS, G) == []
+        assert run_function_sweep((), DEFAULT_WEIGHT, 0.0, NS, g=G) == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("early_x, late_x", [(0.375, 0.25), (278 / 512, 0.5625)], ids=["surrogate", "grid"])
+    def test_first_member_in_order_raises_its_own_error(self, early_x, late_x):
+        # surrogate: f is first sampled at 0.375 at n = 128, at 0.25 (x1) at
+        # n = 64; grid: 278/512 and 0.5625 are the node x3 of n = 512 and
+        # n = 256, which no surrogate samples up to there, so the grid meets
+        # them first.  The later member fails at the smaller degree, but the
+        # earlier member's error is the one a member-by-member run meets first.
+        early, late = _failing_member("early", early_x), _failing_member("late", late_x)
+        good = corpus_member("abs_beta_1.0", DEFAULT_WEIGHT)
+        errors = []
+        for members in ([early], [late], [good, early, late]):
+            with pytest.raises(EvaluationError) as exc:
+                check_direct(members, DEFAULT_WEIGHT, 0.0, NS, G)
+            errors.append(str(exc.value))
+        with pytest.raises(EvaluationError) as exc:
+            run_function_sweep([good, early, late], DEFAULT_WEIGHT, 0.0, NS, g=G)
+        errors.append(str(exc.value))
+        assert errors[0] != errors[1]
+        assert errors[2] == errors[3] == errors[0]
+
+    def test_too_few_usable_degrees_is_one_error_for_all(self):
+        members = [corpus_member(name, DEFAULT_WEIGHT) for name in self.MEMBERS]
+        with pytest.raises(InvalidNodesError, match="a trend needs 3"):
+            check_direct(members, DEFAULT_WEIGHT, 0.0, (4, 8, 64), G)

@@ -201,6 +201,47 @@ class TestStreamedApply:
             bernstein_apply(np.sin(np.arange(9)), np.array([0.5, 1.5]), reuse=False)
 
 
+class TestStackedApply:
+    """An (m x (n+1)) stack is applied in one pass over the band; each row equals its own apply bit for bit."""
+
+    @staticmethod
+    def assert_rows_match(n, xs, m, reuse):
+        stack = np.random.default_rng(n + m).standard_normal((m, n + 1))
+        got = bernstein_apply(stack, xs, reuse)
+        assert_same_bits(got, np.array([bernstein_apply(v, xs, reuse) for v in stack]))
+
+    @pytest.mark.parametrize("reuse", [True, False], ids=["cached", "streamed"])
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("n, width", [(62, 63), (63, 64), (64, 65), (170, 129)])
+    def test_band_widths_around_one_block(self, n, width, m, reuse):
+        xs = grid_points(GridSpec(count=257))
+        assert collocation_matrix(n, xs)[1].shape[1] == width
+        self.assert_rows_match(n, xs, m, reuse)
+
+    @pytest.mark.parametrize("reuse", [True, False], ids=["cached", "streamed"])
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_band_is_the_whole_row(self, n, m, reuse):
+        xs = np.concatenate([grid_points(GridSpec()), [1e-9, 0.5]])
+        self.assert_rows_match(n, xs, m, reuse)
+
+    @pytest.mark.parametrize("reuse", [True, False], ids=["cached", "streamed"])
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("x", [0.0, 1.0])
+    def test_one_point_grid(self, x, m, reuse):
+        self.assert_rows_match(1024, np.array([x]), m, reuse)
+
+    def test_default_grid_at_degree_16384(self):
+        self.assert_rows_match(16384, grid_points(GridSpec()), 4, False)
+
+    @pytest.mark.parametrize("values", [np.zeros((2, 2, 9)), np.zeros((3, 1)), np.float64(1.0)],
+                             ids=["3-d", "degree-0", "0-d"])
+    def test_values_must_be_a_vector_or_a_stack(self, values):
+        for reuse in (True, False):
+            with pytest.raises(ValueError, match="vector of n\\+1"):
+                bernstein_apply(values, np.array([0.5]), reuse)
+
+
 class TestBuildSurrogate:
     def test_linear_is_sampled_unchanged(self):
         f = corpus_member("linear", W)
