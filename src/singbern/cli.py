@@ -311,9 +311,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         missing = [tf.name for tf in chosen if tf not in _rate_members(chosen)]
         if missing:
             raise ConfigError(f"--functions {','.join(missing)}: {_NO_RATE_TARGET}")
-    # each degree's band is read once, by all members together: stream it
-    results = run_function_sweep(chosen, w, lam, args.n_values, args.t_values, g, args.h_steps,
-                                 reuse=False)
+    results = run_function_sweep(chosen, w, lam, args.n_values, args.t_values, g, args.h_steps)
     passed = all(r["passed"] for r in results)
     doc = {
         "schema_version": SCHEMAS["schema_version"],

@@ -16,9 +16,8 @@ notes the skipped degrees, and hands the rows to a trend rule, by default
 its row function and, where it differs, its trend rule.  The direct-rate
 check reuses the same degree filter and degree loop, for a sequence of
 members at once: at each degree their surrogates are stacked and applied
-in one pass over the band, which ``sweep`` streams (``reuse=False``) and
-``check`` reads from the band cache, and each member gets the report of
-its own run.
+in one streamed pass over the band, which is never held whole, and each
+member gets the report of its own run.
 
 Rate targets are a closed form, not fitted numbers: for |x - xi|^beta
 under the weight |x - xi|^alpha the weighted error peaks at the bridge
@@ -449,7 +448,6 @@ def check_direct(
     lam: float = 0.0,
     n_values=DEFAULT_N_VALUES,
     g: GridSpec = GridSpec(),
-    reuse: bool = True,
 ) -> list:
     """Decay of the weighted approximation error across the degree sweep, one report per member.
 
@@ -458,16 +456,24 @@ def check_direct(
     n^(-1/2)) must match the member's closed-form target within
     RATE_TOLERANCE.  An error at most ROUNDING ||w f|| is noise: at every
     degree the check is trivial, at some an EvaluationError (no rate fit).
-
-    The members share the node grid of each degree, so the degree's
-    surrogates are stacked and applied in one pass over its band; ``reuse``
-    is passed on to ``bernstein_apply``.  The reports, and the error
-    raised, are those of one-member calls in member order: a member's
-    first domain error is held until its turn, and its later degrees are
-    skipped.
+    The reports, and the error raised, are those of one-member calls in
+    member order (``_direct_rows``).
     """
     members = list(members)
-    rows = [[] for _ in members]  # a member's rows, or the first error they raised
+    good, rows, notes = _direct_rows(members, w, lam, n_values, g)
+    return [_direct_report(f, w, lam, g, good, r, notes) for f, r in zip(members, rows)]
+
+
+def _direct_rows(members: list, w: SingularWeight, lam: float, n_values, g: GridSpec) -> tuple:
+    """The usable degrees, each member's direct-check rows, and the note on skipped degrees.
+
+    The members share the node grid of each degree, so the degree's
+    surrogates are stacked and applied in one streamed pass over its band,
+    which is never held whole.  A member's first domain error takes the
+    place of its rows, for ``_direct_report`` to raise in the member's
+    turn, and its later degrees are skipped.
+    """
+    rows = [[] for _ in members]
 
     def degree(n):
         xs = _node_grid(g, compute_nodes(n, w.xi))
@@ -480,7 +486,7 @@ def check_direct(
                 live.append(i)
             except _MEMBER_ERRORS as exc:
                 rows[i] = exc
-        applied = bernstein_apply(np.array(values), xs[xs != w.xi], reuse) if live else ()
+        applied = bernstein_apply(np.array(values), xs[xs != w.xi], reuse=False) if live else ()
         with np.errstate(divide="ignore"):
             factor = phi(xs) ** (-lam) * delta_n(n, xs) / math.sqrt(n)
         for i, bv in zip(live, applied):
@@ -497,7 +503,7 @@ def check_direct(
             rows[i].append(row)
 
     good, _, notes = _sweep_rows(n_values, degree, w.xi)  # degree() fills ``rows``
-    return [_direct_report(f, w, lam, g, good, r, notes) for f, r in zip(members, rows)]
+    return good, rows, notes
 
 
 def _direct_report(f: TestFunction, w: SingularWeight, lam: float, g: GridSpec, good, rows, notes) -> dict:
@@ -601,17 +607,20 @@ def run_function_sweep(
     t_values=DEFAULT_T_VALUES,
     g: GridSpec = GridSpec(),
     h_steps: int = 32,
-    reuse: bool = True,
 ) -> list:
     """Direct + inverse rate pipeline and their cross-consistency, one result per member.
 
-    The direct checks of all members run first, together (``check_direct``),
-    then each member's inverse check in member order.
+    The direct rows of all members are built together (``_direct_rows``);
+    then, member by member, the direct report and the inverse check, so
+    the error raised is the one one-member calls in member order raise.
     """
     members = list(members)
-    directs = check_direct(members, w, lam, n_values, g, reuse)
-    return [_sweep_result(f, direct, check_inverse(f, w, lam, t_values, g, h_steps))
-            for f, direct in zip(members, directs)]
+    good, rows, notes = _direct_rows(members, w, lam, n_values, g)
+    out = []
+    for f, r in zip(members, rows):
+        direct = _direct_report(f, w, lam, g, good, r, notes)
+        out.append(_sweep_result(f, direct, check_inverse(f, w, lam, t_values, g, h_steps)))
+    return out
 
 
 def _sweep_result(f: TestFunction, direct: dict, inverse: dict) -> dict:

@@ -17,13 +17,13 @@ joins each row's block sums with one exact two-sum accumulation.  It
 applies one coefficient vector or a stack of them: a stack shares each
 pass, and every vector gets the bits of its own apply.
 
-Where the band rows come from is the command's choice.  With ``reuse``,
-the default, they come from the cached block: ``check`` runs many
-checkers on the same (degree, grid) pairs.  With ``reuse=False`` the band
-is built pass by pass into one reused buffer, so only one pass of it is
-ever held: ``eval`` applies once, and ``sweep`` applies every member's
-surrogate in one stacked apply per degree.  Both sources give the same
-bits.
+Where the band rows come from is the caller's choice.  With ``reuse``,
+the default, they come from the cached block: ``check``'s lemma and
+theorem checkers read the same (degree, grid) bands many times.  With
+``reuse=False`` the band is built pass by pass into one reused buffer, so
+only one pass of it is ever held: ``eval`` applies once, and the direct
+check, in ``sweep`` and in ``check``, applies every member's surrogate in
+one stacked apply per degree.  Both sources give the same bits.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def bernstein_apply(values: np.ndarray, xs: np.ndarray, reuse: bool = True) -> n
     applied in one pass over the band, giving (m, len(xs)); each vector
     gets the same bits as its own apply.  With ``reuse`` the band comes
     from the ``collocation_matrix`` cache; without it the band is built
-    pass by pass and never held whole, for a caller that applies once.
+    pass by pass and never held whole, for a caller that reads it once.
     Both give the same bits.
     """
     values = np.asarray(values, dtype=float)

@@ -372,16 +372,23 @@ class TestBatchedDirect:
 
     MEMBERS = ("linear", "abs_beta_0.5", "abs_beta_1.0", "abs_beta_1.5")
 
-    @pytest.mark.parametrize("reuse", [True, False], ids=["cached", "streamed"])
-    def test_check_direct_equals_one_member_calls(self, reuse):
+    def test_check_direct_equals_one_member_calls(self):
         members = [corpus_member(name, W1) for name in self.MEMBERS]
-        together = check_direct(members, W1, 0.0, NS, G, reuse)
+        together = check_direct(members, W1, 0.0, NS, G)
         assert together == [check_direct([f], W1, 0.0, NS, G)[0] for f in members]
         assert [r["params"]["function"] for r in together] == list(self.MEMBERS)
 
+    def test_streams_its_bands(self):
+        from singbern.operators import _cached_band
+
+        before = _cached_band.cache_info()
+        check_direct([corpus_member(name, W1) for name in self.MEMBERS], W1, 0.0, NS, G)
+        after = _cached_band.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
     def test_run_function_sweep_equals_one_member_calls(self):
         members = [corpus_member(name, DEFAULT_WEIGHT) for name in self.MEMBERS]
-        together = run_function_sweep(members, DEFAULT_WEIGHT, 0.0, NS, g=G, reuse=False)
+        together = run_function_sweep(members, DEFAULT_WEIGHT, 0.0, NS, g=G)
         assert together == [run_function_sweep([f], DEFAULT_WEIGHT, 0.0, NS, g=G)[0] for f in members]
 
     def test_no_members_no_reports(self):
@@ -408,6 +415,17 @@ class TestBatchedDirect:
         errors.append(str(exc.value))
         assert errors[0] != errors[1]
         assert errors[2] == errors[3] == errors[0]
+
+    def test_earlier_members_inverse_error_comes_before_later_members_direct_error(self, monkeypatch):
+        import singbern.experiments as experiments
+
+        def check_inverse(f, *args):
+            raise EvaluationError(f"inverse of {f.name}")
+
+        monkeypatch.setattr(experiments, "check_inverse", check_inverse)
+        good = corpus_member("abs_beta_1.0", DEFAULT_WEIGHT)
+        with pytest.raises(EvaluationError, match="inverse of abs_beta_1.0"):
+            run_function_sweep([good, _failing_member("late", 0.25)], DEFAULT_WEIGHT, 0.0, NS, g=G)
 
     def test_too_few_usable_degrees_is_one_error_for_all(self):
         members = [corpus_member(name, DEFAULT_WEIGHT) for name in self.MEMBERS]
