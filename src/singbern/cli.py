@@ -23,16 +23,11 @@ from .experiments import (
     DEFAULT_N_VALUES,
     DEFAULT_T_VALUES,
     DEFAULT_WEIGHT,
-    check_direct,
+    band_checks,
     check_inverse,
-    check_lemma1,
-    check_lemma2,
-    check_lemma4,
     check_lemma5,
     check_lemma6,
     check_lemma7,
-    check_theorem1,
-    check_theorem2,
     run_function_sweep,
     w2_members,
 )
@@ -181,7 +176,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     nodes.require_valid()
     xs = grid_points(g, w.xi, extra=(nodes.x1, nodes.x2, nodes.x3, nodes.x4))
     fv = np.asarray(f(xs), dtype=float)
-    bv = bbar_apply(f, args.n, w, xs, reuse=False)  # one apply: stream the band
+    bv = bbar_apply(f, args.n, w, xs)
     werr = np.abs(w(xs) * (fv - bv))
     rows = [
         {"x": float(x), "f": float(a), "bbar": float(b), "weighted_error": float(e)}
@@ -225,47 +220,50 @@ def _rate_members(members):
     return [tf for tf in members if tf.expected_alpha0 is not None or tf.name == "linear"]
 
 
-def _run_checker(which: str, args: argparse.Namespace, w, g):
+def _band_plan(args, members) -> dict:
+    """The members of each checker named by ``--which`` that reads a band (see ``band_checks``)."""
+    plan = {
+        "lemma1": None, "lemma4": None, "lemma2": members, "theorem1": members,
+        "theorem2 cw": members if args.branch in ("cw", "both") else [],
+        "theorem2 w2": w2_members(members) if args.branch in ("w2", "both") else [],
+        "direct": _rate_members(members),
+    }
+    return {name: m for name, m in plan.items() if name.split()[0] in args.which}
+
+
+def _run_checker(which: str, args: argparse.Namespace, w, g, members, band_reports):
     lam, n_values, sel = args.lam, args.n_values, args.f
-    members = corpus(w, lam) if sel == "all" else [_member(sel, w, lam)]
-    if which == "lemma1":
-        return [check_lemma1(n_values, g, args.u, args.v)]
-    if which == "lemma4":
-        return [check_lemma4(n_values, g, args.gamma)]
+    if which in ("lemma1", "lemma2", "lemma4", "theorem1"):
+        return list(band_reports(which))
+    if which == "theorem2":
+        return [*band_reports("theorem2 cw"), *band_reports("theorem2 w2")]
     if which == "lemma5":
         return [check_lemma5(w, n_values, g)]
     if which == "lemma6":
         return [check_lemma6(w, args.beta, n_values, g)]
-    if which == "lemma2":
-        return [check_lemma2(tf, w, n_values, g) for tf in members]
-    if which == "theorem1":
-        return [check_theorem1(tf, w, n_values, g) for tf in members]
     if which == "lemma7":
         usable = w2_members(members)
         if sel != "all" and not usable:
             raise ConfigError(f"--f {sel}: not usable by lemma7 (needs a smooth second derivative)")
         return [check_lemma7(tf, w, lam, n_values, g) for tf in usable]
-    if which == "theorem2":
-        out = []
-        if args.branch in ("cw", "both"):
-            out += [check_theorem2(tf, w, lam, "cw", n_values, g) for tf in members]
-        if args.branch in ("w2", "both"):
-            out += [check_theorem2(tf, w, lam, "w2", n_values, g) for tf in w2_members(members)]
-        return out
     usable = _rate_members(members)
     if not usable:
         raise ConfigError(f"--f {sel}: {_NO_RATE_TARGET}")
     if which == "direct":
-        return check_direct(usable, w, lam, n_values, g)
+        return list(band_reports("direct"))
     return [check_inverse(tf, w, lam, args.t_values, g, args.h_steps) for tf in usable]
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     w, g = _weight_and_grid(args)
+    members = corpus(w, args.lam) if args.f == "all" else [_member(args.f, w, args.lam)]
+    # checkers that read the same (degree, grid) band share one streamed pass over it
+    band_reports = band_checks(_band_plan(args, members), w, args.lam, args.n_values, g,
+                               args.u, args.v, args.gamma)
     reports = []
     for name in args.which:
         try:
-            reports += _run_checker(name, args, w, g)
+            reports += _run_checker(name, args, w, g, members, band_reports)
         except ArithmeticError as exc:
             raise ArithmeticError(f"check {name}: {exc}") from exc
     passed = all(r["passed"] for r in reports)

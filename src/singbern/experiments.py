@@ -8,16 +8,21 @@ at most ``max_slope``) and the ratios must hug their own fitted trend
 ratios that decay (an over-generous majorant) would otherwise fail a raw
 max/median test despite being the strongest form of boundedness.
 
-All bounded-ratio checkers share one sweep skeleton, ``_check``: it keeps
-the degrees with valid bridge nodes (when the check involves the
-singularity), builds one row per degree with the checker's row function,
-notes the skipped degrees, and hands the rows to a trend rule, by default
-``trend_summary`` on the rows' ``ratio``.  A checker is its parameters,
-its row function and, where it differs, its trend rule.  The direct-rate
-check reuses the same degree filter and degree loop, for a sequence of
-members at once: at each degree their surrogates are stacked and applied
-in one streamed pass over the band, which is never held whole, and each
-member gets the report of its own run.
+All bounded-ratio checkers share one sweep skeleton: ``_sweep_rows``
+keeps the degrees with valid bridge nodes (when the check involves the
+singularity) and builds one row per degree, and ``_trend_report`` hands
+the rows to a trend rule, by default ``trend_summary`` on the rows'
+``ratio``.  A checker is its parameters, its row function and, where it
+differs, its trend rule.
+
+Every command streams its bands, and checkers that read the same
+(degree, grid) band share one pass over it (``band_checks``): lemma1 and
+lemma4 on the interior grid at degree n, lemma2 and the direct-rate
+check on the node grid at n, theorem1 and theorem2 on the node grid at
+n - 2.  At each degree the members' vectors are stacked into one
+streamed apply, whose band is never held whole, and each checker's row
+function reads its member's result.  Each checker still gets the
+reports, and raises the error, of one-member runs in member order.
 
 Rate targets are a closed form, not fitted numbers: for |x - xi|^beta
 under the weight |x - xi|^alpha the weighted error peaks at the bridge
@@ -36,19 +41,14 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
 from .bridge import InvalidNodesError, chord, compute_nodes, min_valid_n
 from .moduli import ladder_moduli
-from .operators import (
-    bbar_apply,
-    bbar_second_derivative,
-    bernstein_apply,
-    build_surrogate,
-    collocation_matrix,
-)
-from .basis import basis_values, block_sum
+from .operators import _band_sum, _block_sums, bbar_second_derivative, bernstein_apply, build_surrogate
+from .basis import _band_grid, _band_passes, _two_sum_total, band_start, basis_values, block_sum
 from .weight import (
     EvaluationError,
     GridSpec,
@@ -69,6 +69,7 @@ __all__ = [
     "fit_rate",
     "trend_summary",
     "w2_members",
+    "band_checks",
     "check_lemma1",
     "check_lemma2",
     "check_lemma4",
@@ -98,7 +99,7 @@ RATE_TOLERANCE = 0.15
 INVERSE_SLOPE_SLACK = 0.15
 CONSISTENCY_TOLERANCE = 0.2
 SATURATION_EXPONENT = 2.0
-# a member's domain errors, held by the batched direct check until the member's turn
+# a member's domain errors, held by a shared band pass until the member's turn
 _MEMBER_ERRORS = (EvaluationError, ArithmeticError)
 # above the operators' stated rounding bounds, and 8x above a 31 eps ||w f|| direct error on a 19-point grid
 ROUNDING = 256.0 * np.finfo(float).eps
@@ -219,10 +220,14 @@ def _ratio_trend(ns, rows, key: str = "ratio", **bounds) -> dict:
     return trend_summary(ns, [r[key] for r in rows], **bounds)
 
 
+def _trend_report(name, params, trend=_ratio_trend):
+    """The report maker of a bounded-ratio check: a trend verdict on its rows over the usable degrees."""
+    return lambda good, rows, notes: _report(name, params, rows, notes=notes, **trend(good, rows))
+
+
 def _check(name, params, n_values, row, xi=None, trend=_ratio_trend) -> dict:
     """The bounded-ratio sweep: rows over the usable degrees, then a trend verdict."""
-    good, rows, notes = _sweep_rows(n_values, row, xi)
-    return _report(name, params, rows, notes=notes, **trend(good, rows))
+    return _trend_report(name, params, trend)(*_sweep_rows(n_values, row, xi))
 
 
 def _interior_grid(g: GridSpec, xi: float | None = None) -> np.ndarray:
@@ -230,31 +235,266 @@ def _interior_grid(g: GridSpec, xi: float | None = None) -> np.ndarray:
     return xs[(xs > 0.0) & (xs < 1.0)]
 
 
+def _node_grid(g: GridSpec, nd) -> np.ndarray:
+    """The grid of ``g`` plus the four bridge nodes, without xi, where every weighted value is 0."""
+    xs = grid_points(g, nd.xi, extra=(nd.x1, nd.x2, nd.x3, nd.x4))
+    return xs[xs != nd.xi]
+
+
+def _held(compute):
+    """``compute()``, or the domain error it raises, held for its checker's turn."""
+    try:
+        return compute()
+    except _MEMBER_ERRORS as exc:
+        return exc
+
+
+def _shared_rows(readers, n_values, xi, degree) -> tuple:
+    """The usable degrees, each reader's rows and the note on skipped degrees, one band pass per degree.
+
+    ``readers`` are (key, row) pairs, ``row`` a held error or ``row(n, xs,
+    value)``; ``degree(n, keys)`` gives the grid and each live key's value
+    on it, or its error, from one pass over the band.  A reader's first
+    error takes the place of its rows and ends them.  Too few usable
+    degrees give their InvalidNodesError in place of the degrees.
+    """
+    rows = [row if isinstance(row, _MEMBER_ERRORS) else [] for _, row in readers]
+
+    def step(n):
+        live = [i for i, r in enumerate(rows) if isinstance(r, list)]
+        keys = list(dict.fromkeys(readers[i][0] for i in live))
+        xs, values = degree(n, keys) if keys else (None, ())
+        values = dict(zip(keys, values))
+        for i in live:
+            key, row = readers[i]
+            got = values[key]
+            if not isinstance(got, _MEMBER_ERRORS):
+                got = _held(partial(row, n, xs, got))
+            if isinstance(got, _MEMBER_ERRORS):
+                rows[i] = got
+            else:
+                rows[i].append(got)
+
+    try:
+        good, _, notes = _sweep_rows(n_values, step, xi)
+    except InvalidNodesError as exc:
+        return exc, rows, ""
+    return good, rows, notes
+
+
+def _interior_degree(c):
+    """``degree`` on the interior grid: lemma1's band sums of its weights and lemma4's central moments.
+
+    lemma4 sums the 64-column blocks of each pass of band rows as it comes,
+    and joins them as ``block_sum`` does.
+    """
+    xs = _interior_grid(c.g)
+
+    def degree(n, names):
+        n, _, width = _band_grid(n, xs)
+        start, cols, sums = band_start(n, xs), np.arange(width), None
+        blocks = np.empty((xs.size, -(-width // 64)))
+
+        def passes():
+            for sl, B in _band_passes(n, xs, width):
+                if "lemma4" in names:
+                    _block_sums(B * np.abs(start[sl, None] + cols - n * xs[sl, None]) ** c.gamma, blocks[sl])
+                yield sl, B
+
+        if "lemma1" in names:
+            k = np.arange(1, n)
+            weights = np.zeros(n + 1)
+            weights[1:n] = (k / n) ** (-c.u) * ((n - k) / n) ** (-c.v)
+            sums = _band_sum(weights, start, width, passes())
+        else:
+            for _ in passes():
+                pass
+        moments = _two_sum_total(blocks.T) if "lemma4" in names else None
+        return xs, [sums if name == "lemma1" else moments for name in names]
+
+    return degree
+
+
+def _node_degree(c, second: bool = False):
+    """``degree`` on the node grid: each member's Bbar_n f or, ``second``, its noise-ruled (Bbar_n f)''.
+
+    All members' surrogates go through one stacked streamed apply, over
+    the band of degree n (n - 2 for the second derivative).
+    """
+
+    def degree(n, members):
+        xs = _node_grid(c.g, compute_nodes(n, c.w.xi))
+        values = [_held(partial(build_surrogate, f, n, c.w)) for f in members]
+        ok = [v for v in values if not isinstance(v, _MEMBER_ERRORS)]
+        apply = bbar_second_derivative if second else bernstein_apply
+        applied = iter(apply(np.array(ok), xs) if ok else ())
+        out = [v if isinstance(v, _MEMBER_ERRORS) else next(applied) for v in values]
+        for v, d2 in zip(values, out):
+            if second and not isinstance(v, _MEMBER_ERRORS):
+                d2[np.abs(d2) <= ROUNDING * n * (n - 1.0) * float(np.max(np.abs(v)))] = 0.0
+        return xs, out
+
+    return degree
+
+
+# A band checker's maker takes its key (its member, or its own name) and
+# the run's parameters and returns its row(n, xs, value) and its report.
+def _lemma1(_, c):
+    def row(n, xs, sums):
+        return {"n": n, "ratio": float(np.max(sums / (xs ** (-c.u) * (1.0 - xs) ** (-c.v))))}
+
+    return row, _trend_report("lemma1", {"u": c.u, "v": c.v, "grid": c.g.key()})
+
+
+def _lemma4(_, c):
+    def row(n, xs, moments):
+        return {"n": n, "ratio": float(np.max(moments / (n ** (c.gamma / 2.0) * phi(xs) ** c.gamma)))}
+
+    return row, _trend_report("lemma4", {"gamma": c.gamma, "grid": c.g.key()})
+
+
+def _params(f, c, **extra) -> dict:
+    return {"function": f.name, "xi": c.w.xi, "alpha": c.w.alpha, **extra, "grid": c.g.key()}
+
+
+def _lemma2(f, c):
+    fnorm = weighted_sup_norm(f, c.w, c.g)
+
+    def row(n, xs, bv):
+        return {"n": n, "ratio": float(np.max(np.abs(c.w(xs) * bv))) / fnorm}
+
+    return row, _trend_report("lemma2", _params(f, c))
+
+
+def _direct(f, c):
+    w, lam, target = c.w, c.lam, f.expected_alpha0
+
+    def row(n, xs, bv):
+        err = np.abs(weighted_values(lambda x: f(x) - bv, w, xs))
+        out = {"n": n, "max_weighted_error": float(np.max(err))}
+        if target is not None:
+            with np.errstate(divide="ignore"):
+                power = (phi(xs) ** (-lam) * delta_n(n, xs) / math.sqrt(n)) ** target
+            out["normalized_error"] = float(np.max(np.where(np.isfinite(power), err / power, 0.0)))
+        return out
+
+    return row, partial(_direct_report, f, w, lam, c.g)
+
+
+def _weighted_d2(d2, xs, w: SingularWeight, lam: float) -> np.ndarray:
+    return np.abs(w(xs) * phi(xs) ** (2.0 * lam) * d2)
+
+
+def _majorant_ratio(num: float, den: float) -> float:
+    """num / den, where 0 / 0 is 0 (both sides vanish) and num / 0 is inf."""
+    if den == 0.0:
+        return 0.0 if num == 0.0 else math.inf
+    return num / den
+
+
+def _theorem1(f, c):
+    fnorm = weighted_sup_norm(f, c.w, c.g)
+
+    def row(n, xs, d2):
+        num = _weighted_d2(d2, xs, c.w, 0.0)
+        return {"n": n, "ratio": _majorant_ratio(float(np.max(num)), float(n) ** 2.0 * fnorm)}
+
+    return row, _trend_report("theorem1", _params(f, c), partial(_ratio_trend, max_slope=0.1))
+
+
+def _theorem2_w2(f, c):
+    w, lam = c.w, c.lam
+
+    def row(n, xs, d2):
+        num = _weighted_d2(d2, xs, w, lam)
+        curv = np.abs(weighted_values(lambda x: phi(x) ** (2.0 * lam) * f.second_derivative(x), w, xs))
+        return {"n": n, "ratio": _majorant_ratio(float(np.max(num)), float(np.max(curv)))}
+
+    return row, _trend_report("theorem2", _params(f, c, **{"lambda": lam, "branch": "w2"}))
+
+
+def _theorem2_cw(f, c):
+    w, lam, fnorm = c.w, c.lam, weighted_sup_norm(f, c.w, c.g)
+
+    def row(n, xs, d2):
+        num = _weighted_d2(d2, xs, w, lam)
+        with np.errstate(divide="ignore"):
+            majorant = n * np.maximum(n ** (1.0 - lam), phi(xs) ** (2.0 * (lam - 1.0))) * fnorm
+            pointwise = float(np.max(np.where(np.isfinite(majorant), num / majorant, 0.0)))
+        uniform_major = n ** (2.0 - lam) * fnorm
+        small = phi(xs) <= 1.0 / math.sqrt(n)
+        r_small = float(np.max(num[small]) / uniform_major) if small.any() else 0.0
+        r_large = float(np.max(num[~small]) / uniform_major) if (~small).any() else 0.0
+        return {"n": n, "ratio": pointwise, "ratio_small_phi": r_small, "ratio_large_phi": r_large}
+
+    def trend(ns, rows):
+        summary = _ratio_trend(ns, rows)
+        regimes = {f"regime_{k}": _ratio_trend(ns, rows, f"ratio_{k}") for k in ("small_phi", "large_phi")}
+        summary["passed"] = summary["passed"] and all(s["passed"] for s in regimes.values())
+        return {**summary, **regimes}
+
+    return row, _trend_report("theorem2", _params(f, c, **{"lambda": lam, "branch": "cw"}), trend)
+
+
+# every checker that reads a (degree, grid) band: its grid and its maker
+_BAND_CHECKERS = {
+    "lemma1": ("interior", _lemma1), "lemma4": ("interior", _lemma4),
+    "lemma2": ("node", _lemma2), "direct": ("node", _direct),
+    "theorem1": ("d2", _theorem1), "theorem2 cw": ("d2", _theorem2_cw), "theorem2 w2": ("d2", _theorem2_w2),
+}
+_DEGREES = {"interior": _interior_degree, "node": _node_degree, "d2": partial(_node_degree, second=True)}
+
+
+def band_checks(plan: dict, w: SingularWeight = DEFAULT_WEIGHT, lam: float = 0.0, n_values=DEFAULT_N_VALUES,
+                g: GridSpec = GridSpec(), u: float = 1.0, v: float = 0.0, gamma: float = 2.0):
+    """``reports(name)`` for the checkers of ``plan`` that read a band; each band is streamed once.
+
+    ``plan`` maps "lemma2", "direct", "theorem1", "theorem2 cw" and
+    "theorem2 w2" to their members, and "lemma1" and "lemma4" to None.
+    The checkers on one grid share one pass over each degree's band:
+    lemma1 and lemma4 on the interior grid at degree n, lemma2 and direct
+    on the node grid at n, theorem1 and theorem2 on it at n - 2.  The
+    first report of a grid builds the rows of all its planned checkers.
+    ``reports(name)`` yields the reports of one-member runs in member
+    order, and raises the error they raise, where they raise it.
+    """
+    c = SimpleNamespace(w=w, lam=lam, g=g, u=u, v=v, gamma=gamma)
+    built = {}
+
+    def reports(name):
+        grid = _BAND_CHECKERS[name][0]
+        if grid not in built:
+            specs = [(checker, key, _held(partial(make, key, c)))
+                     for checker, (on, make) in _BAND_CHECKERS.items() if on == grid and checker in plan
+                     for key in ([checker] if plan[checker] is None else plan[checker])]
+            readers = [(key, s if isinstance(s, _MEMBER_ERRORS) else s[0]) for _, key, s in specs]
+            xi = None if grid == "interior" else w.xi
+            built[grid] = specs, _shared_rows(readers, n_values, xi, _DEGREES[grid](c))
+        specs, (good, rows, notes) = built[grid]
+        for (checker, _, spec), r in zip(specs, rows):
+            if checker == name:
+                if isinstance(r, _MEMBER_ERRORS):
+                    raise r
+                if isinstance(good, InvalidNodesError):
+                    raise good
+                yield spec[1](good, r, notes)
+
+    return reports
+
+
+def _band_check(name, members, **kw) -> list:
+    """One band checker's reports for ``members``, run alone."""
+    return list(band_checks({name: members}, **kw)(name))
+
+
 def check_lemma1(n_values=DEFAULT_N_VALUES, g: GridSpec = GridSpec(), u: float = 1.0, v: float = 0.0) -> dict:
     """Inverse-power moment sums against x^-u (1-x)^-v, ratio per degree."""
-    xs = _interior_grid(g)
-
-    def row(n):
-        k = np.arange(1, n)
-        weights = np.zeros(n + 1)
-        weights[1:n] = (k / n) ** (-u) * ((n - k) / n) ** (-v)
-        sums = bernstein_apply(weights, xs)
-        return {"n": n, "ratio": float(np.max(sums / (xs ** (-u) * (1.0 - xs) ** (-v))))}
-
-    return _check("lemma1", {"u": u, "v": v, "grid": g.key()}, n_values, row)
+    return _band_check("lemma1", None, n_values=n_values, g=g, u=u, v=v)[0]
 
 
 def check_lemma4(n_values=DEFAULT_N_VALUES, g: GridSpec = GridSpec(), gamma: float = 2.0) -> dict:
     """Central absolute moments against (n^(1/2) phi)^gamma, ratio per degree."""
-    xs = _interior_grid(g)
-
-    def row(n):
-        start, B = collocation_matrix(n, xs)
-        k0, nx, cols = start[:, None], n * xs[:, None], np.arange(B.shape[1])
-        sums = block_sum(lambda sl: B[:, sl] * np.abs(k0 + cols[sl] - nx) ** gamma, B.shape[1])
-        return {"n": n, "ratio": float(np.max(sums / (n ** (gamma / 2.0) * phi(xs) ** gamma)))}
-
-    return _check("lemma4", {"gamma": gamma, "grid": g.key()}, n_values, row)
+    return _band_check("lemma4", None, n_values=n_values, g=g, gamma=gamma)[0]
 
 
 def _window(n: int, xi: float) -> np.ndarray:
@@ -330,69 +570,18 @@ def check_lemma7(
     return _check("lemma7", params, n_values, row, w.xi)
 
 
-def _node_grid(g: GridSpec, nd) -> np.ndarray:
-    """The grid of ``g`` plus the four bridge nodes."""
-    return grid_points(g, nd.xi, extra=(nd.x1, nd.x2, nd.x3, nd.x4))
-
-
-def check_lemma2(
-    f: TestFunction,
-    w: SingularWeight,
-    n_values=DEFAULT_N_VALUES,
-    g: GridSpec = GridSpec(),
-) -> dict:
+def check_lemma2(f: TestFunction, w: SingularWeight, n_values=DEFAULT_N_VALUES, g: GridSpec = GridSpec()) -> dict:
     """Operator stability: the weighted norm ratio of image to input."""
-    fnorm = weighted_sup_norm(f, w, g)
-
-    def row(n):
-        xs = _node_grid(g, compute_nodes(n, w.xi))
-        return {"n": n, "ratio": float(np.max(np.abs(w(xs) * bbar_apply(f, n, w, xs)))) / fnorm}
-
-    params = {"function": f.name, "xi": w.xi, "alpha": w.alpha, "grid": g.key()}
-    return _check("lemma2", params, n_values, row, w.xi)
+    return _band_check("lemma2", [f], w=w, n_values=n_values, g=g)[0]
 
 
-def _weighted_d2(f, n: int, w: SingularWeight, lam: float, g: GridSpec):
-    """The node grid and |w phi^(2 lam) (Bbar_n f)''| on it, with the noise rule applied to (Bbar_n f)''."""
-    values = build_surrogate(f, n, w)
-    xs = _node_grid(g, compute_nodes(n, w.xi))
-    d2 = bbar_second_derivative(values, xs)
-    d2[np.abs(d2) <= ROUNDING * n * (n - 1.0) * float(np.max(np.abs(values)))] = 0.0
-    return xs, np.abs(w(xs) * phi(xs) ** (2.0 * lam) * d2)
-
-
-def _majorant_ratio(num: float, den: float) -> float:
-    """num / den, where 0 / 0 is 0 (both sides vanish) and num / 0 is inf."""
-    if den == 0.0:
-        return 0.0 if num == 0.0 else math.inf
-    return num / den
-
-
-def check_theorem1(
-    f: TestFunction,
-    w: SingularWeight,
-    n_values=DEFAULT_N_VALUES,
-    g: GridSpec = GridSpec(),
-) -> dict:
+def check_theorem1(f: TestFunction, w: SingularWeight, n_values=DEFAULT_N_VALUES, g: GridSpec = GridSpec()) -> dict:
     """Second-derivative norm against n^2 times the input norm."""
-    fnorm = weighted_sup_norm(f, w, g)
-
-    def row(n):
-        _, num = _weighted_d2(f, n, w, 0.0, g)
-        return {"n": n, "ratio": _majorant_ratio(float(np.max(num)), float(n) ** 2.0 * fnorm)}
-
-    params = {"function": f.name, "xi": w.xi, "alpha": w.alpha, "grid": g.key()}
-    return _check("theorem1", params, n_values, row, w.xi, partial(_ratio_trend, max_slope=0.1))
+    return _band_check("theorem1", [f], w=w, n_values=n_values, g=g)[0]
 
 
-def check_theorem2(
-    f: TestFunction,
-    w: SingularWeight,
-    lam: float = 0.0,
-    branch: str = "cw",
-    n_values=DEFAULT_N_VALUES,
-    g: GridSpec = GridSpec(),
-) -> dict:
+def check_theorem2(f: TestFunction, w: SingularWeight, lam: float = 0.0, branch: str = "cw",
+                   n_values=DEFAULT_N_VALUES, g: GridSpec = GridSpec()) -> dict:
     """Weighted second-derivative bound on w phi^(2 lam) (Bbar_n f)'', either class.
 
     The w2 branch divides by ||w phi^(2 lam) f''|| on the same grid and
@@ -405,50 +594,13 @@ def check_theorem2(
         raise ValueError(f"unknown branch {branch!r}")
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lam must lie in [0, 1]")
-    params = {
-        "function": f.name, "xi": w.xi, "alpha": w.alpha, "lambda": lam,
-        "branch": branch, "grid": g.key(),
-    }
-    if branch == "w2":
-        if not f.has_second_derivative:
-            raise ValueError(f"{f.name!r} lacks a second derivative")
-
-        def w2_row(n):
-            xs, num = _weighted_d2(f, n, w, lam, g)
-            curv = np.abs(weighted_values(lambda x: phi(x) ** (2.0 * lam) * f.second_derivative(x), w, xs))
-            return {"n": n, "ratio": _majorant_ratio(float(np.max(num)), float(np.max(curv)))}
-
-        return _check("theorem2", params, n_values, w2_row, w.xi)
-
-    fnorm = weighted_sup_norm(f, w, g)
-
-    def row(n):
-        xs, num = _weighted_d2(f, n, w, lam, g)
-        with np.errstate(divide="ignore"):
-            majorant = n * np.maximum(n ** (1.0 - lam), phi(xs) ** (2.0 * (lam - 1.0))) * fnorm
-            pointwise = float(np.max(np.where(np.isfinite(majorant), num / majorant, 0.0)))
-        uniform_major = n ** (2.0 - lam) * fnorm
-        small = phi(xs) <= 1.0 / math.sqrt(n)
-        r_small = float(np.max(num[small]) / uniform_major) if small.any() else 0.0
-        r_large = float(np.max(num[~small]) / uniform_major) if (~small).any() else 0.0
-        return {"n": n, "ratio": pointwise, "ratio_small_phi": r_small, "ratio_large_phi": r_large}
-
-    def trend(ns, rows):
-        summary = _ratio_trend(ns, rows)
-        regimes = {f"regime_{k}": _ratio_trend(ns, rows, f"ratio_{k}") for k in ("small_phi", "large_phi")}
-        summary["passed"] = summary["passed"] and all(s["passed"] for s in regimes.values())
-        return {**summary, **regimes}
-
-    return _check("theorem2", params, n_values, row, w.xi, trend)
+    if branch == "w2" and not f.has_second_derivative:
+        raise ValueError(f"{f.name!r} lacks a second derivative")
+    return _band_check(f"theorem2 {branch}", [f], w=w, lam=lam, n_values=n_values, g=g)[0]
 
 
-def check_direct(
-    members,
-    w: SingularWeight,
-    lam: float = 0.0,
-    n_values=DEFAULT_N_VALUES,
-    g: GridSpec = GridSpec(),
-) -> list:
+def check_direct(members, w: SingularWeight, lam: float = 0.0, n_values=DEFAULT_N_VALUES,
+                 g: GridSpec = GridSpec()) -> list:
     """Decay of the weighted approximation error across the degree sweep, one report per member.
 
     The error normalized by the local rate factor to the target power must
@@ -457,59 +609,13 @@ def check_direct(
     RATE_TOLERANCE.  An error at most ROUNDING ||w f|| is noise: at every
     degree the check is trivial, at some an EvaluationError (no rate fit).
     The reports, and the error raised, are those of one-member calls in
-    member order (``_direct_rows``).
+    member order.
     """
-    members = list(members)
-    good, rows, notes = _direct_rows(members, w, lam, n_values, g)
-    return [_direct_report(f, w, lam, g, good, r, notes) for f, r in zip(members, rows)]
-
-
-def _direct_rows(members: list, w: SingularWeight, lam: float, n_values, g: GridSpec) -> tuple:
-    """The usable degrees, each member's direct-check rows, and the note on skipped degrees.
-
-    The members share the node grid of each degree, so the degree's
-    surrogates are stacked and applied in one streamed pass over its band,
-    which is never held whole.  A member's first domain error takes the
-    place of its rows, for ``_direct_report`` to raise in the member's
-    turn, and its later degrees are skipped.
-    """
-    rows = [[] for _ in members]
-
-    def degree(n):
-        xs = _node_grid(g, compute_nodes(n, w.xi))
-        live, values = [], []
-        for i, f in enumerate(members):
-            if isinstance(rows[i], _MEMBER_ERRORS):
-                continue
-            try:
-                values.append(build_surrogate(f, n, w))
-                live.append(i)
-            except _MEMBER_ERRORS as exc:
-                rows[i] = exc
-        applied = bernstein_apply(np.array(values), xs[xs != w.xi], reuse=False) if live else ()
-        with np.errstate(divide="ignore"):
-            factor = phi(xs) ** (-lam) * delta_n(n, xs) / math.sqrt(n)
-        for i, bv in zip(live, applied):
-            f, target = members[i], members[i].expected_alpha0
-            try:
-                err = np.abs(weighted_values(lambda x: f(x) - bv, w, xs))
-            except _MEMBER_ERRORS as exc:
-                rows[i] = exc
-                continue
-            row = {"n": n, "max_weighted_error": float(np.max(err))}
-            if target is not None:
-                power = factor ** target
-                row["normalized_error"] = float(np.max(np.where(np.isfinite(power), err / power, 0.0)))
-            rows[i].append(row)
-
-    good, _, notes = _sweep_rows(n_values, degree, w.xi)  # degree() fills ``rows``
-    return good, rows, notes
+    return _band_check("direct", list(members), w=w, lam=lam, n_values=n_values, g=g)
 
 
 def _direct_report(f: TestFunction, w: SingularWeight, lam: float, g: GridSpec, good, rows, notes) -> dict:
-    """One member's direct-rate report from its rows over the usable degrees ``good``, or its held error."""
-    if isinstance(rows, _MEMBER_ERRORS):
-        raise rows
+    """One member's direct-rate report from its rows over the usable degrees ``good``."""
     target = f.expected_alpha0
     params = {"function": f.name, "xi": w.xi, "alpha": w.alpha, "lambda": lam, "grid": g.key()}
     e_max_seq = [r["max_weighted_error"] for r in rows]
@@ -610,17 +716,13 @@ def run_function_sweep(
 ) -> list:
     """Direct + inverse rate pipeline and their cross-consistency, one result per member.
 
-    The direct rows of all members are built together (``_direct_rows``);
+    The direct rows of all members are built together (``band_checks``);
     then, member by member, the direct report and the inverse check, so
     the error raised is the one one-member calls in member order raise.
     """
     members = list(members)
-    good, rows, notes = _direct_rows(members, w, lam, n_values, g)
-    out = []
-    for f, r in zip(members, rows):
-        direct = _direct_report(f, w, lam, g, good, r, notes)
-        out.append(_sweep_result(f, direct, check_inverse(f, w, lam, t_values, g, h_steps)))
-    return out
+    direct = band_checks({"direct": members}, w, lam, n_values, g)("direct")
+    return [_sweep_result(f, d, check_inverse(f, w, lam, t_values, g, h_steps)) for f, d in zip(members, direct)]
 
 
 def _sweep_result(f: TestFunction, direct: dict, inverse: dict) -> dict:

@@ -408,7 +408,7 @@ def test_concurrent_calls_share_no_scratch():
         n, x = job
         values = np.sin(np.arange(n + 1.0))
         return (basis_matrix(n, x), basis_values(n, x[:, None], np.arange(0, n + 1, 97)[None, :]),
-                bernstein_apply(values, x, reuse=False))
+                bernstein_apply(values, x))
 
     want = [run(job) for job in jobs]
     interval = sys.getswitchinterval()
@@ -442,7 +442,7 @@ def test_one_k_table_per_streamed_apply(monkeypatch, n):
 
     real, calls = basis._log_const_table, []
     monkeypatch.setattr(basis, "_log_const_table", lambda *a: calls.append(1) or real(*a))
-    bernstein_apply(np.ones(n + 1), grid_points(GridSpec()), reuse=False)
+    bernstein_apply(np.ones(n + 1), grid_points(GridSpec()))
     assert len(calls) == 1
 
 

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from singbern.cli import main
+from singbern.cli import CHECK_NAMES, main
+from singbern.weight import TestFunction, corpus_member
 
 
 def run_cli(capsys, *argv):
@@ -226,6 +227,44 @@ class TestCheck:
         assert code == 2
         assert "lemma99" in err
 
+    def test_all_equals_one_checker_runs_with_xi_on_the_grid(self, capsys):
+        # checkers share their band passes without changing a report; 0.5
+        # is a point of the uniform grid, where the weight vanishes
+        argv = ("--grid-placement", "uniform", "--n-values", "64,128,256", "--grid-count", "129",
+                "--format", "json")
+        code, out, _ = run_cli(capsys, "check", "--which", "all", *argv)
+        alone = []
+        for name in CHECK_NAMES:
+            alone += json.loads(run_cli(capsys, "check", "--which", name, *argv)[1])["reports"]
+        assert code in (0, 1)
+        assert json.loads(out)["reports"] == alone
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("which, first", [("theorem1,theorem2", "theorem1"), ("theorem2,lemma2", "theorem2")])
+    @pytest.mark.parametrize("error", ["non-finite", "overflow"])
+    def test_first_checker_raises_its_first_failing_members_error(self, capsys, monkeypatch, which, first, error):
+        # ``early`` fails where its surrogate samples x = 0.375 (n = 128),
+        # ``late``, after it, at x = 0.25 (n = 64): the first checker named
+        # raises early's error, as checkers run one member at a time would
+        import singbern.cli as cli
+
+        real, base = cli.corpus, corpus_member("abs_beta_1.0", cli.DEFAULT_WEIGHT)
+
+        def member(name, bad_x):
+            def f(x):
+                x = np.asarray(x, dtype=float)
+                if error == "overflow" and np.any(x == bad_x):
+                    raise OverflowError(f"{name} overflows at {bad_x}")
+                return np.where(x == bad_x, np.inf, base(x))
+
+            return TestFunction(name, f, singularity_exponent=1.0)
+
+        monkeypatch.setattr(cli, "corpus", lambda w, lam: [*real(w, lam), member("early", 0.375), member("late", 0.25)])
+        code, out, err = run_cli(capsys, "check", "--which", which, "--n-values", "64,128,256", "--grid-count", "129")
+        assert (code, out) == (3, "")
+        assert err == {"non-finite": "error: non-finite surrogate value at k/n=0.375\n",
+                       "overflow": f"error: check {first}: early overflows at 0.375\n"}[error]
+
     def test_failing_check_exit_1(self, capsys):
         # impossible tolerance via a wrong target is not reachable from the
         # CLI, so force failure through a sweep too short to fit: use a
@@ -381,13 +420,20 @@ class TestMisc:
         assert rc == 0
         assert peak < 60.0, peak
 
-    def test_lemma4_at_degree_65536_stays_under_250_mib(self):
-        # the three cached band blocks take about 170 MiB; a (grid x band)
-        # deviation array and its products beside them (4095 x 2477 entries
-        # each at n = 65536) peak near 360 MiB
+    def test_lemma4_at_degree_65536_stays_under_60_mib(self):
+        # a whole (4095 x 2477) band block at n = 65536 takes 77 MiB, and a
+        # deviation array and its products beside it as much again; lemma4
+        # sums each pass of band rows as it comes
         rc, peak = run_cli_peak_mib("check", "--which", "lemma4", "--n-values", "16384,32768,65536")
         assert rc == 0
-        assert peak < 250.0, peak
+        assert peak < 60.0, peak
+
+    def test_check_all_to_degree_32768_stays_under_60_mib(self):
+        # the bands of three grids at each degree, held whole, peak near
+        # 455 MiB; every checker streams its bands, one pass per (degree, grid)
+        rc, peak = run_cli_peak_mib("check", "--which", "all", "--n-values", "4096,8192,16384,32768")
+        assert rc == 0
+        assert peak < 60.0, peak
 
     def test_check_all_small_sweep(self, capsys):
         code, out, _ = run_cli(

@@ -9,6 +9,8 @@ from singbern.basis import basis_values, block_sum, ksum
 from singbern.bridge import InvalidNodesError, chord, compute_nodes
 from singbern.experiments import (
     DEFAULT_WEIGHT,
+    ROUNDING,
+    band_checks,
     check_direct,
     check_inverse,
     check_lemma1,
@@ -25,8 +27,9 @@ from singbern.experiments import (
     w2_members,
 )
 from singbern.moduli import ladder_moduli
+from singbern.operators import bbar_apply, bbar_second_derivative, build_surrogate
 from singbern.weight import (
-    EvaluationError, GridSpec, SingularWeight, TestFunction, corpus, corpus_member, grid_points,
+    EvaluationError, GridSpec, SingularWeight, TestFunction, corpus, corpus_member, grid_points, weighted_sup_norm,
 )
 
 W1 = SingularWeight(0.5, 1.0)
@@ -378,13 +381,21 @@ class TestBatchedDirect:
         assert together == [check_direct([f], W1, 0.0, NS, G)[0] for f in members]
         assert [r["params"]["function"] for r in together] == list(self.MEMBERS)
 
-    def test_streams_its_bands(self):
-        from singbern.operators import _cached_band
+    def test_streams_its_bands(self, monkeypatch):
+        # no whole (grid x band) block is built: every band is streamed a pass at a time
+        import singbern.basis as basis
+        import singbern.operators as operators
 
-        before = _cached_band.cache_info()
-        check_direct([corpus_member(name, W1) for name in self.MEMBERS], W1, 0.0, NS, G)
-        after = _cached_band.cache_info()
-        assert (after.hits, after.misses) == (before.hits, before.misses)
+        def whole_block(*args):
+            raise AssertionError("a whole band block was built")
+
+        monkeypatch.setattr(basis, "basis_matrix", whole_block)
+        monkeypatch.setattr(operators, "basis_matrix", whole_block)
+        members = [corpus_member(name, W1) for name in self.MEMBERS]
+        check_direct(members, W1, 0.0, NS, G)
+        reports = band_checks(_full_plan(members), W1, 0.0, NS, G)
+        for name in _full_plan(members):
+            list(reports(name))
 
     def test_run_function_sweep_equals_one_member_calls(self):
         members = [corpus_member(name, DEFAULT_WEIGHT) for name in self.MEMBERS]
@@ -431,3 +442,91 @@ class TestBatchedDirect:
         members = [corpus_member(name, DEFAULT_WEIGHT) for name in self.MEMBERS]
         with pytest.raises(InvalidNodesError, match="a trend needs 3"):
             check_direct(members, DEFAULT_WEIGHT, 0.0, (4, 8, 64), G)
+
+
+def _full_plan(members) -> dict:
+    """Every band checker, as ``check --which all --branch both`` plans them."""
+    return {
+        "lemma1": None, "lemma4": None, "lemma2": members, "theorem1": members,
+        "theorem2 cw": members, "theorem2 w2": w2_members(members),
+        "direct": [f for f in members if f.expected_alpha0 is not None or f.name == "linear"],
+    }
+
+
+def _overflowing_member(name, bad_x):
+    """abs_beta_1.0 under the default weight, but raising OverflowError where sampled at ``bad_x``."""
+    base = corpus_member("abs_beta_1.0", DEFAULT_WEIGHT)
+
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        if np.any(x == bad_x):
+            raise OverflowError(f"{name} overflows at {bad_x}")
+        return base(x)
+
+    return TestFunction(name, f, singularity_exponent=1.0, expected_alpha0=base.expected_alpha0)
+
+
+class TestSharedBands:
+    """Checkers that share one pass per (degree, grid) give the reports, and the error, of one-checker runs."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_shared_passes_equal_one_member_one_checker_runs(self, lam):
+        members = corpus(W1, lam)
+        plan = _full_plan(members)
+        reports = band_checks(plan, W1, lam, NS, G, 1.0, 0.0, 2.0)
+        assert list(reports("lemma1")) == [check_lemma1(NS, G, 1.0, 0.0)]
+        assert list(reports("lemma4")) == [check_lemma4(NS, G, 2.0)]
+        assert list(reports("lemma2")) == [check_lemma2(f, W1, NS, G) for f in members]
+        assert list(reports("theorem1")) == [check_theorem1(f, W1, NS, G) for f in members]
+        for branch in ("cw", "w2"):
+            assert list(reports(f"theorem2 {branch}")) == [
+                check_theorem2(f, W1, lam, branch, NS, G) for f in plan[f"theorem2 {branch}"]]
+        assert list(reports("direct")) == [check_direct([f], W1, lam, NS, G)[0] for f in plan["direct"]]
+
+    def test_xi_on_the_grid_changes_nothing(self):
+        # the node grid leaves xi out, where the weight and every weighted value
+        # are 0; with xi = 0.5 on a uniform grid the ratios keep their bits
+        g = GridSpec(count=257, placement="uniform")
+        f = corpus_member("abs_beta_1.0", W1)
+        fnorm = weighted_sup_norm(f, W1, g)
+        lemma2, theorem1 = check_lemma2(f, W1, NS, g)["rows"], check_theorem1(f, W1, NS, g)["rows"]
+        for n, r2, r1 in zip(NS, lemma2, theorem1):
+            nd = compute_nodes(n, W1.xi)
+            xs = grid_points(g, W1.xi, extra=(nd.x1, nd.x2, nd.x3, nd.x4))
+            assert W1.xi in xs
+            assert r2["ratio"] == float(np.max(np.abs(W1(xs) * bbar_apply(f, n, W1, xs)))) / fnorm
+            values = build_surrogate(f, n, W1)
+            d2 = bbar_second_derivative(values, xs)
+            d2[np.abs(d2) <= ROUNDING * n * (n - 1.0) * float(np.max(np.abs(values)))] = 0.0
+            assert r1["ratio"] == float(np.max(np.abs(W1(xs) * d2))) / (float(n) ** 2.0 * fnorm)
+
+    @pytest.mark.parametrize("make", [_failing_member, _overflowing_member], ids=["non-finite", "overflow"])
+    def test_each_checker_raises_the_error_of_its_one_member_runs(self, make):
+        # ``early`` fails at n = 128, ``late`` (later in member order) at n = 64:
+        # a one-member run of ``early`` meets its error first, and so must the shared pass
+        early, late = make("early", 0.375), make("late", 0.25)
+        good = corpus_member("abs_beta_1.0", DEFAULT_WEIGHT)
+        members = [good, early, late]
+        plan = {"lemma2": members, "theorem1": members, "theorem2 cw": members, "direct": members}
+        errors = {}
+        for name, one in (("lemma2", lambda: check_lemma2(early, DEFAULT_WEIGHT, NS, G)),
+                          ("theorem1", lambda: check_theorem1(early, DEFAULT_WEIGHT, NS, G)),
+                          ("theorem2 cw", lambda: check_theorem2(early, DEFAULT_WEIGHT, 0.0, "cw", NS, G)),
+                          ("direct", lambda: check_direct([early], DEFAULT_WEIGHT, 0.0, NS, G))):
+            with pytest.raises((EvaluationError, ArithmeticError)) as alone:
+                one()
+            reports = band_checks(plan, DEFAULT_WEIGHT, 0.0, NS, G)
+            with pytest.raises((EvaluationError, ArithmeticError)) as shared:
+                list(reports(name))
+            assert (type(shared.value), str(shared.value)) == (type(alone.value), str(alone.value))
+            errors[name] = str(shared.value)
+        assert "0.375" in errors["lemma2"] and errors["lemma2"] == errors["theorem1"]
+
+    def test_too_few_usable_degrees_come_after_the_first_members_norm(self):
+        # a one-member lemma2 run takes the norm of f before it filters the degrees
+        bad_norm = TestFunction("bad_norm", lambda x: np.full(np.shape(x), np.inf))
+        reports = band_checks({"lemma2": [bad_norm], "direct": [corpus_member("linear", W1)]}, W1, 0.0, (4, 8, 64), G)
+        with pytest.raises(EvaluationError, match="non-finite weighted value"):
+            list(reports("lemma2"))
+        with pytest.raises(InvalidNodesError, match="a trend needs 3"):
+            list(reports("direct"))

@@ -18,3 +18,25 @@ def test_star_import_resolves(module):
     if module == "singbern":
         assert [n for n in exported
                 if n not in importlib.import_module(namespace[n].__module__).__all__] == []
+
+
+# The traced benchmark wraps these functions by name, each a plain function
+# in its defining module's __all__, and reports null for the metrics of any
+# that is missing.
+TRACED = (
+    "basis.basis_matrix", "basis.ksum",
+    "operators.collocation_matrix", "operators.bernstein_apply", "operators.build_surrogate",
+    "moduli.ladder_band_sups",
+    "experiments.check_direct", "experiments.check_inverse", "experiments.run_function_sweep",
+)
+
+
+@pytest.mark.parametrize("qualified", TRACED)
+def test_traced_names_are_exported_plain_functions(qualified):
+    import inspect
+
+    module, name = qualified.split(".")
+    module = importlib.import_module(f"singbern.{module}")
+    fn = getattr(module, name)
+    assert name in module.__all__
+    assert inspect.isfunction(fn) and fn.__module__ == module.__name__

@@ -129,26 +129,26 @@ def assert_same_bits(got, want):
 
 
 class TestStreamedApply:
-    """``reuse=False`` builds the band pass by pass; every row equals the one-shot sum bit for bit."""
+    """The apply builds the band pass by pass; every row equals the one-shot sum bit for bit."""
 
     @pytest.mark.parametrize("n, width", [(62, 63), (63, 64), (64, 65), (170, 129)])
     def test_band_widths_around_one_block(self, n, width):
         xs = grid_points(GridSpec(count=257))
         assert collocation_matrix(n, xs)[1].shape[1] == width
         values = np.random.default_rng(n).standard_normal(n + 1)
-        assert_same_bits(bernstein_apply(values, xs, reuse=False), bernstein_apply_one_shot(values, xs))
+        assert_same_bits(bernstein_apply(values, xs), bernstein_apply_one_shot(values, xs))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_band_is_the_whole_row(self, n):
         xs = np.concatenate([grid_points(GridSpec()), [1e-9, 0.5]])
         values = np.random.default_rng(n).standard_normal(n + 1)
-        assert_same_bits(bernstein_apply(values, xs, reuse=False), bernstein_apply_one_shot(values, xs))
+        assert_same_bits(bernstein_apply(values, xs), bernstein_apply_one_shot(values, xs))
 
     @pytest.mark.parametrize("x", [0.0, 0.37, 1.0])
     def test_one_point_grid(self, x):
         values = np.random.default_rng(5).standard_normal(1025)
         xs = np.array([x])
-        assert_same_bits(bernstein_apply(values, xs, reuse=False), bernstein_apply_one_shot(values, xs))
+        assert_same_bits(bernstein_apply(values, xs), bernstein_apply_one_shot(values, xs))
 
     def test_unsorted_grid_with_endpoints_mid_pass(self):
         n = 16384
@@ -158,22 +158,13 @@ class TestStreamedApply:
         xs[rows // 2] = 0.0
         xs[rows + rows // 2] = 1.0
         values = np.random.default_rng(4).standard_normal(n + 1)
-        assert_same_bits(bernstein_apply(values, xs, reuse=False), bernstein_apply_one_shot(values, xs))
+        assert_same_bits(bernstein_apply(values, xs), bernstein_apply_one_shot(values, xs))
 
     def test_default_grid_at_degree_16384(self):
         n = 16384
         xs = grid_points(GridSpec())
         values = np.random.default_rng(n).standard_normal(n + 1)
-        assert_same_bits(bernstein_apply(values, xs, reuse=False), bernstein_apply_one_shot(values, xs))
-
-    def test_leaves_the_band_cache_alone(self):
-        from singbern.operators import _cached_band
-
-        xs = np.linspace(0.0, 1.0, 333)
-        before = _cached_band.cache_info()
-        bbar_apply(corpus_member("square", W), 999, W, xs, reuse=False)
-        after = _cached_band.cache_info()
-        assert (after.hits, after.misses) == (before.hits, before.misses)
+        assert_same_bits(bernstein_apply(values, xs), bernstein_apply_one_shot(values, xs))
 
     def test_holds_one_pass_not_the_band(self):
         # the (4097 x 1239) band block at n = 16384 takes 39 MiB; the streamed
@@ -185,7 +176,7 @@ class TestStreamedApply:
         values = np.random.default_rng(1).standard_normal(n + 1)
         tracemalloc.start()
         try:
-            bernstein_apply(values, xs, reuse=False)
+            bernstein_apply(values, xs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -194,52 +185,59 @@ class TestStreamedApply:
     @pytest.mark.parametrize("grid", [np.full((2, 3), 0.5), np.float64(0.5)], ids=["2-d", "0-d"])
     def test_grid_must_be_one_dimensional(self, grid):
         with pytest.raises(ValueError, match="one-dimensional"):
-            bernstein_apply(np.sin(np.arange(9)), grid, reuse=False)
+            bernstein_apply(np.sin(np.arange(9)), grid)
 
     def test_grid_must_lie_in_the_unit_interval(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            bernstein_apply(np.sin(np.arange(9)), np.array([0.5, 1.5]), reuse=False)
+            bernstein_apply(np.sin(np.arange(9)), np.array([0.5, 1.5]))
 
 
 class TestStackedApply:
     """An (m x (n+1)) stack is applied in one pass over the band; each row equals its own apply bit for bit."""
 
     @staticmethod
-    def assert_rows_match(n, xs, m, reuse):
+    def assert_rows_match(n, xs, m):
         stack = np.random.default_rng(n + m).standard_normal((m, n + 1))
-        got = bernstein_apply(stack, xs, reuse)
-        assert_same_bits(got, np.array([bernstein_apply(v, xs, reuse) for v in stack]))
+        got = bernstein_apply(stack, xs)
+        assert_same_bits(got, np.array([bernstein_apply(v, xs) for v in stack]))
 
-    @pytest.mark.parametrize("reuse", [True, False], ids=["cached", "streamed"])
+    # every apply streams its band
+    @pytest.mark.parametrize("band", ["streamed"])
     @pytest.mark.parametrize("m", [1, 4])
     @pytest.mark.parametrize("n, width", [(62, 63), (63, 64), (64, 65), (170, 129)])
-    def test_band_widths_around_one_block(self, n, width, m, reuse):
+    def test_band_widths_around_one_block(self, n, width, m, band):
         xs = grid_points(GridSpec(count=257))
         assert collocation_matrix(n, xs)[1].shape[1] == width
-        self.assert_rows_match(n, xs, m, reuse)
+        self.assert_rows_match(n, xs, m)
 
-    @pytest.mark.parametrize("reuse", [True, False], ids=["cached", "streamed"])
+    @pytest.mark.parametrize("band", ["streamed"])
     @pytest.mark.parametrize("m", [1, 4])
     @pytest.mark.parametrize("n", [1, 2])
-    def test_band_is_the_whole_row(self, n, m, reuse):
+    def test_band_is_the_whole_row(self, n, m, band):
         xs = np.concatenate([grid_points(GridSpec()), [1e-9, 0.5]])
-        self.assert_rows_match(n, xs, m, reuse)
+        self.assert_rows_match(n, xs, m)
 
-    @pytest.mark.parametrize("reuse", [True, False], ids=["cached", "streamed"])
+    @pytest.mark.parametrize("band", ["streamed"])
     @pytest.mark.parametrize("m", [1, 4])
     @pytest.mark.parametrize("x", [0.0, 1.0])
-    def test_one_point_grid(self, x, m, reuse):
-        self.assert_rows_match(1024, np.array([x]), m, reuse)
+    def test_one_point_grid(self, x, m, band):
+        self.assert_rows_match(1024, np.array([x]), m)
 
     def test_default_grid_at_degree_16384(self):
-        self.assert_rows_match(16384, grid_points(GridSpec()), 4, False)
+        self.assert_rows_match(16384, grid_points(GridSpec()), 4)
+
+    @pytest.mark.parametrize("n", [3, 4, 170, 4096])
+    def test_second_derivative_of_a_stack(self, n):
+        # each vector of the stack gets the bits of its own second derivative
+        xs = np.concatenate([grid_points(GridSpec(count=257)), [0.5]])
+        stack = np.random.default_rng(n).standard_normal((3, n + 1))
+        assert_same_bits(bbar_second_derivative(stack, xs), np.array([bbar_second_derivative(v, xs) for v in stack]))
 
     @pytest.mark.parametrize("values", [np.zeros((2, 2, 9)), np.zeros((3, 1)), np.float64(1.0)],
                              ids=["3-d", "degree-0", "0-d"])
     def test_values_must_be_a_vector_or_a_stack(self, values):
-        for reuse in (True, False):
-            with pytest.raises(ValueError, match="vector of n\\+1"):
-                bernstein_apply(values, np.array([0.5]), reuse)
+        with pytest.raises(ValueError, match="vector of n\\+1"):
+            bernstein_apply(values, np.array([0.5]))
 
 
 class TestBuildSurrogate:
