@@ -38,8 +38,9 @@ at a time: each block of terms is summed pairwise and the block sums are
 joined by one exact two-sum accumulation, ``_two_sum_total``.
 ``block_sum`` asks its caller for one block of terms at a time, so only
 one block is live; ``ksum`` is the same walk over a materialised array.
-The operator's apply takes the band pass by pass instead and keeps one
-block sum per row and 64 columns until the accumulation.
+The operator's apply takes the band pass by pass instead, sums each
+pass's blocks as it comes and joins the held block sums a chunk of rows
+at a time.
 """
 
 from __future__ import annotations
@@ -59,12 +60,15 @@ __all__ = [
 BAND_EPS = 1e-20
 _BAND_LOG = math.log(2.0 / BAND_EPS)
 _LN_2PI = math.log(2.0 * math.pi)
-# Entries per pass of ``basis_matrix`` and ``basis_values``: a pass works in
+# Entries per pass of the band, of ``basis_values`` and of every chunk of
+# scratch that follows it (block sums, surrogate values): a pass works in
 # _LOG_B_ROWS scratch rows of this many doubles (128 KiB each), which stay
 # in cache.  Measured on a 2-vCPU Intel Xeon (AVX-512) VM, each command in
-# a fresh interpreter, medians of 6, passes of 8k/16k/32k/64k entries:
-# ``eval --n 16384`` took 0.44/0.38/0.39/0.40 s, and a default sweep took
-# 1.24/1.16/0.99/1.06 s at a peak RSS of 95.2/94.9/96.1/100.6 MiB.
+# a fresh interpreter with its start-up, medians of 6, passes of
+# 8k/16k/32k/64k entries: a default ``sweep --functions all`` took
+# 1.13/1.05/1.07/1.07 s at a peak RSS of 32.9/35.7/38.2/47.4 MiB, and
+# ``eval --f abs_beta_1.0 --n 16384`` 0.57/0.53/0.55/0.52 s at
+# 32.1/33.5/36.2/41.1 MiB.
 _PASS_ENTRIES = 16384
 # Scratch rows of ``_log_b``: five for ``_bd0``, then log b and n - k.
 _LOG_B_ROWS = 7

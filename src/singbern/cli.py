@@ -10,7 +10,6 @@ comment); its values go through the same parser, and the same checks, as flags.
 from __future__ import annotations
 
 import argparse
-import io
 import math
 import sys
 from datetime import datetime, timezone
@@ -148,19 +147,24 @@ def _function(args, w: SingularWeight):
 
 
 def _emit(text: str, out):
-    if not out:
-        sys.stdout.write(text)
-        return
-    try:
-        Path(out).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot write --out {out}: {exc}") from exc
+    _write(out, lambda stream: stream.write(text))
 
 
 def _emit_csv(header, rows, out):
-    buf = io.StringIO()
-    write_csv(buf, header, rows)
-    _emit(buf.getvalue(), out)
+    """The CSV table of ``rows``, an iterable, written row by row as it is formatted."""
+    _write(out, lambda stream: write_csv(stream, header, rows))
+
+
+def _write(out, write):
+    """``write(stream)`` to stdout, or to the file ``out`` when it is given."""
+    if not out:
+        write(sys.stdout)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as stream:
+            write(stream)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out}: {exc}") from exc
 
 
 def _timestamp() -> str:
@@ -178,15 +182,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     fv = np.asarray(f(xs), dtype=float)
     bv = bbar_apply(f, args.n, w, xs)
     werr = np.abs(w(xs) * (fv - bv))
-    rows = [
+    # one row's dict at a time: the CSV is written as the rows are made
+    rows = (
         {"x": float(x), "f": float(a), "bbar": float(b), "weighted_error": float(e)}
         for x, a, b, e in zip(xs, fv, bv, werr)
-    ]
+    )
     if args.format == "json":
         doc = {
             "schema_version": SCHEMAS["schema_version"], "command": "eval",
             "params": {"f": f.name, "xi": w.xi, "alpha": w.alpha, "lambda": args.lam, "n": args.n},
-            "rows": rows,
+            "rows": list(rows),
         }
         _emit(json_dumps(doc), args.out)
     else:

@@ -13,23 +13,25 @@ differentiation appears only in tests as an oracle.
 The apply streams the band: it builds it a pass of rows at a time (about
 16384 entries) into one reused buffer, gathers the value windows of the
 pass, multiplies them by the band rows and sums every 64 columns pairwise
-while the pass is in cache, then joins each row's block sums with one
-exact two-sum accumulation, so only one pass of the band is ever held.
-It applies one coefficient vector or a stack of them: a stack shares
-each pass, and every vector gets the bits of its own apply.  Callers
-that read the same (degree, grid) band stack their vectors into one
-apply.  ``collocation_matrix`` builds the whole band block; only tests
+while the pass is in cache.  The block sums of about 16384 values are
+held, and then each held row's are joined with one exact two-sum
+accumulation, so beside the result only one pass of the band and one
+chunk of block sums are ever held.  It applies one coefficient vector
+or a stack of them: a stack shares each pass, and every vector gets the
+bits of its own apply.  Callers that read the same (degree, grid) band
+stack their vectors into one apply.  ``collocation_matrix`` builds the whole band block; only tests
 use it, as the one-shot oracle of the apply.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .basis import _band_grid, _band_passes, _two_sum_total, band_start, basis_matrix
+from .basis import _PASS_ENTRIES, _band_grid, _band_passes, _pass_rows, _two_sum_total, band_start, basis_matrix
 from .bridge import compute_nodes, surrogate_eval
 from .weight import EvaluationError, SingularWeight
 
@@ -77,26 +79,60 @@ def _band_sum(values: np.ndarray, start: np.ndarray, width: int, passes) -> np.n
     ``passes`` yields (rows, block): the band rows of the grid points in
     slice ``rows``, whose bands begin at start[rows].  Each pass gathers
     the value windows of every vector, multiplies them by the block and
-    sums every 64 columns pairwise, while the pass is still in cache; then
-    the block sums of all rows are joined by the exact two-sum of
-    ``block_sum``, in its order, so each vector's result is ``block_sum``
-    over the whole band.
+    hands the products to ``_RowSums``, so each vector's result is
+    ``block_sum`` over the whole band, and beside the result only one
+    pass and one chunk of block sums are held.
     """
     windows = sliding_window_view(values, width, axis=-1)
-    sums = np.empty((*values.shape[:-1], start.size, -(-width // 64)))
+    sums = _RowSums(values.shape[:-1], start.size, width)
     for sl, B in passes:
         t = windows[..., start[sl], :]
         t *= B
-        _block_sums(t, sums[..., sl, :])
-    return _two_sum_total(np.moveaxis(sums, -1, 0))
+        sums.add(t)
+    return sums.total()
 
 
-def _block_sums(t: np.ndarray, out: np.ndarray) -> None:
-    """The pairwise sum of every 64 columns of ``t`` into ``out``; their two-sum total is ``block_sum``'s."""
-    whole = t.shape[-1] // 64  # blocks of a full 64 columns; a shorter one may follow
-    t[..., :64 * whole].reshape(*t.shape[:-1], whole, 64).sum(axis=-1, out=out[..., :whole])
-    if whole < out.shape[-1]:
-        t[..., 64 * whole:].sum(axis=-1, out=out[..., whole])
+def _join_rows(members: int, width: int) -> int:
+    """Rows whose block sums ``_RowSums`` holds: about _PASS_ENTRIES of them, and at least one pass."""
+    return max(_pass_rows(width), _PASS_ENTRIES // (members * -(-width // 64)))
+
+
+class _RowSums:
+    """``block_sum`` over each row of a (*lead, rows, width) array of terms that arrives rows first.
+
+    ``add(t)`` takes the terms of the next rows, shaped (*lead, r, width),
+    and sums every 64 columns pairwise while they are in cache.  The
+    block sums are held for ``_join_rows`` rows; then each held row's are
+    joined by the exact two-sum of ``block_sum``, in its block order, so
+    every row gets ``block_sum``'s bits while only one chunk of block sums
+    is held.  ``total()`` joins the rest and returns the (*lead, rows) sums.
+    """
+
+    def __init__(self, lead: tuple, rows: int, width: int):
+        self.out = np.empty((*lead, rows))
+        self.held = np.empty((*lead, min(rows, _join_rows(math.prod(lead), width)), -(-width // 64)))
+        self.lo = self.top = 0  # rows lo..top are held
+
+    def add(self, t: np.ndarray) -> None:
+        rows = t.shape[-2]
+        if self.top + rows - self.lo > self.held.shape[-2]:
+            self._join()
+        sums = self.held[..., self.top - self.lo:self.top - self.lo + rows, :]
+        whole = t.shape[-1] // 64  # blocks of a full 64 columns; a shorter one may follow
+        t[..., :64 * whole].reshape(*t.shape[:-1], whole, 64).sum(axis=-1, out=sums[..., :whole])
+        if whole < sums.shape[-1]:
+            t[..., 64 * whole:].sum(axis=-1, out=sums[..., whole])
+        self.top += rows
+
+    def total(self) -> np.ndarray:
+        self._join()
+        return self.out
+
+    def _join(self) -> None:
+        if self.top > self.lo:
+            held = self.held[..., :self.top - self.lo, :]
+            self.out[..., self.lo:self.top] = _two_sum_total(np.moveaxis(held, -1, 0))
+        self.lo = self.top
 
 
 def build_surrogate(f: Callable, n: int, w: SingularWeight) -> np.ndarray:
@@ -104,14 +140,25 @@ def build_surrogate(f: Callable, n: int, w: SingularWeight) -> np.ndarray:
 
     f is never sampled on [x2, x3].  Raises InvalidNodesError when the
     bridge nodes around w.xi are invalid at this degree, and
-    EvaluationError when a value is not finite.
+    EvaluationError, naming the first k/n, when a value is not finite.
+    The values are filled _PASS_ENTRIES at a time, so the temporaries of
+    ``surrogate_eval`` are one pass's, whatever the degree.
     """
     nodes = compute_nodes(n, w.xi)
     nodes.require_valid()
-    t = np.arange(nodes.n + 1) / float(nodes.n)
-    values = surrogate_eval(f, nodes, t)
-    if not np.isfinite(values).all():
-        raise EvaluationError(f"non-finite surrogate value at k/n={float(t[~np.isfinite(values)][0])!r}")
+    values = bad = None  # bad: the first k/n of a non-finite value, raised once f has seen every pass
+    for lo in range(0, nodes.n + 1, _PASS_ENTRIES):
+        t = np.arange(lo, min(lo + _PASS_ENTRIES, nodes.n + 1)) / float(nodes.n)
+        v = surrogate_eval(f, nodes, t)
+        if values is None:
+            # made after the first pass: made before it, a default sweep's peak RSS
+            # read 0.6-1.4 MiB higher, as glibc kept more of the freed heap
+            values = np.empty(nodes.n + 1)
+        values[lo:lo + t.size] = v
+        if bad is None and not np.isfinite(v).all():
+            bad = float(t[~np.isfinite(v)][0])
+    if bad is not None:
+        raise EvaluationError(f"non-finite surrogate value at k/n={bad!r}")
     values.flags.writeable = False
     return values
 
@@ -129,12 +176,16 @@ def bbar_second_derivative(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Second derivative of the operator on node values F(k/n), via second differences.
 
     ``values`` is one vector of n+1 entries or a stack of them, as
-    ``bernstein_apply`` takes them.  Within 40 n(n-1) eps max |F| of its
-    exact value on these doubles, for n up to 65535.
+    ``bernstein_apply`` takes them, and xs is checked as it checks it.
+    Within 40 n(n-1) eps max |F| of its exact value on these doubles, for
+    n up to 65535.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[-1] - 1
     if n < 2:
         raise ValueError("second derivative needs n >= 2")
     d2 = values[..., 2:] - 2.0 * values[..., 1:-1] + values[..., :-2]
+    if n == 2:  # degree 0: (B_2 F)'' is the constant 2 (F[2] - 2 F[1] + F[0])
+        xs = _band_grid(1, xs)[1]
+        return 2.0 * np.repeat(d2, xs.size, axis=-1)
     return n * (n - 1.0) * bernstein_apply(d2, xs)

@@ -428,6 +428,39 @@ class TestMisc:
         assert rc == 0
         assert peak < 60.0, peak
 
+    def test_window_lemmas_on_a_grid_of_32769_points_stay_under_60_mib(self):
+        # a (32769 x 64) block of window weights, with lemma6's products beside
+        # it, peaks near 97 MiB; the rows are summed in chunks of 2048
+        rc, peak = run_cli_peak_mib("check", "--which", "lemma5,lemma6", "--grid-count", "32769",
+                                    "--n-values", "1024,2048,4096")
+        assert rc == 0
+        assert peak < 60.0, peak
+
+    def test_eval_on_a_grid_of_65537_points_stays_under_50_mib(self, tmp_path):
+        # the block sums of all rows, one list of row dicts and a whole copy
+        # of the CSV text peak near 68 MiB; eval writes each row as it formats it
+        out = tmp_path / "e.csv"
+        rc, peak = run_cli_peak_mib("eval", "--f", "abs_beta_1.0", "--n", "1024", "--grid-count", "65537",
+                                    "--out", str(out))
+        assert rc == 0
+        assert out.read_text().count("\n") == 65542  # header + 65537 + 4 nodes
+        assert peak < 50.0, peak
+
+    def test_stacked_members_on_a_grid_of_32769_points_stay_under_48_mib(self):
+        # the block sums of all members and rows, held until one join, peak
+        # near 57 MiB; they are joined a chunk of rows at a time
+        rc, peak = run_cli_peak_mib("check", "--which", "lemma2,direct", "--grid-count", "32769",
+                                    "--n-values", "512,1024,2048")
+        assert rc == 0
+        assert peak < 48.0, peak
+
+    def test_eval_at_degree_one_million_stays_under_58_mib(self):
+        # the surrogate's masks and f values over all 10^6 + 1 nodes at once
+        # peak near 70 MiB; build_surrogate fills the values a pass at a time
+        rc, peak = run_cli_peak_mib("eval", "--f", "abs_beta_1.0", "--n", "1000000")
+        assert rc == 0
+        assert peak < 58.0, peak
+
     def test_check_all_to_degree_32768_stays_under_60_mib(self):
         # the bands of three grids at each degree, held whole, peak near
         # 455 MiB; every checker streams its bands, one pass per (degree, grid)

@@ -1,6 +1,7 @@
 """Tests for the bounded-ratio checkers and rate-fit experiments."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from singbern.basis import basis_values, block_sum, ksum
 from singbern.bridge import InvalidNodesError, chord, compute_nodes
 from singbern.experiments import (
     DEFAULT_WEIGHT,
+    _interior_degree,
+    _window_sums,
     ROUNDING,
     band_checks,
     check_direct,
@@ -27,7 +30,7 @@ from singbern.experiments import (
     w2_members,
 )
 from singbern.moduli import ladder_moduli
-from singbern.operators import bbar_apply, bbar_second_derivative, build_surrogate
+from singbern.operators import _join_rows, bbar_apply, bbar_second_derivative, build_surrogate, collocation_matrix
 from singbern.weight import (
     EvaluationError, GridSpec, SingularWeight, TestFunction, corpus, corpus_member, grid_points, weighted_sup_norm,
 )
@@ -175,6 +178,35 @@ class TestLemmaCheckers:
                 n ** ((50 - mpmath.mpf(w.alpha)) / 2) * mpmath.sqrt(X * (1 - X)) ** 50)
         assert ours == pytest.approx(float(exact), rel=1e-12)
         assert r["rows"][0]["ratio"] == pytest.approx(float(ratio), rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["lemma4", "lemma5", "lemma6"])
+    def test_row_chunks_keep_the_bits_of_one_block(self, name):
+        # lemma4 joins its block sums _join_rows rows at a time and lemma5 and
+        # lemma6 sum their windows 2048 rows at a time; on these grids a chunk
+        # ends one row before the last (lemma4 at n = 4096, on its interior
+        # grid; the window lemmas around xi, where the sums are not 0), and
+        # every row's sum keeps the bits of a one-block ksum over the grid
+        beta = 2.0
+        if name == "lemma4":
+            g = GridSpec(count=_join_rows(1, collocation_matrix(4096, np.array([0.5]))[1].shape[1]) + 3)
+            xs = grid_points(g)[1:-1]
+        else:
+            xs = np.linspace(0.4, 0.6, 2049)
+        for n in (1024, 4096):
+            if name == "lemma4":
+                got = _interior_degree(SimpleNamespace(g=g, gamma=beta))(n, ["lemma4"])[1][0]
+                start, B = collocation_matrix(n, xs)
+                want = ksum(B * np.abs(start[:, None] + np.arange(B.shape[1]) - n * xs[:, None]) ** beta, axis=1)
+            else:
+                k = np.arange(n + 1)
+                win = k[np.abs(k - n * W1.xi) <= math.sqrt(n)]
+                terms = basis_values(n, xs[:, None], win[None, :])
+                if name == "lemma5":
+                    got, want = _window_sums(n, W1.xi, xs), ksum(terms, axis=1)
+                else:
+                    got = _window_sums(n, W1.xi, xs, beta)
+                    want = ksum(terms * np.abs(win - n * xs[:, None]) ** beta, axis=1)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_lemma7_linear_trivial(self):
         r = check_lemma7(corpus_member("linear", W1), W1, 0.0, NS, G)

@@ -7,8 +7,9 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from singbern.basis import _PASS_ENTRIES, ksum
-from singbern.bridge import InvalidNodesError, chord, compute_nodes
+from singbern.bridge import InvalidNodesError, chord, compute_nodes, surrogate_eval
 from singbern.operators import (
+    _join_rows,
     bbar_apply,
     bbar_second_derivative,
     bernstein_apply,
@@ -107,12 +108,21 @@ class TestChunkedApply:
         values = np.random.default_rng(n).standard_normal(n + 1)
         np.testing.assert_array_equal(bernstein_apply(values, xs), bernstein_apply_one_shot(values, xs))
 
-    @pytest.mark.parametrize("size", [1, 4101])
-    def test_grid_sizes(self, size):
+    # the block sums of _join_rows rows are joined at a time: grids one row
+    # short of and one row past a join, for one vector and a stack of four
+    @pytest.mark.parametrize("size, m", [
+        pytest.param(1, 1, id="1"),
+        pytest.param(4101, 1, id="4101"),
+        *(pytest.param(f"join{d:+d}", m, id=f"join{d:+d}-m{m}") for m in (1, 4) for d in (-1, 1)),
+    ])
+    def test_grid_sizes(self, size, m):
         n = 1024
+        if isinstance(size, str):
+            size = _join_rows(m, collocation_matrix(n, np.array([0.5]))[1].shape[1]) + int(size[4:])
         xs = np.linspace(0.0, 1.0, size) if size > 1 else np.array([0.37])
-        values = np.random.default_rng(size).standard_normal(n + 1)
-        np.testing.assert_array_equal(bernstein_apply(values, xs), bernstein_apply_one_shot(values, xs))
+        values = np.random.default_rng(size).standard_normal((m, n + 1))
+        got = bernstein_apply(values[0] if m == 1 else values, xs)
+        np.testing.assert_array_equal(got.reshape(m, size), [bernstein_apply_one_shot(v, xs) for v in values])
 
     @pytest.mark.parametrize("n", [64, 16384], ids=["band-is-the-row", "16384"])
     def test_default_grid(self, n):
@@ -226,7 +236,7 @@ class TestStackedApply:
     def test_default_grid_at_degree_16384(self):
         self.assert_rows_match(16384, grid_points(GridSpec()), 4)
 
-    @pytest.mark.parametrize("n", [3, 4, 170, 4096])
+    @pytest.mark.parametrize("n", [2, 3, 4, 170, 4096])
     def test_second_derivative_of_a_stack(self, n):
         # each vector of the stack gets the bits of its own second derivative
         xs = np.concatenate([grid_points(GridSpec(count=257)), [0.5]])
@@ -266,6 +276,23 @@ class TestBuildSurrogate:
     def test_invalid_nodes_raise(self):
         with pytest.raises(InvalidNodesError):
             build_surrogate(corpus_member("square", W), 4, W)
+
+    @pytest.mark.parametrize("size", [_PASS_ENTRIES - 1, _PASS_ENTRIES + 1, 2 * _PASS_ENTRIES - 1,
+                                      2 * _PASS_ENTRIES + 1])
+    def test_passes_match_one_shot_values(self, size):
+        # the values are filled _PASS_ENTRIES at a time; n + 1 = size straddles a pass or ends short of one
+        n = size - 1
+        f = corpus_member("abs_beta_1.0", W37)
+        want = surrogate_eval(f, compute_nodes(n, W37.xi), np.arange(n + 1) / float(n))
+        assert_same_bits(build_surrogate(f, n, W37), want)
+
+    def test_first_non_finite_value_in_a_later_pass_is_named(self):
+        # inf at k = 20000 (second pass) and k = 32770 (third); the error names the first
+        n = 2 * _PASS_ENTRIES + 10
+        bad = (20000 / n, 32770 / n)
+        f = lambda x: np.where(np.isin(np.asarray(x), bad), np.inf, 1.0)
+        with pytest.raises(EvaluationError, match=rf"k/n={bad[0]!r}$"):
+            build_surrogate(f, n, W)
 
     def test_perturbation_in_chord_zone_is_invisible(self):
         nd = compute_nodes(512, 0.5)
@@ -370,6 +397,24 @@ class TestSecondDerivative:
                 + bbar_apply(f, n, W, x - h)
             ) / (h * h)
             assert bbar_second_derivative(values, x)[0] == pytest.approx(fd[0], rel=1e-5)
+
+    def test_degree_two_is_the_constant_second_difference(self):
+        # (B_2 F)'' = 2 (F[2] - 2 F[1] + F[0]) at every x, for one vector and a stack
+        stack = np.array([[0.0, 1.0, 0.0], [0.3, -1.25, 4.0]])
+        xs = np.array([0.0, 0.2, 0.5, 1.0])
+        for values in (stack[0], stack):
+            want = 2.0 * (values[..., 2:] - 2.0 * values[..., 1:2] + values[..., :1])
+            assert_same_bits(bbar_second_derivative(values, xs), np.broadcast_to(want, (*values.shape[:-1], 4)))
+        h = 1e-4
+        for x in (0.2, 0.45, 0.8):
+            x = np.array([x])
+            fd = (bernstein_apply(stack[1], x + h) - 2 * bernstein_apply(stack[1], x)
+                  + bernstein_apply(stack[1], x - h)) / (h * h)
+            assert bbar_second_derivative(stack[1], x)[0] == pytest.approx(fd[0], rel=1e-5)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            bbar_second_derivative(stack[0], np.full((2, 2), 0.5))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            bbar_second_derivative(stack[0], np.array([0.5, 1.5]))
 
     def test_requires_degree_two(self):
         with pytest.raises(ValueError):
