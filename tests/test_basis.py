@@ -1,6 +1,7 @@
 """Tests for numerically stable Bernstein basis evaluation and moment sums."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -274,8 +275,29 @@ def _hoeffding_radius(n):
     return math.ceil(math.sqrt(n * math.log(2.0 / 1e-20) / 2.0))
 
 
+def assert_within_band_bound(got, want):
+    """The band's stated accuracy: 1e-12 relative where ``want`` >= 1e-250, 1e-250 absolute below."""
+    big = want >= 1e-250
+    np.testing.assert_allclose(got[big], want[big], rtol=1e-12, atol=0.0)
+    assert np.all(np.abs(got[~big] - want[~big]) <= 1e-250)
+
+
+def kept_entries(n, xs, k):
+    """The band entries within Bernstein's radius of n x, recomputed: the only ones that may be nonzero.
+
+    All of the band when the band is the whole row.
+    """
+    w = _hoeffding_radius(n)
+    if 2 * w >= n:
+        return np.ones(k.shape, dtype=bool)
+    big_l = math.log(2.0 / 1e-20)
+    third = big_l / 3.0
+    radius = third + np.sqrt(third * third + 2.0 * big_l * n * xs * (1.0 - xs))
+    return np.abs(k - n * xs[:, None]) <= np.minimum(w, radius)[:, None] + 1.0
+
+
 @pytest.mark.parametrize("n", (64, 1000, 4096, 16384))
-def test_band_entries_are_exact_and_drop_under_1e_20(n):
+def test_band_entries_are_within_1e_12_and_drop_under_1e_20(n):
     # default Chebyshev grid plus points at the ends and at xi = 0.5
     xs = np.concatenate([grid_points(GridSpec()), BAND_POINTS])
     B = basis_matrix(n, xs)
@@ -283,12 +305,12 @@ def test_band_entries_are_exact_and_drop_under_1e_20(n):
     start = band_start(n, xs)
     assert np.all((start >= 0) & (start + B.shape[1] <= n + 1))
     k = start[:, None] + np.arange(B.shape[1])
+    assert_band_matches_values(n, xs, B)
     kept = B != 0.0
-    np.testing.assert_array_equal(B[kept], basis_values(n, np.repeat(xs, kept.sum(axis=1)), k[kept]))
     extra = np.arange(xs.size - len(BAND_POINTS), xs.size)
     for i in (1, 2, 100, xs.size // 2, *extra):
         row = basis_row(n, xs[i])
-        np.testing.assert_array_equal(B[i][kept[i]], row[k[i][kept[i]]])
+        assert_within_band_bound(B[i][kept[i]], row[k[i][kept[i]]])
     # the dropped mass, summed directly over every index outside the kept
     # entries, on every 64th grid row, the 32 rows at each end (where the
     # kept window is narrowest) and the extra points
@@ -302,29 +324,80 @@ def test_band_entries_are_exact_and_drop_under_1e_20(n):
         assert full.sum(axis=1).max() < 1e-20
 
 
-def assert_band_matches_values(n, xs):
-    """Kept band entries equal ``basis_values`` bit for bit; the rest of the band is 0.
+def assert_band_matches_values(n, xs, B=None):
+    """Kept band entries agree with ``basis_values`` to the band's bound; the rest of the band is 0.
 
-    The kept entries are those within Bernstein's radius of n x (all of
-    the band when the band is the whole row), recomputed here.
+    ``B`` is ``basis_matrix(n, xs)``, made here if not given.  The kept
+    entries are ``kept_entries``: the zero pattern outside them is exact.
     """
-    B = basis_matrix(n, xs)
-    w = _hoeffding_radius(n)
-    assert B.shape == (xs.size, min(n + 1, 2 * w + 1))
+    B = basis_matrix(n, xs) if B is None else B
+    assert B.shape == (xs.size, min(n + 1, 2 * _hoeffding_radius(n) + 1))
     k = band_start(n, xs)[:, None] + np.arange(B.shape[1])
-    if 2 * w >= n:
-        kept = np.ones(B.shape, dtype=bool)
-    else:
-        big_l = math.log(2.0 / 1e-20)
-        third = big_l / 3.0
-        radius = third + np.sqrt(third * third + 2.0 * big_l * n * xs * (1.0 - xs))
-        kept = np.abs(k - n * xs[:, None]) <= np.minimum(w, radius)[:, None] + 1.0
+    kept = kept_entries(n, xs, k)
     assert not B[~kept].any()
     for lo in range(0, xs.size, 512):
         r = slice(lo, lo + 512)
         got = B[r][kept[r]]
         want = basis_values(n, np.repeat(xs[r], kept[r].sum(axis=1)), k[r][kept[r]])
-        np.testing.assert_array_equal(got, want)
+        assert_within_band_bound(got, want)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 64, 1000, 16384))
+def test_end_weights_keep_their_closed_forms(n):
+    # k = 0 and k = n are anchors of their own: bit for bit basis_values' closed forms
+    xs = np.concatenate([grid_points(GridSpec()), BAND_POINTS])
+    B = basis_matrix(n, xs)
+    k = band_start(n, xs)[:, None] + np.arange(B.shape[1])
+    kept = kept_entries(n, xs, k)
+    for end in (0, n):
+        r, c = np.nonzero((k == end) & kept)
+        assert r.size
+        np.testing.assert_array_equal(B[r, c], basis_values(n, xs[r], np.full(r.size, end)))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 64, 100, 4096, 65536, 10**6))
+def test_band_entries_against_live_mpmath(n):
+    # every kept entry up to n = 100; above it the first, the last, the
+    # largest and 64 seeded entries of each row's kept part; exact
+    # binomials at 40 digits with the double x taken exactly
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.array([0.0, 1e-9, 1e-4, 0.37, 0.5, 1.0 - 1e-9, 1.0])
+    B = basis_matrix(n, xs)
+    k = band_start(n, xs)[:, None] + np.arange(B.shape[1])
+    kept = kept_entries(n, xs, k)
+    assert not B[~kept].any()
+    rng = np.random.default_rng(n)
+    with mpmath.workdps(40):
+        for i, x in enumerate(xs):
+            cols = np.flatnonzero(kept[i])
+            if cols.size > 67:
+                cols = np.unique([cols[0], cols[-1], np.argmax(B[i]), *rng.choice(cols, 64, replace=False)])
+            X = mpmath.mpf(float(x))
+            want = [mpmath.binomial(n, j) * X**j * (1 - X) ** (n - j) for j in k[i, cols].tolist()]
+            assert_within_band_bound(B[i, cols], np.array([float(v) for v in want]))
+
+
+@pytest.mark.parametrize("n", (64, 1024, 16384, 65536))
+def test_band_sums_keep_partition_and_first_moment_within_8_eps(n):
+    # the apply's row sums are ksum's over the band: ksum(B) and ksum(B k/n)
+    from singbern.operators import bernstein_apply
+
+    xs = grid_points(GridSpec())
+    eps = np.finfo(float).eps
+    assert np.abs(bernstein_apply(np.ones(n + 1), xs) - 1.0).max() <= 8 * eps
+    assert np.abs(bernstein_apply(np.arange(n + 1) / n, xs) - xs).max() <= 8 * eps
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 64, 4096, 10**6))
+def test_apply_warns_nothing_at_extreme_points(n):
+    # subnormal, tiny and last-ulp rows: every ratio, power and anchor stays finite
+    from singbern.operators import bernstein_apply
+
+    xs = np.array([0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = bernstein_apply(np.ones(n + 1), xs)
+    np.testing.assert_allclose(got, 1.0, rtol=0.0, atol=8 * np.finfo(float).eps)
 
 
 class TestBandPasses:
@@ -574,3 +647,21 @@ class TestKsum:
         a = rng.standard_normal((3, width, 4)) * 10.0 ** rng.uniform(-300.0, 300.0, (3, width, 4))
         a = np.moveaxis(a, 1, axis)
         np.testing.assert_array_equal(ksum(a, axis), ksum_blocks_reference(np.moveaxis(a, axis, -1)))
+
+
+def test_ratio_powers_are_those_of_the_exact_ratio():
+    # the walk's x-part, rho^t (1 + t drho), is the power of the exact
+    # x/(1-x), not of its rounding, to 3 eps; sigma^t likewise for (1-x)/x
+    mpmath = pytest.importorskip("mpmath")
+    from singbern.basis import _ANCHOR_STEP, _powers
+
+    n = 1000
+    xs = np.concatenate([np.random.default_rng(7).uniform(0.001, 0.999, 300), [0.1, 0.37, 0.5, 0.9]])
+    powers = _powers(n, xs, np.floor(n * xs + 0.5))
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        for i, x in enumerate(xs):
+            X = mpmath.mpf(float(x))
+            for side, ratio in enumerate((X / (1 - X), (1 - X) / X)):
+                want = np.array([float(ratio**t) for t in range(_ANCHOR_STEP)])
+                np.testing.assert_allclose(powers[:, side, i], want, rtol=3 * eps, atol=0.0)
