@@ -207,12 +207,25 @@ def _bd0(a, m, mlo, ws):
 
 
 def _split_moments(n: int, x):
-    """(nx, err) and (n(1-x), err) as exact double-double pairs."""
+    """(nx, err) and (n(1-x), err) as exact double-double pairs.
+
+    ``_bd0`` takes a pair's low part in to first order, which drops
+    (low/high)^2; that is below eps wherever the low part is under 2^-26
+    of the high part.  Past that, when n(1-x) is a few ulps of n, the
+    pair is renormalised by an exact two-sum, so its low part is at most
+    half an ulp of its high part.
+    """
     hi, lo = _two_prod(float(n), x)
     # n(1-x) = n - nx, re-expanded so the pair stays exact
     m2 = n - hi
     e2 = (n - m2) - hi  # exact: |hi| <= n, classic two-sum branch
-    return hi, lo, m2, e2 - lo
+    e2 -= lo
+    loose = np.abs(e2) > 2.0 ** -26 * m2
+    if np.any(loose):
+        s = m2 + e2
+        bb = s - m2
+        m2, e2 = np.where(loose, s, m2), np.where(loose, (m2 - (s - bb)) + (e2 - bb), e2)
+    return hi, lo, m2, e2
 
 
 def _log_const(n: int, k: np.ndarray) -> np.ndarray:

@@ -9,6 +9,13 @@ one pass over the ladder.  The weight always multiplies from outside the
 difference stencil; stencil points may approach the singular point xi,
 but any stencil that lands exactly on xi (or leaves the domain) is
 treated as undefined and excluded from the sup.
+
+``ladder_band_sups`` takes the ladder a chunk of steps at a time: each
+point set is one (steps x points) block of about basis._PASS_ENTRIES
+entries, so NumPy's per-call cost is paid per chunk, not per step.  Its
+scratch is a few such blocks beside the grid-sized arrays whatever the
+grid size or ladder length, and every value has the bits of a plain
+per-step loop over the same points.
 """
 
 from __future__ import annotations
@@ -17,12 +24,15 @@ import math
 
 import numpy as np
 
+from .basis import _PASS_ENTRIES
 from .weight import GridSpec, SingularWeight, grid_points, phi
 
 __all__ = ["h_ladder", "ladder_band_sups", "ladder_moduli"]
 
 _H_FLOOR = 2.0 ** -12
 _BAND_POINTS = 129
+# Offsets from xi, in units of h, of the points added near xi at each step.
+_NEAR_XI = np.array([0.25, 0.5, 0.75, 1.0, 1.5, 2.0])
 
 
 def h_ladder(t: float, h_steps: int = 32) -> np.ndarray:
@@ -40,53 +50,70 @@ def h_ladder(t: float, h_steps: int = 32) -> np.ndarray:
     return hs[hs <= t]
 
 
-def _weighted_diff(f, w, x, a, b, c):
-    """w(x) (f(c) - 2 f(b) + f(a)); NaN where the stencil leaves [0, 1] or meets xi."""
-    ok = (
-        (np.minimum(a, c) >= 0.0)
-        & (np.maximum(a, c) <= 1.0)
-        & (a != w.xi)
-        & (b != w.xi)
-        & (c != w.xi)
-    )
-    out = np.full(x.shape, np.nan)
-    if ok.any():
-        out[ok] = w(x[ok]) * (np.asarray(f(c[ok]), dtype=float)
-                              - 2.0 * np.asarray(f(b[ok]), dtype=float)
-                              + np.asarray(f(a[ok]), dtype=float))
+def _weighted_diffs(f, w, xi, points, centre, valid, known=None):
+    """|w(x) (f(c) - 2 f(b) + f(a))| over a block of stencils; 0 where one is undefined.
+
+    ``points`` is (a, b, c), blocks of one shape, and x = points[centre].
+    A stencil is undefined where ``valid`` is False, where it leaves
+    [0, 1] or where one of its points is xi.  f and w see only the
+    defined stencils' points, gathered into 1-D arrays; ``known`` is
+    (f(x), w(x)) where the caller already has them, for the grid.
+    """
+    a, b, c = points
+    ok = valid & (np.minimum(a, c) >= 0.0) & (np.maximum(a, c) <= 1.0) & (a != xi) & (b != xi) & (c != xi)
+
+    def at(p, i):
+        if i == centre and known is not None:
+            return np.broadcast_to(known[0], ok.shape)[ok]
+        return np.asarray(f(p[ok]), dtype=float)
+
+    wx = w(points[centre][ok]) if known is None else np.broadcast_to(known[1], ok.shape)[ok]
+    out = np.zeros(ok.shape)
+    out[ok] = np.abs(wx * (at(c, 2) - 2.0 * at(b, 1) + at(a, 0)))
     return out
 
 
-def _sym_values(f, w, lam, h, xs):
-    """Weighted symmetric second differences on xs; NaN where undefined."""
-    xs = np.asarray(xs, dtype=float)
-    step = h * phi(xs) ** lam
-    return _weighted_diff(f, w, xs, xs - step, xs, xs + step)
+def _row_sups(values: np.ndarray, where=None) -> np.ndarray:
+    """Row maxima of non-negative ``values`` over ``where``, NaN skipped; 0 for a row with none.
+
+    Outside ``where`` an entry becomes 0 or, from inf, NaN, so it never wins.
+    """
+    return np.fmax.reduce(values if where is None else values * where, axis=1, initial=0.0)
 
 
-def _oneside_values(f, w, h, xs, sign):
-    """Weighted one-sided second differences (sign=+1 forward, -1 backward)."""
-    xs = np.asarray(xs, dtype=float)
-    return _weighted_diff(f, w, xs, xs, xs + sign * h, xs + sign * 2.0 * h)
+def _chunks(widths: np.ndarray):
+    """Slices of consecutive steps whose blocks hold about _PASS_ENTRIES entries, at least one step.
+
+    ``widths`` holds each step's points; the first step of a chunk sets
+    its size, since the ladder's widest step comes first.
+    """
+    first = 0
+    while first < widths.size:
+        stop = first + max(1, _PASS_ENTRIES // max(int(widths[first]), 1))
+        yield slice(first, stop)
+        first = stop
 
 
-def _band_sup(values: np.ndarray) -> float:
-    vals = values[~np.isnan(values)]
-    return float(np.max(np.abs(vals))) if vals.size else 0.0
+def _sym_sups(f, w, xi, x, step, valid, known, cut, band, main):
+    """Fold a block's symmetric differences into its rows' three-band and main-part sups.
+
+    The differences are evaluated once; ``band`` takes their sup over
+    [cut, 1 - cut], ``main`` over the stencils strictly inside (0, 1).
+    """
+    a, c = x - step, x + step
+    values = _weighted_diffs(f, w, xi, (a, x, c), 1, valid, known)
+    np.maximum(band, _row_sups(values, (x >= cut) & (x <= 1.0 - cut)), out=band)
+    np.maximum(main, _row_sups(values, (a > 0.0) & (c < 1.0)), out=main)
 
 
-def _band_grid(lo: float, hi: float, base: np.ndarray, g: GridSpec, xi: float) -> np.ndarray:
-    if hi <= lo:
-        return np.empty(0)
-    pts = base[(base >= lo) & (base <= hi)]
-    return np.concatenate([pts, g.outside(np.linspace(lo, hi, _BAND_POINTS), xi)])
+def _oneside_sups(f, w, xi, x, h, lo, hi, g, sign, known, sup):
+    """Fold a block's one-sided differences (sign +1 forward, -1 backward) on [lo, hi] into ``sup``.
 
-
-def _near_singularity(xi: float, h: float) -> np.ndarray:
-    """Scale-aware points around xi; fixed grids miss the sup at small h."""
-    offs = np.array([0.25, 0.5, 0.75, 1.0, 1.5, 2.0]) * h
-    pts = np.concatenate([xi - offs, xi + offs])
-    return pts[(pts > 0.0) & (pts < 1.0)]
+    A row's band is empty where hi <= lo.
+    """
+    valid = (x >= lo) & (x <= hi) & (hi > lo) & g.kept(x, xi)
+    values = _weighted_diffs(f, w, xi, (x, x + sign * h, x + sign * 2.0 * h), 0, valid, known)
+    np.maximum(sup, _row_sups(values), out=sup)
 
 
 def ladder_band_sups(f, w: SingularWeight, lam: float, hs, g: GridSpec):
@@ -98,24 +125,53 @@ def ladder_band_sups(f, w: SingularWeight, lam: float, hs, g: GridSpec):
     and the main-part sup (symmetric stencil strictly inside (0, 1)).
     The weighted symmetric difference peaks within O(h) of xi, so the
     caller's grid is supplemented there at each step scale; like the grid,
-    every added point keeps the exclusion radius from xi.  Each step
-    evaluates the symmetric differences once and reads both sups off that
-    one array; a sup ignores order and repeats, so no point set is sorted.
+    every added point keeps the exclusion radius from xi.
+
+    Each point set (the grid, the points near xi, each boundary band's
+    grid points and its uniform points) is evaluated for a chunk of steps
+    at once, as one (steps x points) block of about _PASS_ENTRIES entries
+    (one step when a row alone is wider), so the scratch is a few such
+    blocks beside the grid-sized arrays: f, w and phi^lam on the grid are
+    computed once per call.  The steps come widest first, as from
+    ``h_ladder``; another order gives the same values in larger blocks.
+    Each (step, point) symmetric difference is evaluated once and both
+    sups are read off that one array; a sup ignores order and repeats, so
+    no point set is sorted.
     """
-    base = grid_points(g, w.xi)
-    three_band = np.empty(len(hs))
-    mainpart = np.empty(len(hs))
-    for i, h in enumerate(hs):
-        xs = np.concatenate([base, g.outside(_near_singularity(w.xi, h), w.xi)])
-        sym = _sym_values(f, w, lam, h, xs)
-        cut = 16.0 * h * h
-        total = _band_sup(sym[(xs >= cut) & (xs <= 1.0 - cut)])
-        total += _band_sup(_oneside_values(f, w, h, _band_grid(0.0, min(cut, 1.0), base, g, w.xi), +1.0))
-        total += _band_sup(_oneside_values(f, w, h, _band_grid(max(1.0 - cut, 0.0), 1.0, base, g, w.xi), -1.0))
-        three_band[i] = total
-        step = h * phi(xs) ** lam
-        mainpart[i] = _band_sup(sym[(xs - step > 0.0) & (xs + step < 1.0)])
-    return three_band, mainpart
+    hs = np.asarray(hs, dtype=float)
+    xi = w.xi
+    base = grid_points(g, xi)
+    off = base != xi
+    known = np.zeros(base.shape), np.zeros(base.shape)
+    known[0][off] = f(base[off])
+    known[1][off] = w(base[off])
+    p = phi(base) ** lam
+    cut = 16.0 * hs * hs
+    sym, mainpart, fwd, bwd = np.zeros((4, hs.size))
+    for sl in _chunks(np.full(hs.size, base.size)):
+        h = hs[sl, None]
+        _sym_sups(f, w, xi, np.broadcast_to(base, (h.size, base.size)), h * p, True, known, cut[sl, None],
+                  sym[sl], mainpart[sl])
+    for sl in _chunks(np.full(hs.size, 2 * _NEAR_XI.size)):
+        h = hs[sl, None]
+        offs = _NEAR_XI * h
+        near = np.concatenate([xi - offs, xi + offs], axis=1)
+        valid = (near > 0.0) & (near < 1.0) & g.kept(near, xi)
+        p_near = np.ones(near.shape)
+        p_near[valid] = phi(near[valid]) ** lam
+        _sym_sups(f, w, xi, near, h * p_near, valid, None, cut[sl, None], sym[sl], mainpart[sl])
+    for sup, lo, hi, sign in ((fwd, np.zeros(hs.size), np.minimum(cut, 1.0), 1.0),
+                              (bwd, np.maximum(1.0 - cut, 0.0), np.ones(hs.size), -1.0)):
+        first, stop = np.searchsorted(base, lo), np.searchsorted(base, hi, "right")
+        for sl in _chunks(stop - first):
+            span = slice(first[sl].min(), stop[sl].max())
+            h = hs[sl, None]
+            x = np.broadcast_to(base[span], (h.size, span.stop - span.start))
+            _oneside_sups(f, w, xi, x, h, lo[sl, None], hi[sl, None], g, sign, [k[span] for k in known], sup[sl])
+        for sl in _chunks(np.full(hs.size, _BAND_POINTS)):
+            x = np.linspace(lo[sl], hi[sl], _BAND_POINTS, axis=1)
+            _oneside_sups(f, w, xi, x, hs[sl, None], lo[sl, None], hi[sl, None], g, sign, None, sup[sl])
+    return (sym + fwd) + bwd, mainpart
 
 
 def ladder_moduli(f, w: SingularWeight, lam: float, t_values, h_steps: int = 32,

@@ -91,10 +91,10 @@ class GridSpec:
     def key(self) -> tuple:
         return (self.count, self.exclusion_radius, self.placement)
 
-    def outside(self, xs: np.ndarray, xi: float) -> np.ndarray:
-        """The points of ``xs`` at least the exclusion radius away from xi."""
+    def kept(self, xs: np.ndarray, xi: float) -> np.ndarray:
+        """Mask of the points of ``xs`` at least the exclusion radius away from xi."""
         r = self.exclusion_radius
-        return xs[(xs <= xi - r) | (xs >= xi + r)] if r > 0.0 else xs
+        return (xs <= xi - r) | (xs >= xi + r) if r > 0.0 else np.full(np.shape(xs), True)
 
 
 def grid_points(g: GridSpec, xi: float | None = None, extra=()) -> np.ndarray:
@@ -108,7 +108,7 @@ def grid_points(g: GridSpec, xi: float | None = None, extra=()) -> np.ndarray:
     if extra is not None and len(extra):
         xs = np.concatenate([xs, np.asarray(extra, dtype=float)])
     if xi is not None:
-        xs = g.outside(xs, xi)
+        xs = xs[g.kept(xs, xi)]
     return sorted_distinct(xs)
 
 

@@ -268,6 +268,21 @@ def test_basis_values_against_live_mpmath():
     assert worst <= 1e-12, worst
 
 
+@pytest.mark.parametrize("n", [3, 33, 1024])
+def test_basis_values_where_n_times_1_minus_x_is_below_an_ulp_of_n(n):
+    # at x = 1 - 2^-53 the pair n(1 - x) = hi + lo has |lo| near hi / 2
+    # unless it is renormalised; b(33, 32) read 4.38e-15 against 3.66e-15
+    mpmath = pytest.importorskip("mpmath")
+    x = 1.0 - 2.0 ** -53
+    k = np.arange(max(0, n - 20), n + 1)
+    got = basis_values(n, x, k)
+    with mpmath.workdps(50):
+        exact = [mpmath.binomial(n, int(j)) * mpmath.mpf(x) ** int(j) * (1 - mpmath.mpf(x)) ** (n - int(j)) for j in k]
+        kept = [i for i, e in enumerate(exact) if e >= mpmath.mpf("1e-290")]
+        worst = max(float(abs(got[i] - exact[i]) / exact[i]) for i in kept)
+    assert len(kept) >= 3 and worst <= 1e-12, worst
+
+
 BAND_POINTS = (0.0, 1e-9, 1e-4, 0.5, 1.0 - 1e-9, 1.0)
 
 

@@ -1,9 +1,11 @@
 """Tests for the weighted moduli of smoothness, with a K-functional oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from singbern.moduli import _oneside_values, _sym_values, h_ladder, ladder_moduli
+from singbern.moduli import h_ladder, ladder_band_sups, ladder_moduli
 from singbern.weight import (
     GridSpec,
     SingularWeight,
@@ -72,6 +74,75 @@ def brute_omega2(f, w, lam, t, g, h_steps=32):
                     sups[idx] = max(sups[idx], float(val))
         best = max(best, sum(sups))
     return best
+
+
+def _weighted_diff(f, w, x, a, b, c):
+    """w(x) (f(c) - 2 f(b) + f(a)); NaN where the stencil leaves [0, 1] or meets xi."""
+    ok = (
+        (np.minimum(a, c) >= 0.0)
+        & (np.maximum(a, c) <= 1.0)
+        & (a != w.xi)
+        & (b != w.xi)
+        & (c != w.xi)
+    )
+    out = np.full(x.shape, np.nan)
+    if ok.any():
+        out[ok] = w(x[ok]) * (np.asarray(f(c[ok]), dtype=float)
+                              - 2.0 * np.asarray(f(b[ok]), dtype=float)
+                              + np.asarray(f(a[ok]), dtype=float))
+    return out
+
+
+def _sym_values(f, w, lam, h, xs):
+    """Weighted symmetric second differences on xs; NaN where undefined."""
+    xs = np.asarray(xs, dtype=float)
+    step = h * phi(xs) ** lam
+    return _weighted_diff(f, w, xs, xs - step, xs, xs + step)
+
+
+def _oneside_values(f, w, h, xs, sign):
+    """Weighted one-sided second differences (sign=+1 forward, -1 backward)."""
+    xs = np.asarray(xs, dtype=float)
+    return _weighted_diff(f, w, xs, xs, xs + sign * h, xs + sign * 2.0 * h)
+
+
+def _band_sup(values):
+    vals = values[~np.isnan(values)]
+    return float(np.max(np.abs(vals))) if vals.size else 0.0
+
+
+def _near_xi(xi, h, g):
+    offs = np.array([0.25, 0.5, 0.75, 1.0, 1.5, 2.0]) * h
+    pts = np.concatenate([xi - offs, xi + offs])
+    pts = pts[(pts > 0.0) & (pts < 1.0)]
+    return pts[g.kept(pts, xi)]
+
+
+def _band_points(lo, hi, base, g, xi):
+    """(grid points, uniform points) of a one-sided band [lo, hi]; none where hi <= lo."""
+    if hi <= lo:
+        return np.empty(0), np.empty(0)
+    pts = np.linspace(lo, hi, 129)
+    return base[(base >= lo) & (base <= hi)], pts[g.kept(pts, xi)]
+
+
+def per_step_band_sups(f, w, lam, hs, g):
+    """``ladder_band_sups`` one step at a time, one point set per step, as a plain loop."""
+    base = grid_points(g, w.xi)
+    three_band, mainpart = np.empty(len(hs)), np.empty(len(hs))
+    for i, h in enumerate(hs):
+        xs = np.concatenate([base, _near_xi(w.xi, h, g)])
+        sym = _sym_values(f, w, lam, h, xs)
+        cut = 16.0 * h * h
+        total = _band_sup(sym[(xs >= cut) & (xs <= 1.0 - cut)])
+        total += _band_sup(_oneside_values(f, w, h, np.concatenate(
+            _band_points(0.0, min(cut, 1.0), base, g, w.xi)), +1.0))
+        total += _band_sup(_oneside_values(f, w, h, np.concatenate(
+            _band_points(max(1.0 - cut, 0.0), 1.0, base, g, w.xi)), -1.0))
+        three_band[i] = total
+        step = h * phi(xs) ** lam
+        mainpart[i] = _band_sup(sym[(xs - step > 0.0) & (xs + step < 1.0)])
+    return three_band, mainpart
 
 
 def sym(f, lam, h, x):
@@ -253,14 +324,86 @@ class TestIteratedStepIntegral:
         assert ratios.max() <= 2.0  # the measured constant is around 1
 
 
-def test_one_symmetric_difference_per_ladder_step(monkeypatch):
-    import singbern.moduli as moduli_module
+# (xi, alpha, lam, grid count, placement, exclusion radius, h_steps)
+LADDER_CONFIGS = [
+    (0.5, 1.0, 0.0, 4097, "chebyshev", 0.0, 32),
+    (0.37, 0.5, 0.3, 4097, "chebyshev", 0.01, 32),
+    (0.2, 1.5, 0.5, 257, "uniform", 0.0, 7),
+    (0.5, 1.0, 1.0, 1025, "uniform", 0.05, 32),  # xi on the grid, kept out by the radius
+    (0.5, 0.5, 0.0, 257, "uniform", 0.0, 32),  # xi on the grid
+    (0.5, 0.5, 0.0, 2, "chebyshev", 0.0, 32),
+    (0.37, 1.0, 1.0, 2049, "chebyshev", 0.05, 7),
+    (0.2, 0.5, 0.3, 1025, "uniform", 0.01, 32),
+]
 
-    real, calls = moduli_module._sym_values, []
-    monkeypatch.setattr(moduli_module, "_sym_values", lambda *a: calls.append(1) or real(*a))
+
+@pytest.mark.parametrize("config", LADDER_CONFIGS, ids=str)
+def test_chunked_ladder_matches_the_per_step_loop_bit_for_bit(config):
+    # the whole ladder, its small end, and a width below the 2^-12 floor
+    xi, alpha, lam, count, placement, r, h_steps = config
+    w = SingularWeight(xi=xi, alpha=alpha)
+    g = GridSpec(count=count, exclusion_radius=r, placement=placement)
+    for name in ("abs_beta_0.5", "abs_beta_1.0", "smoothed_step"):
+        f = corpus_member(name, w, lam)
+        for hs in (h_ladder(0.25, h_steps), h_ladder(2.0 ** -9, h_steps), np.array([1e-4])):
+            got, want = ladder_band_sups(f, w, lam, hs, g), per_step_band_sups(f, w, lam, hs, g)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), (name, hs.size)
+
+
+def test_chunked_ladder_matches_the_per_step_loop_on_a_65537_point_grid():
+    # one step per chunk: a grid row alone exceeds a chunk's entries
+    g = GridSpec(count=65537)
+    f = corpus_member("abs_beta_1.0", W)
+    hs = np.concatenate([h_ladder(0.25)[:3], h_ladder(2.0 ** -11), [1e-4]])
+    got, want = ladder_band_sups(f, W, 0.5, hs, g), per_step_band_sups(f, W, 0.5, hs, g)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_each_difference_is_evaluated_once(lam):
+    # f sees the grid once, then only the points of the defined stencils:
+    # two per grid stencil (f at the centre is the grid's), three elsewhere;
+    # both sups of the symmetric differences are read off one evaluation
+    points = []
+
+    def f(x):
+        points.append(np.size(x))
+        return np.abs(np.asarray(x, dtype=float) - W.xi) ** 0.5
+
+    g = GridSpec(count=257, exclusion_radius=0.01)
+    hs = np.concatenate([h_ladder(0.25), [1e-4]])
+    ladder_band_sups(f, W, lam, hs, g)
+    seen = sum(points)
+    base = grid_points(g, W.xi)
+    defined = lambda values: np.count_nonzero(~np.isnan(values))
+    want = np.count_nonzero(base != W.xi)
+    for h in hs:
+        want += 2 * defined(_sym_values(f, W, lam, h, base))
+        want += 3 * defined(_sym_values(f, W, lam, h, _near_xi(W.xi, h, g)))
+        cut = 16.0 * h * h
+        for (lo, hi), sign in (((0.0, min(cut, 1.0)), 1.0), ((max(1.0 - cut, 0.0), 1.0), -1.0)):
+            grid_part, uniform_part = _band_points(lo, hi, base, g, W.xi)
+            want += 2 * defined(_oneside_values(f, W, h, grid_part, sign))
+            want += 3 * defined(_oneside_values(f, W, h, uniform_part, sign))
+    assert seen == want
+
+
+def test_ladder_scratch_is_one_chunk_beside_the_grid():
+    # one step per chunk on a 65537-point grid: the peak is a dozen or so
+    # grid-sized temporaries and the grid-sized arrays held for the call (the
+    # grid, f, w and phi^lam there); the whole (steps x grid) block of one
+    # temporary would be 81 of them
+    g = GridSpec(count=65537)
     hs = h_ladder(0.25)
-    moduli_module.ladder_band_sups(corpus_member("abs_beta_1.0", W, 0.0), W, 0.0, hs, G)
-    assert len(calls) == hs.size > 1
+    row = 8 * (grid_points(g, W.xi).size + 12)
+    f = corpus_member("abs_beta_1.0", W)
+    tracemalloc.start()
+    try:
+        ladder_band_sups(f, W, 0.5, hs, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hs.size == 81 and peak < 24 * row, peak / row
 
 
 def test_every_weighted_centre_keeps_the_exclusion_radius():
