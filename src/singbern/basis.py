@@ -13,39 +13,37 @@ D(a, m) = a log(a/m) + m - a is evaluated by a series when a is close
 to m.  Every quantity that is actually summed stays O(log n), which keeps
 the relative error of the weight below 1e-12 for n up to 1e6.
 
-One broadcast evaluator, ``basis_values(n, x, k)``, computes any weight
-this way.  On a grid only a band of each row is kept: the mass of row x
-lies within a few sqrt(n) of nx, so ``basis_matrix`` stores the
-2W+1 indices around round(nx), W = ceil(sqrt(n ln(2/eps) / 2)) with
-eps = 1e-20 (Hoeffding), and inside that band keeps only the entries
-within Bernstein's radius L/3 + sqrt((L/3)^2 + 2 L n x(1-x)) + 1,
-L = ln(2/eps), which is far narrower near the ends.  Each row drops less
-than 1e-20 of its mass, and the block costs O(G sqrt(n)) memory for a
-grid of G points instead of O(G n).
+On a grid only a band of each row is kept: the mass of row x lies
+within a few sqrt(n) of nx, so ``basis_matrix`` stores the 2W+1 indices
+around round(nx), W = ceil(sqrt(n ln(2/eps) / 2)) with eps = 1e-20
+(Hoeffding), and inside that band keeps only the entries within
+Bernstein's radius L/3 + sqrt((L/3)^2 + 2 L n x(1-x)) + 1, L = ln(2/eps),
+which is far narrower near the ends.  Each row drops less than 1e-20 of
+its mass, and the block costs O(G sqrt(n)) memory for a grid of G points
+instead of O(G n).
 
-Inside the band the log-space path computes only anchors: the entry at
-each row's mode round(nx), one every S = _ANCHOR_STEP = 16 entries
-outward on both sides, and the closed forms at k = 0 and k = n.  Every
-other kept entry is walked outward from its segment's anchor by the
-neighbour ratio b(k+1)/b(k) = (n-k)/(k+1) x/(1-x), leftward by its
-inverse: a running product of the k-part along the segment times a power
-of the x-part, whose rounding is taken out to first order.  Walking away
-from the mode, each anchor is the largest entry of its segment, so no
-segment climbs out of underflow.  A kept band entry agrees with
-``basis_values`` to 1e-12 relative (1e-250 absolute below 1e-250; up to
-3e-13 seen), and the band's row sums keep the partition of unity and
-the first moment k/n to 8 eps (4 eps seen, as with every entry in log
-space).  The block is built in passes that each hold a fixed budget of
-band entries, sized so that a pass's temporaries stay in cache; the parts
-of log b that depend on k alone or on x alone are computed once per
-block, the anchors about _ANCHOR_BATCH at a time in one scratch
-workspace, and the walk of every pass in scratch that the call makes and
-reuses pass after pass; no scratch is shared between calls.
-``basis_matrix`` writes each pass straight into the whole block;
-``_band_passes`` also hands the passes out one at a time from one reused
-buffer, so a caller that reduces each pass as it comes never holds the
-block.  ``basis_values`` runs its broadcast input in passes of the same
-size over one workspace.
+Every row is walked by ``_band_passes`` between the first and last index
+that its caller keeps: the band's (``_band_bounds``) or any window, such
+as those of Lemmas 5 and 6.  The log-space path computes only anchors:
+the entry at the row's mode round(nx), clipped into the kept indices,
+one every S = _ANCHOR_STEP = 16 entries outward on both sides, and the
+closed forms at k = 0 and k = n.  Every other kept entry is walked
+outward from its segment's anchor by the neighbour ratio b(k+1)/b(k) =
+(n-k)/(k+1) x/(1-x), leftward by its inverse: a running product of the
+k-part times a power of the x-part, whose rounding is taken out to first
+order.  Walking away from the mode, each anchor is the largest entry of
+its segment, so no segment climbs out of underflow.  A kept entry agrees
+with ``basis_values``, the broadcast log-space oracle of the tests, to
+1e-12 relative (1e-250 absolute below 1e-250; up to 3e-13 seen), and the
+band's row sums keep the partition of unity and the first moment k/n to
+8 eps (4 eps seen).  The rows come in passes of a fixed budget of
+entries, sized so that a pass's temporaries stay in cache; the k-only
+and x-only parts of log b are computed once per call, the anchors about
+_ANCHOR_BATCH at a time, and every pass walks in scratch that the call
+makes and reuses; no scratch is shared between calls.  ``basis_matrix``
+writes each pass straight into the whole block; otherwise the passes
+come one at a time in one reused buffer, so a caller that reduces each
+pass as it comes never holds the block.
 
 Every basis-weighted sum, sum_k c(k, x) b(n, k, x), is summed 64 columns
 at a time: each block of terms is summed pairwise and the block sums are
@@ -279,8 +277,9 @@ def _log_b(n: int, k: np.ndarray, const: np.ndarray, moments, ws: tuple) -> np.n
 def basis_values(n: int, x, k) -> np.ndarray:
     """Basis weights b(n, k, x) = C(n, k) x^k (1-x)^(n-k), broadcast over x and k.
 
-    The one evaluator behind every row, band and window.  Relative error
-    stays below 1e-12 for n up to 1e6.  Endpoints are exact: x=0 gives 1
+    The log-space path of every anchor of a walked row, and the oracle
+    that the tests hold the rows against.  Relative error stays below
+    1e-12 for n up to 1e6.  Endpoints are exact: x=0 gives 1
     iff k=0, x=1 gives 1 iff k=n; the k=0 and k=n weights are direct
     powers.  A buffered iterator copies the broadcast input out in passes
     of at most _PASS_ENTRIES entries, each evaluated in one workspace, so
@@ -342,14 +341,33 @@ def band_start(n: int, xs) -> np.ndarray:
     The band is centred on round(n x) and shifted inward at the ends.
     When 2W >= n it is the whole row and every start is 0.
     """
-    n = int(n)
-    return _band_start(n, np.asarray(xs, dtype=float), _band_radius(n))
+    return _band_bounds(int(n), np.asarray(xs, dtype=float))[0]
 
 
-def _band_start(n: int, xs: np.ndarray, w: int) -> np.ndarray:
+def _band_bounds(n: int, xs: np.ndarray) -> tuple:
+    """(start, lo, hi) of each row's band: ``band_start`` and the first and last index it keeps.
+
+    Bernstein's inequality puts all but BAND_EPS of the mass within
+    L/3 + sqrt((L/3)^2 + 2 L n x(1-x)) of nx, with L = ln(2/BAND_EPS);
+    near the ends that is far inside the Hoeffding radius W.  The kept
+    part of a band is its k with |k - nx| <= min(W, that radius) + 1, the
+    test evaluated in doubles: it holds on an interval, whose ends are
+    found among the five integers around nx -+ the radius.  A band that
+    is the whole row is kept whole.
+    """
+    w = _band_radius(n)
     if 2 * w >= n:
-        return np.zeros(xs.shape, dtype=np.int64)
-    return np.clip(np.floor(n * xs + 0.5).astype(np.int64) - w, 0, n - 2 * w)
+        zero = np.zeros(xs.shape, dtype=np.int64)
+        return zero, zero, np.full(xs.shape, n, dtype=np.int64)
+    start = np.clip(np.floor(n * xs + 0.5).astype(np.int64) - w, 0, n - 2 * w)
+    third = _BAND_LOG / 3.0
+    radius = np.minimum(w, third + np.sqrt(third * third + 2.0 * _BAND_LOG * n * xs * (1.0 - xs))) + 1.0
+    nx = n * xs
+    lo, hi = np.ceil(nx - radius), np.floor(nx + radius)
+    # the test holds at lo + 2 and hi - 2 and is monotone on either side of nx
+    lo += 3.0 - sum(np.abs(lo + d - nx) <= radius for d in range(-2, 3))
+    hi += sum(np.abs(hi + d - nx) <= radius for d in range(-2, 3)) - 3.0
+    return start, np.maximum(lo, start).astype(np.int64), np.minimum(hi, start + 2 * w).astype(np.int64)
 
 
 def basis_matrix(n: int, xs: np.ndarray) -> np.ndarray:
@@ -364,15 +382,15 @@ def basis_matrix(n: int, xs: np.ndarray) -> np.ndarray:
     Memory is O(len(xs) sqrt(n)).  The passes of ``_band_passes`` write
     straight into the block.
     """
-    n, xs, width = _band_grid(n, xs)
+    n, xs, width, bounds = _band_grid(n, xs)
     out = np.zeros((xs.size, width))
-    for _ in _band_passes(n, xs, width, out):
+    for _ in _band_passes(n, xs, width, bounds, out):
         pass
     return out
 
 
 def _band_grid(n: int, xs) -> tuple:
-    """(n, xs, band width) checked as ``basis_matrix`` takes them."""
+    """(n, xs, band width, ``_band_bounds``) checked as ``basis_matrix`` takes them."""
     n = int(n)
     if n < 1:
         raise ValueError(f"degree n must be >= 1, got {n}")
@@ -381,7 +399,7 @@ def _band_grid(n: int, xs) -> tuple:
         raise ValueError("xs must be one-dimensional")
     if xs.size and not (xs.min() >= 0.0 and xs.max() <= 1.0):
         raise ValueError("grid points must lie in [0, 1]")
-    return n, xs, min(n + 1, 2 * _band_radius(n) + 1)
+    return n, xs, min(n + 1, 2 * _band_radius(n) + 1), _band_bounds(n, xs)
 
 
 def _pass_rows(width: int) -> int:
@@ -389,28 +407,22 @@ def _pass_rows(width: int) -> int:
     return max(1, _PASS_ENTRIES // width)
 
 
-def _band_passes(n: int, xs: np.ndarray, width: int, out: np.ndarray | None = None):
-    """Build the band block of ``basis_matrix(n, xs)`` pass by pass.
+def _band_passes(n: int, xs: np.ndarray, width: int, bounds: tuple, out: np.ndarray | None = None):
+    """Walk the rows of xs pass by pass between the indices that ``bounds`` keeps.
 
-    Takes n, xs and width as ``_band_grid`` returns them and yields
-    (rows, block) for consecutive slices ``rows`` of ``_pass_rows`` grid
-    points: block holds the band rows of xs[rows].  Given ``out``, a zero
-    array of the whole block's shape, each block is out[rows], so the
-    passes fill ``out``; without it every block is one buffer, refilled
-    by each pass.
+    Takes n and xs as ``_band_grid`` returns them, and ``bounds`` =
+    (start, lo, hi): row i holds b(n, start[i] + j, xs[i]) for j < width
+    where lo[i] <= k <= hi[i], with start[i] <= lo[i] and hi[i] < start[i]
+    + width, and 0 elsewhere.  Yields (rows, block) for consecutive slices
+    ``rows`` of ``_pass_rows`` grid points, block holding their rows: out[rows]
+    given ``out``, a zero (len(xs), width) array, else one reused buffer.
 
-    Each row is walked outward from its mode round(n x) by the neighbour
-    ratio (``_walk``), from log-space anchors (``_anchors``) one every
-    _ANCHOR_STEP entries and at k = 0 and k = n.  The anchors of about
-    _ANCHOR_BATCH at a time are one ``_values`` call, on the call's
-    k-table and x-only moments, which serves several passes; the walk of
-    a pass runs in scratch made once per call, and its rows are copied
-    into the band.  Entries outside Bernstein's radius are 0.
+    Each row is walked outward from its mode round(n x), clipped into
+    lo..hi, by the neighbour ratio (``_walk``) from log-space anchors
+    (``_anchors``), those of about _ANCHOR_BATCH rows in one call.
     """
-    w = _band_radius(n)
-    start = _band_start(n, xs, w)
-    lo, hi = _kept_bounds(n, xs, start, width, w)
-    mode = np.floor(n * xs + 0.5).astype(np.int64)
+    start, lo, hi = bounds
+    mode = np.clip(np.floor(n * xs + 0.5).astype(np.int64), lo, hi)
     const = _log_const_table(n)  # k = 1..n-1
     moments = _split_moments(n, xs)
     rows = _pass_rows(width)
@@ -431,7 +443,7 @@ def _band_passes(n: int, xs: np.ndarray, width: int, out: np.ndarray | None = No
         bs = slice(first, min(first + batch, xs.size))
         steps = int(np.maximum(hi[bs] - mode[bs], mode[bs] - lo[bs]).max()) // _ANCHOR_STEP
         anchors = _anchors(n, xs[bs], mode[bs], lo[bs], hi[bs], steps, [m[bs] for m in moments], const, ws)
-        powers = _powers(n, xs[bs], mode[bs])
+        powers = _powers(xs[bs], mode[bs], lo[bs], hi[bs])
         span = 2 * (steps + 1) * _ANCHOR_STEP - 1  # walked entries per row
         for p in range(bs.start, bs.stop, rows):
             sl = slice(p, min(p + rows, bs.stop))
@@ -439,7 +451,7 @@ def _band_passes(n: int, xs: np.ndarray, width: int, out: np.ndarray | None = No
             block = out[sl] if out is not None else buf[:r]
             _walk(n, anchors[p - first:sl.stop - first], mode[sl], powers[..., p - first:sl.stop - first],
                   scratch, walked[width:width + r * span].reshape(r, span))
-            # row i's band starts at its walked entry k = start[i], span // 2 + start[i] - mode[i] into its walk
+            # row i starts at its walked entry k = start[i], span // 2 + start[i] - mode[i] into its walk
             block[...] = windows[width + span * np.arange(r) + start[sl] - mode[sl] + span // 2]
             np.less(cols, (lo[sl] - start[sl])[:, None], out=drop[:r])
             drop[:r] |= cols > (hi[sl] - start[sl])[:, None]
@@ -447,30 +459,7 @@ def _band_passes(n: int, xs: np.ndarray, width: int, out: np.ndarray | None = No
             yield sl, block
 
 
-def _kept_bounds(n: int, xs: np.ndarray, start: np.ndarray, width: int, w: int) -> tuple:
-    """First and last index k of the kept part of each row's band.
-
-    Bernstein's inequality puts all but BAND_EPS of the mass within
-    L/3 + sqrt((L/3)^2 + 2 L n x(1-x)) of nx, with L = ln(2/BAND_EPS);
-    near the ends that is far inside the Hoeffding radius W.  The kept
-    part of a band is its k with |k - nx| <= min(W, that radius) + 1, the
-    test evaluated in doubles: it holds on an interval, whose ends are
-    found among the five integers around nx -+ the radius.  A band that
-    is the whole row is kept whole.
-    """
-    if 2 * w >= n:
-        return np.zeros(xs.shape, dtype=np.int64), np.full(xs.shape, n, dtype=np.int64)
-    third = _BAND_LOG / 3.0
-    radius = np.minimum(w, third + np.sqrt(third * third + 2.0 * _BAND_LOG * n * xs * (1.0 - xs))) + 1.0
-    nx = n * xs
-    lo, hi = np.ceil(nx - radius), np.floor(nx + radius)
-    # the test holds at lo + 2 and hi - 2 and is monotone on either side of nx
-    lo += 3.0 - sum(np.abs(lo + d - nx) <= radius for d in range(-2, 3))
-    hi += sum(np.abs(hi + d - nx) <= radius for d in range(-2, 3)) - 3.0
-    return np.maximum(lo, start).astype(np.int64), np.minimum(hi, start + width - 1).astype(np.int64)
-
-
-def _powers(n: int, x: np.ndarray, mode: np.ndarray) -> np.ndarray:
+def _powers(x: np.ndarray, mode: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Powers of the x-part of the neighbour ratio along a segment, shape (S, 2, len(x)).
 
     [t, 0] is (x/(1-x))^t and [t, 1] is ((1-x)/x)^t for t < S =
@@ -478,19 +467,21 @@ def _powers(n: int, x: np.ndarray, mode: np.ndarray) -> np.ndarray:
     1 - x written as the exact sum s + c, the relative rounding d of the
     quotient r (from its residual by ``_two_prod``) is taken out as
     r^t (1 + t d), and every power is one ``pow``, so its rounding does
-    not grow with t.  A ratio that no walk of its row takes (x/(1-x) at
-    mode n, (1-x)/x at mode 0) is 0, so x in {0, 1} divides by nothing.
+    not grow with t.  A ratio that no walk of its row takes is 0: x/(1-x)
+    when no kept index lies above the mode, (1-x)/x when none lies below.
+    So x in {0, 1} divides by nothing, and no tiny x whose mode is clipped
+    up to a window's first index takes a power of 1/x.
     """
     s = 1.0 - x
     c = (1.0 - s) - x  # exact: s + c = 1 - x
-    up, down = mode < n, mode > 0  # then 1 - x > 1/(2n), x >= 1/(2n)
+    up, down = hi > mode, lo < mode  # then 1 - x > 1/(2n), x >= 1/(2n)
     rho = np.divide(x, s, out=np.zeros(x.shape), where=up)
-    hi, lo = _two_prod(rho, s)
-    drho = np.divide((x - hi) - lo, x, out=np.zeros(x.shape), where=rho > 0.0)
+    p, e = _two_prod(rho, s)
+    drho = np.divide((x - p) - e, x, out=np.zeros(x.shape), where=rho > 0.0)
     drho -= np.divide(c, s, out=np.zeros(x.shape), where=up)
     sigma = np.divide(s, x, out=np.zeros(x.shape), where=down)
-    hi, lo = _two_prod(sigma, x)
-    dsigma = np.divide((s - hi) - lo + c, s, out=np.zeros(x.shape), where=sigma > 0.0)
+    p, e = _two_prod(sigma, x)
+    dsigma = np.divide((s - p) - e + c, s, out=np.zeros(x.shape), where=sigma > 0.0)
     t = np.arange(float(_ANCHOR_STEP))[:, None, None]
     out = np.power(np.stack([rho, sigma]), t)
     out += out * (t * np.stack([drho, dsigma]))

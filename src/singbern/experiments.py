@@ -16,17 +16,14 @@ the rows to a trend rule, by default ``trend_summary`` on the rows'
 differs, its trend rule.
 
 Every command streams its bands, and checkers that read the same
-(degree, grid) band share one pass over it (``band_checks``): lemma1 and
-lemma4 on the interior grid at degree n, lemma2 and the direct-rate
-check on the node grid at n, theorem1 and theorem2 on the node grid at
-n - 2.  At each degree the members' vectors are stacked into one
-streamed apply, whose band is never held whole, and each checker's row
-function reads its member's result.  Each checker still gets the
-reports, and raises the error, of one-member runs in member order.
-Beside its O(grid) results no checker holds more than one pass of band
-work: lemma4's block sums are joined a chunk of rows at a time, as the
-apply's are, and the window sums of lemma5 and lemma6 (``_window_sums``)
-run their rows in chunks.
+(degree, grid) band share one pass over it (``band_checks``), each still
+getting the reports, and raising the error, of one-member runs in member
+order.  Beside its O(grid) results no checker holds more than one pass
+of band work: lemma4's block sums are joined a chunk of rows at a time,
+as the apply's are, and lemma5 and lemma6 walk their rows over the
+window around xi (``_window_sums``) and sum them the same way.  An
+exponent whose powers overflow is an OverflowError naming it, with no
+warning.
 
 Rate targets are a closed form, not fitted numbers: for |x - xi|^beta
 under the weight |x - xi|^alpha the weighted error peaks at the bridge
@@ -44,6 +41,7 @@ on the grid; gain: n(n-1) for (Bbar_n f)'', else 1), so trends see exact zeros.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from functools import partial
 from types import SimpleNamespace
 
@@ -52,7 +50,7 @@ import numpy as np
 from .bridge import InvalidNodesError, chord, compute_nodes, min_valid_n
 from .moduli import ladder_moduli
 from .operators import _RowSums, _band_sum, bbar_second_derivative, bernstein_apply, build_surrogate
-from .basis import _PASS_ENTRIES, _band_grid, _band_passes, band_start, basis_values, block_sum
+from .basis import _band_grid, _band_passes
 from .weight import (
     EvaluationError,
     GridSpec,
@@ -74,14 +72,9 @@ __all__ = [
     "trend_summary",
     "w2_members",
     "band_checks",
-    "check_lemma1",
-    "check_lemma2",
-    "check_lemma4",
     "check_lemma5",
     "check_lemma6",
     "check_lemma7",
-    "check_theorem1",
-    "check_theorem2",
     "check_direct",
     "check_inverse",
     "run_function_sweep",
@@ -234,6 +227,18 @@ def _check(name, params, n_values, row, xi=None, trend=_ratio_trend) -> dict:
     return _trend_report(name, params, trend)(*_sweep_rows(n_values, row, xi))
 
 
+@contextmanager
+def _powers_of(exponents: str, *sums):
+    """An overflow in the block, or non-finite ``sums`` (made quietly), as an OverflowError naming ``exponents``."""
+    try:
+        if not all(np.isfinite(s).all() for s in sums):
+            raise OverflowError
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except (OverflowError, FloatingPointError):
+        raise OverflowError(f"the powers of {exponents} overflow double precision") from None
+
+
 def _interior_grid(g: GridSpec, xi: float | None = None) -> np.ndarray:
     xs = grid_points(g, xi)
     return xs[(xs > 0.0) & (xs < 1.0)]
@@ -290,30 +295,32 @@ def _interior_degree(c):
     """``degree`` on the interior grid: lemma1's band sums of its weights and lemma4's central moments.
 
     lemma4 hands the terms of each pass of band rows to ``_RowSums`` as
-    they come, as the apply does its products.
+    they come, as the apply does its products.  Both are made quietly: a power
+    of u, v or gamma that overflows leaves sums that the row raises.
     """
     xs = _interior_grid(c.g)
 
     def degree(n, names):
-        n, _, width = _band_grid(n, xs)
-        start, cols, sums = band_start(n, xs), np.arange(width), None
+        n, _, width, bounds = _band_grid(n, xs)
+        start, cols, sums = bounds[0], np.arange(width), None
         moments = _RowSums((), xs.size, width) if "lemma4" in names else None
 
         def passes():
-            for sl, B in _band_passes(n, xs, width):
+            for sl, B in _band_passes(n, xs, width, bounds):
                 if moments is not None:
                     moments.add(B * np.abs(start[sl, None] + cols - n * xs[sl, None]) ** c.gamma)
                 yield sl, B
 
-        if "lemma1" in names:
-            k = np.arange(1, n)
-            weights = np.zeros(n + 1)
-            weights[1:n] = (k / n) ** (-c.u) * ((n - k) / n) ** (-c.v)
-            sums = _band_sum(weights, start, width, passes())
-        else:
-            for _ in passes():
-                pass
-        return xs, [sums if name == "lemma1" else moments.total() for name in names]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if "lemma1" in names:
+                k = np.arange(1, n)
+                weights = np.zeros(n + 1)
+                weights[1:n] = (k / n) ** (-c.u) * ((n - k) / n) ** (-c.v)
+                sums = _band_sum(weights, start, width, passes())
+            else:
+                for _ in passes():
+                    pass
+            return xs, [sums if name == "lemma1" else moments.total() for name in names]
 
     return degree
 
@@ -343,15 +350,21 @@ def _node_degree(c, second: bool = False):
 # A band checker's maker takes its key (its member, or its own name) and
 # the run's parameters and returns its row(n, xs, value) and its report.
 def _lemma1(_, c):
+    """Inverse-power moment sums against x^-u (1-x)^-v, ratio per degree."""
+
     def row(n, xs, sums):
-        return {"n": n, "ratio": float(np.max(sums / (xs ** (-c.u) * (1.0 - xs) ** (-c.v))))}
+        with _powers_of(f"u = {c.u!r}, v = {c.v!r}", sums):
+            return {"n": n, "ratio": float(np.max(sums / (xs ** (-c.u) * (1.0 - xs) ** (-c.v))))}
 
     return row, _trend_report("lemma1", {"u": c.u, "v": c.v, "grid": c.g.key()})
 
 
 def _lemma4(_, c):
+    """Central absolute moments against (n^(1/2) phi)^gamma, ratio per degree."""
+
     def row(n, xs, moments):
-        return {"n": n, "ratio": float(np.max(moments / (n ** (c.gamma / 2.0) * phi(xs) ** c.gamma)))}
+        with _powers_of(f"gamma = {c.gamma!r}", moments):
+            return {"n": n, "ratio": float(np.max(moments / (n ** (c.gamma / 2.0) * phi(xs) ** c.gamma)))}
 
     return row, _trend_report("lemma4", {"gamma": c.gamma, "grid": c.g.key()})
 
@@ -361,6 +374,7 @@ def _params(f, c, **extra) -> dict:
 
 
 def _lemma2(f, c):
+    """Operator stability: the weighted norm ratio of image to input."""
     fnorm = weighted_sup_norm(f, c.w, c.g)
 
     def row(n, xs, bv):
@@ -396,6 +410,7 @@ def _majorant_ratio(num: float, den: float) -> float:
 
 
 def _theorem1(f, c):
+    """Second-derivative norm against n^2 times the input norm."""
     fnorm = weighted_sup_norm(f, c.w, c.g)
 
     def row(n, xs, d2):
@@ -406,6 +421,9 @@ def _theorem1(f, c):
 
 
 def _theorem2_w2(f, c):
+    """w phi^(2 lam) (Bbar_n f)'' against ||w phi^(2 lam) f''|| on the same grid; f needs f''."""
+    if not f.has_second_derivative:
+        raise ValueError(f"{f.name!r} lacks a second derivative")
     w, lam = c.w, c.lam
 
     def row(n, xs, d2):
@@ -417,6 +435,11 @@ def _theorem2_w2(f, c):
 
 
 def _theorem2_cw(f, c):
+    """w phi^(2 lam) (Bbar_n f)'' against n max(n^(1-lam), phi^(2(lam-1))) ||w f||, pointwise.
+
+    The two proof regimes, phi below and above n^(-1/2), are each held
+    against the shared n^(2-lam) ||w f||.
+    """
     w, lam, fnorm = c.w, c.lam, weighted_sup_norm(f, c.w, c.g)
 
     def row(n, xs, d2):
@@ -485,46 +508,19 @@ def band_checks(plan: dict, w: SingularWeight = DEFAULT_WEIGHT, lam: float = 0.0
     return reports
 
 
-def _band_check(name, members, **kw) -> list:
-    """One band checker's reports for ``members``, run alone."""
-    return list(band_checks({name: members}, **kw)(name))
-
-
-def check_lemma1(n_values=DEFAULT_N_VALUES, g: GridSpec = GridSpec(), u: float = 1.0, v: float = 0.0) -> dict:
-    """Inverse-power moment sums against x^-u (1-x)^-v, ratio per degree."""
-    return _band_check("lemma1", None, n_values=n_values, g=g, u=u, v=v)[0]
-
-
-def check_lemma4(n_values=DEFAULT_N_VALUES, g: GridSpec = GridSpec(), gamma: float = 2.0) -> dict:
-    """Central absolute moments against (n^(1/2) phi)^gamma, ratio per degree."""
-    return _band_check("lemma4", None, n_values=n_values, g=g, gamma=gamma)[0]
-
-
 def _window_sums(n: int, xi: float, xs: np.ndarray, beta: float | None = None) -> np.ndarray:
     """Sum of b(n, k, x), times |k - n x|^beta if given, over the window |k - n xi| <= sqrt(n), at each x of xs.
 
-    The rows go in chunks, each one ``block_sum``, so only a (chunk x 64)
-    block of terms is live, not a (grid x 64) one.
+    Each row is walked over the window (``_band_passes``), and each pass
+    goes to ``_RowSums`` as it comes, as lemma4's band rows do.
     """
-    k = np.arange(n + 1)
-    win = k[np.abs(k - n * xi) <= math.sqrt(n)]
-    out = np.empty(xs.size)
-    # 2048 rows: 8 passes of ``basis_values`` per block.  lemma5 and lemma6 on
-    # a 65537-point grid at n = 1024, 2048, 4096 (2-vCPU VM, medians of 4) took
-    # 5.5 s at 37 MiB, against 7.4 s in chunks of one pass (256 rows) and 4.9 s
-    # at 146 MiB with the whole grid in one block.
-    rows = 8 * _PASS_ENTRIES // 64
-    for lo in range(0, xs.size, rows):
-        x = xs[lo:lo + rows, None]
-
-        def terms(sl):
-            t = basis_values(n, x, win[None, sl])
-            if beta is not None:
-                t *= np.abs(win[sl] - n * x) ** beta
-            return t
-
-        out[lo:lo + rows] = block_sum(terms, win.size)
-    return out
+    win = np.flatnonzero(np.abs(np.arange(n + 1) - n * xi) <= math.sqrt(n))
+    first, sums = np.broadcast_to(win[0], xs.shape), _RowSums((), xs.size, win.size)
+    for sl, B in _band_passes(n, xs, win.size, (first, first, np.broadcast_to(win[-1], xs.shape))):
+        if beta is not None:
+            B *= np.abs(win - n * xs[sl, None]) ** beta
+        sums.add(B)
+    return sums.total()
 
 
 def check_lemma5(w: SingularWeight, n_values=DEFAULT_N_VALUES, g: GridSpec = GridSpec()) -> dict:
@@ -536,28 +532,24 @@ def check_lemma5(w: SingularWeight, n_values=DEFAULT_N_VALUES, g: GridSpec = Gri
     xs = grid_points(g, w.xi)
 
     def row(n):
-        a_max = float(np.max(w(xs) * _window_sums(n, w.xi, xs)))
-        return {"n": n, "max_weighted_mass": a_max, "scaled": a_max * n ** (w.alpha / 2.0)}
+        with _powers_of(f"alpha = {w.alpha!r}"):
+            a_max = float(np.max(w(xs) * _window_sums(n, w.xi, xs)))
+            return {"n": n, "max_weighted_mass": a_max, "scaled": a_max * n ** (w.alpha / 2.0)}
 
     params = {"xi": w.xi, "alpha": w.alpha, "grid": g.key()}
     return _check("lemma5", params, n_values, row, w.xi, partial(_ratio_trend, key="scaled", min_slope=-0.3))
 
 
-def check_lemma6(
-    w: SingularWeight,
-    beta: float = 2.0,
-    n_values=DEFAULT_N_VALUES,
-    g: GridSpec = GridSpec(),
-) -> dict:
+def check_lemma6(w: SingularWeight, beta: float = 2.0, n_values=DEFAULT_N_VALUES, g: GridSpec = GridSpec()) -> dict:
     """Windowed absolute moments against n^((beta-alpha)/2) phi^beta."""
     if beta <= 0.0:
         raise ValueError("beta must be positive")
     xs = _interior_grid(g, w.xi)
 
     def row(n):
-        sums = _window_sums(n, w.xi, xs, beta)
-        ratio = float(np.max(w(xs) * sums / (n ** ((beta - w.alpha) / 2.0) * phi(xs) ** beta)))
-        return {"n": n, "ratio": ratio}
+        with _powers_of(f"beta = {beta!r}"):
+            moments = w(xs) * _window_sums(n, w.xi, xs, beta)
+            return {"n": n, "ratio": float(np.max(moments / (n ** ((beta - w.alpha) / 2.0) * phi(xs) ** beta)))}
 
     params = {"xi": w.xi, "alpha": w.alpha, "beta": beta, "grid": g.key()}
     return _check("lemma6", params, n_values, row, w.xi)
@@ -591,35 +583,6 @@ def check_lemma7(
     return _check("lemma7", params, n_values, row, w.xi)
 
 
-def check_lemma2(f: TestFunction, w: SingularWeight, n_values=DEFAULT_N_VALUES, g: GridSpec = GridSpec()) -> dict:
-    """Operator stability: the weighted norm ratio of image to input."""
-    return _band_check("lemma2", [f], w=w, n_values=n_values, g=g)[0]
-
-
-def check_theorem1(f: TestFunction, w: SingularWeight, n_values=DEFAULT_N_VALUES, g: GridSpec = GridSpec()) -> dict:
-    """Second-derivative norm against n^2 times the input norm."""
-    return _band_check("theorem1", [f], w=w, n_values=n_values, g=g)[0]
-
-
-def check_theorem2(f: TestFunction, w: SingularWeight, lam: float = 0.0, branch: str = "cw",
-                   n_values=DEFAULT_N_VALUES, g: GridSpec = GridSpec()) -> dict:
-    """Weighted second-derivative bound on w phi^(2 lam) (Bbar_n f)'', either class.
-
-    The w2 branch divides by ||w phi^(2 lam) f''|| on the same grid and
-    needs an analytic second derivative.  The continuous-class branch
-    (cw) reports the ratio to the pointwise majorant
-    n max(n^(1-lam), phi^(2(lam-1))) ||w f||, and the two proof regimes
-    (phi below/above n^(-1/2)) against the shared n^(2-lam) ||w f||.
-    """
-    if branch not in ("cw", "w2"):
-        raise ValueError(f"unknown branch {branch!r}")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0, 1]")
-    if branch == "w2" and not f.has_second_derivative:
-        raise ValueError(f"{f.name!r} lacks a second derivative")
-    return _band_check(f"theorem2 {branch}", [f], w=w, lam=lam, n_values=n_values, g=g)[0]
-
-
 def check_direct(members, w: SingularWeight, lam: float = 0.0, n_values=DEFAULT_N_VALUES,
                  g: GridSpec = GridSpec()) -> list:
     """Decay of the weighted approximation error across the degree sweep, one report per member.
@@ -632,7 +595,7 @@ def check_direct(members, w: SingularWeight, lam: float = 0.0, n_values=DEFAULT_
     The reports, and the error raised, are those of one-member calls in
     member order.
     """
-    return _band_check("direct", list(members), w=w, lam=lam, n_values=n_values, g=g)
+    return list(band_checks({"direct": list(members)}, w, lam, n_values, g)("direct"))
 
 
 def _direct_report(f: TestFunction, w: SingularWeight, lam: float, g: GridSpec, good, rows, notes) -> dict:
@@ -737,13 +700,18 @@ def run_function_sweep(
 ) -> list:
     """Direct + inverse rate pipeline and their cross-consistency, one result per member.
 
-    The direct rows of all members are built together (``band_checks``);
-    then, member by member, the direct report and the inverse check, so
-    the error raised is the one one-member calls in member order raise.
+    One ``check_direct`` call gives every member's direct report, then
+    each member gets its inverse check.  Should that call raise, the
+    members go one at a time, direct then inverse, so the error raised is
+    the one one-member calls in member order raise.
     """
     members = list(members)
-    direct = band_checks({"direct": members}, w, lam, n_values, g)("direct")
-    return [_sweep_result(f, d, check_inverse(f, w, lam, t_values, g, h_steps)) for f, d in zip(members, direct)]
+    try:
+        direct = check_direct(members, w, lam, n_values, g)
+    except (ValueError, *_MEMBER_ERRORS):
+        direct = None
+    return [_sweep_result(f, check_direct([f], w, lam, n_values, g)[0] if direct is None else direct[i],
+                          check_inverse(f, w, lam, t_values, g, h_steps)) for i, f in enumerate(members)]
 
 
 def _sweep_result(f: TestFunction, direct: dict, inverse: dict) -> dict:

@@ -69,8 +69,8 @@ def bernstein_apply(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.ndim not in (1, 2) or values.shape[-1] < 2:
         raise ValueError("values must be a vector of n+1 >= 2 entries, or a stack of them")
-    n, xs, width = _band_grid(values.shape[-1] - 1, xs)
-    return _band_sum(values, band_start(n, xs), width, _band_passes(n, xs, width))
+    n, xs, width, bounds = _band_grid(values.shape[-1] - 1, xs)
+    return _band_sum(values, bounds[0], width, _band_passes(n, xs, width, bounds))
 
 
 def _band_sum(values: np.ndarray, start: np.ndarray, width: int, passes) -> np.ndarray:

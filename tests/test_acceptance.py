@@ -15,13 +15,11 @@ from singbern.experiments import (
     DEFAULT_N_VALUES,
     DEFAULT_T_VALUES,
     DEFAULT_WEIGHT,
+    band_checks,
     check_inverse,
-    check_lemma2,
     check_lemma5,
     check_lemma6,
     check_lemma7,
-    check_theorem1,
-    check_theorem2,
     run_function_sweep,
     w2_members,
 )
@@ -159,24 +157,22 @@ def test_criterion_06_bounded_ratio_checks():
         members = corpus(DEFAULT_WEIGHT)
         smooth = w2_members(members)
         failures = []
-        for tf in members:
-            if not check_lemma2(tf, DEFAULT_WEIGHT, DEFAULT_N_VALUES, GRID)["passed"]:
-                failures.append(("lemma2", tf.name))
-            if not check_theorem1(tf, DEFAULT_WEIGHT, DEFAULT_N_VALUES, GRID)["passed"]:
-                failures.append(("theorem1", tf.name))
+        # one plan per lambda: its checkers share each band; lemma2 and theorem1 do not read lambda
+        for lam in (0.0, 0.5, 1.0):
+            plan = {"theorem2 cw": members, "theorem2 w2": smooth}
+            if lam == 0.0:
+                plan.update(lemma2=members, theorem1=members)
+            reports = band_checks(plan, DEFAULT_WEIGHT, lam, DEFAULT_N_VALUES, GRID)
+            for name, planned in plan.items():
+                for tf, report in zip(planned, reports(name), strict=True):
+                    if not report["passed"]:
+                        failures.append((name, lam, tf.name))
         for beta in (1.0, 2.0):
             if not check_lemma6(DEFAULT_WEIGHT, beta, DEFAULT_N_VALUES, GRID)["passed"]:
                 failures.append(("lemma6", beta))
         for tf in smooth:
             if not check_lemma7(tf, DEFAULT_WEIGHT, 0.0, DEFAULT_N_VALUES, GRID)["passed"]:
                 failures.append(("lemma7", tf.name))
-        for lam in (0.0, 0.5, 1.0):
-            for tf in members:
-                if not check_theorem2(tf, DEFAULT_WEIGHT, lam, "cw", DEFAULT_N_VALUES, GRID)["passed"]:
-                    failures.append(("theorem2-cw", lam, tf.name))
-            for tf in smooth:
-                if not check_theorem2(tf, DEFAULT_WEIGHT, lam, "w2", DEFAULT_N_VALUES, GRID)["passed"]:
-                    failures.append(("theorem2-w2", lam, tf.name))
         assert not failures, failures
 
 

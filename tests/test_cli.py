@@ -415,7 +415,8 @@ class TestMisc:
 
     def test_window_lemmas_at_degree_65536_stay_under_60_mib(self):
         # lemma5 and lemma6 sum 4097 x 513 window weights at n = 65536; a whole
-        # (grid x window) block of them, with its products, peaks near 67 MiB
+        # (grid x window) block of them, with its products, peaks near 67 MiB;
+        # the window rows are walked and summed a pass at a time
         rc, peak = run_cli_peak_mib("check", "--which", "lemma5,lemma6", "--n-values", "16384,32768,65536")
         assert rc == 0
         assert peak < 60.0, peak
@@ -430,7 +431,7 @@ class TestMisc:
 
     def test_window_lemmas_on_a_grid_of_32769_points_stay_under_60_mib(self):
         # a (32769 x 64) block of window weights, with lemma6's products beside
-        # it, peaks near 97 MiB; the rows are summed in chunks of 2048
+        # it, peaks near 97 MiB; the rows are walked and summed a pass at a time
         rc, peak = run_cli_peak_mib("check", "--which", "lemma5,lemma6", "--grid-count", "32769",
                                     "--n-values", "1024,2048,4096")
         assert rc == 0
@@ -555,28 +556,22 @@ def test_numeric_flag_contract(capsys, argv, flag):
 SMALL_SWEEP = ("--n-values", "64,128,256", "--grid-count", "65")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_ratios_fail_the_check(capsys):
-    # (k/n)^-400 overflows, so every lemma1 ratio is NaN: that is no bound
-    code, out, _ = run_cli(capsys, "check", "--which", "lemma1", "--u", "400",
-                           "--format", "json", *SMALL_SWEEP)
-    report = json.loads(out)["reports"][0]
-    assert code == 1
-    assert [row["ratio"] for row in report["rows"]] == [None] * 3
-    assert not report["passed"] and not report["trivial"]
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "argv",
-    [("lemma6", "--beta", "1e6"), ("lemma4", "--gamma", "1e4"), ("lemma5", "--alpha", "1e5")],
-    ids=["beta", "gamma", "alpha"],
+    [("lemma6", "--beta", "1e6"), ("lemma4", "--gamma", "1e4"), ("lemma5", "--alpha", "1e5"),
+     ("lemma1", "--u", "1e308"), ("lemma1", "--v", "1e308"), ("lemma1", "--u", "400"),
+     ("lemma4", "--gamma", "200"), ("lemma4", "--gamma", "1e308"), ("lemma6", "--beta", "400")],
+    ids=["beta", "gamma", "alpha", "u", "v", "u-400", "gamma-200", "gamma-1e308", "beta-400"],
 )
 def test_arithmetic_overflow_exits_3(capsys, argv):
+    # a power of the exponent overflows ((k/n)^-u in lemma1; at gamma = 200 only
+    # |k - nx|^gamma in the moment sums, not the majorant): no NaN ratio and no
+    # RuntimeWarning, but one error line naming the check and its exponent
     code, out, err = run_cli(capsys, "check", "--which", *argv, *SMALL_SWEEP)
     assert (code, out) == (3, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert argv[0] in err
+    assert err.startswith(f"error: check {argv[0]}: ") and err.count("\n") == 1
+    assert f"{argv[1][2:]} = {float(argv[2])!r}" in err
 
 
 _FLAG_VALUES = {

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from singbern.basis import basis_values, block_sum, ksum
+from singbern.basis import _band_passes, basis_values, ksum
 from singbern.bridge import InvalidNodesError, chord, compute_nodes
 from singbern.experiments import (
     DEFAULT_WEIGHT,
@@ -16,14 +16,9 @@ from singbern.experiments import (
     band_checks,
     check_direct,
     check_inverse,
-    check_lemma1,
-    check_lemma2,
-    check_lemma4,
     check_lemma5,
     check_lemma6,
     check_lemma7,
-    check_theorem1,
-    check_theorem2,
     fit_rate,
     run_function_sweep,
     trend_summary,
@@ -40,6 +35,12 @@ G = GridSpec(count=513)
 NS = (64, 128, 256, 512)
 # sweeps whose non-power-of-two degrees leave rounding noise in (Bbar_n f)''
 NOISY_NS = [NS, (50, 100, 200, 400, 800), (60, 100, 300, 1000), (70, 140, 280, 560)]
+
+
+def band_report(name, f=None, w=DEFAULT_WEIGHT, n_values=NS, g=G, lam=0.0, **exponents) -> dict:
+    """The report of band checker ``name`` run alone by ``band_checks``, on member ``f`` (none for lemma1, lemma4)."""
+    [report] = band_checks({name: None if f is None else [f]}, w, lam, n_values, g, **exponents)(name)
+    return report
 
 
 class TestFitRate:
@@ -115,16 +116,16 @@ class TestLemmaCheckers:
         from singbern.bridge import InvalidNodesError
 
         with pytest.raises(InvalidNodesError, match="need n >="):
-            check_theorem1(corpus_member("square", W1), W1, (4, 8, 16), G)
+            band_report("theorem1", corpus_member("square", W1), W1, (4, 8, 16))
 
     def test_lemma1_bounded(self):
-        r = check_lemma1(NS, G, 1.0, 0.0)
+        r = band_report("lemma1", u=1.0, v=0.0)
         assert r["passed"]
         assert all(row["ratio"] > 0 for row in r["rows"])
 
     def test_lemma4_gamma2_ratio_near_one(self):
         # second central moment equals n phi^2 exactly, so the ratio is 1
-        r = check_lemma4(NS, G, 2.0)
+        r = band_report("lemma4", gamma=2.0)
         assert r["passed"]
         for row in r["rows"]:
             assert row["ratio"] == pytest.approx(1.0, rel=1e-10)
@@ -135,7 +136,7 @@ class TestLemmaCheckers:
         brute = 0.3 * math.fsum(
             math.comb(n, k) * x**k * (1 - x) ** (n - k) for k in win
         )
-        mass = ksum(basis_values(n, x, win))
+        mass = _window_sums(n, 0.5, np.array([x]))[0]
         assert W1(x) * mass == pytest.approx(brute, rel=1e-12)
 
     def test_lemma5_scaled_sequence_flat(self):
@@ -155,8 +156,7 @@ class TestLemmaCheckers:
             abs(k - n * x) ** beta * math.comb(n, k) * x**k * (1 - x) ** (n - k)
             for k in win
         )
-        dev = np.abs(np.array(win, dtype=float) - n * x) ** beta
-        ours = W1(x) * ksum(basis_values(n, x, win) * dev)
+        ours = W1(x) * _window_sums(n, 0.5, np.array([x]), beta)[0]
         assert ours == pytest.approx(brute, rel=1e-11)
 
     def test_lemma6_large_beta_sum_against_mpmath(self):
@@ -168,8 +168,7 @@ class TestLemmaCheckers:
         r = check_lemma6(w, beta, NS, GridSpec(count=257))
         assert not r["passed"]
         x = grid_points(GridSpec(count=257), w.xi)[-2]
-        win = np.arange(24, 41)  # |k - n xi| <= sqrt(n)
-        ours = block_sum(lambda sl: basis_values(n, x, win[sl]) * np.abs(win[sl] - n * x) ** beta, win.size)
+        ours = _window_sums(n, w.xi, np.array([x]), beta)[0]  # over |k - n xi| <= sqrt(n): k = 24..40
         with mpmath.workdps(60):
             X = mpmath.mpf(x)
             exact = mpmath.fsum(abs(k - n * X) ** 50 * mpmath.binomial(n, k) * X ** k * (1 - X) ** (n - k)
@@ -179,19 +178,41 @@ class TestLemmaCheckers:
         assert ours == pytest.approx(float(exact), rel=1e-12)
         assert r["rows"][0]["ratio"] == pytest.approx(float(ratio), rel=1e-12)
 
+    @pytest.mark.parametrize("n", (1, 64, 1000, 10**6))
+    def test_window_sums_against_live_mpmath(self, n):
+        # exact binomials at 40 digits with the double x taken exactly: at x = 0
+        # and 1, near xi, and on rows below xi whose every window entry is below
+        # 1e-250 (the largest near 1e-260 and 1e-300, above the subnormals);
+        # each sum, times |k - n x|^beta or not, keeps 1e-12 relative
+        mpmath = pytest.importorskip("mpmath")
+        xi = 0.37
+        k = np.arange(n + 1)
+        win = k[np.abs(k - n * xi) <= math.sqrt(n)].tolist()
+        xs = [0.0, 1.0, xi, xi - min(0.3, 0.5 / math.sqrt(n))]
+        if win[0] > 0:
+            xs += [_row_peaking_at(n, win[0], level) for level in (1e-260, 1e-300)]
+        sums = {beta: _window_sums(n, xi, np.array(xs), beta) for beta in (None, 2.0, 50.0)}
+        with mpmath.workdps(40):
+            for i, x in enumerate(xs):
+                X = mpmath.mpf(x)
+                entries = [mpmath.binomial(n, j) * X**j * (1 - X) ** (n - j) for j in win]
+                if i >= 4:
+                    assert max(entries) < mpmath.mpf("1e-250")
+                for beta, got in sums.items():
+                    exact = mpmath.fsum(e * (abs(j - n * X) ** beta if beta else 1) for j, e in zip(win, entries))
+                    assert abs(got[i] - exact) <= mpmath.mpf("1e-12") * exact, (x, beta, got[i], exact)
+
     @pytest.mark.parametrize("name", ["lemma4", "lemma5", "lemma6"])
     def test_row_chunks_keep_the_bits_of_one_block(self, name):
-        # lemma4 joins its block sums _join_rows rows at a time and lemma5 and
-        # lemma6 sum their windows 2048 rows at a time; on these grids a chunk
-        # ends one row before the last (lemma4 at n = 4096, on its interior
-        # grid; the window lemmas around xi, where the sums are not 0), and
-        # every row's sum keeps the bits of a one-block ksum over the grid
+        # lemma4, lemma5 and lemma6 join their block sums _join_rows rows at a
+        # time; each grid here takes more than one chunk (lemma4 at n = 4096 on
+        # its interior grid; the window lemmas at each degree, around xi, where
+        # the sums are not 0), and every row's sum keeps the bits of a one-block
+        # ksum over the grid of its walked rows: the band's, or the window's
         beta = 2.0
         if name == "lemma4":
             g = GridSpec(count=_join_rows(1, collocation_matrix(4096, np.array([0.5]))[1].shape[1]) + 3)
             xs = grid_points(g)[1:-1]
-        else:
-            xs = np.linspace(0.4, 0.6, 2049)
         for n in (1024, 4096):
             if name == "lemma4":
                 got = _interior_degree(SimpleNamespace(g=g, gamma=beta))(n, ["lemma4"])[1][0]
@@ -200,12 +221,16 @@ class TestLemmaCheckers:
             else:
                 k = np.arange(n + 1)
                 win = k[np.abs(k - n * W1.xi) <= math.sqrt(n)]
-                terms = basis_values(n, xs[:, None], win[None, :])
-                if name == "lemma5":
-                    got, want = _window_sums(n, W1.xi, xs), ksum(terms, axis=1)
-                else:
-                    got = _window_sums(n, W1.xi, xs, beta)
-                    want = ksum(terms * np.abs(win - n * xs[:, None]) ** beta, axis=1)
+                xs = np.linspace(0.4, 0.6, _join_rows(1, win.size) + 1)
+                first, B = np.full(xs.size, win[0]), np.zeros((xs.size, win.size))
+                for _ in _band_passes(n, xs, win.size, (first, first, np.full(xs.size, win[-1])), B):
+                    pass
+                dev = 1.0 if name == "lemma5" else np.abs(win - n * xs[:, None]) ** beta
+                got = _window_sums(n, W1.xi, xs, None if name == "lemma5" else beta)
+                want = ksum(B * dev, axis=1)
+                # the walked rows against the log-space oracle
+                np.testing.assert_allclose(got, ksum(basis_values(n, xs[:, None], win[None, :]) * dev, axis=1),
+                                           rtol=1e-12, atol=0.0)
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_lemma7_linear_trivial(self):
@@ -232,7 +257,7 @@ class TestLemmaCheckers:
 
     def test_lemma2_stability(self):
         for name in ("abs_beta_0.5", "square", "smoothed_step"):
-            r = check_lemma2(corpus_member(name, W1), W1, NS, G)
+            r = band_report("lemma2", corpus_member(name, W1), W1)
             assert r["passed"]
             assert max(row["ratio"] for row in r["rows"]) <= 2.5 * np.median(
                 [row["ratio"] for row in r["rows"]]
@@ -242,19 +267,19 @@ class TestLemmaCheckers:
 class TestTheoremCheckers:
     @pytest.mark.parametrize("ns", NOISY_NS, ids=lambda ns: "-".join(map(str, ns)))
     def test_theorem1_linear_trivial(self, ns):
-        r = check_theorem1(corpus_member("linear", W1), W1, ns, G)
+        r = band_report("theorem1", corpus_member("linear", W1), W1, ns)
         assert r["passed"] and r["trivial"]
         assert [row["ratio"] for row in r["rows"]] == [0.0] * len(ns)
 
     @pytest.mark.parametrize("ns", NOISY_NS, ids=lambda ns: "-".join(map(str, ns)))
     @pytest.mark.parametrize("name", ["linear", "abs_beta_1.0"])
     def test_theorem2_cw_passes_on_noisy_sweeps(self, name, ns):
-        r = check_theorem2(corpus_member(name, W1), W1, 0.0, "cw", ns, G)
+        r = band_report("theorem2 cw", corpus_member(name, W1), W1, ns)
         assert r["passed"], (r["regime_small_phi"], r["regime_large_phi"])
 
     def test_theorem1_bounded_for_corpus(self):
         for name in ("abs_beta_0.5", "cubic"):
-            r = check_theorem1(corpus_member(name, W1), W1, NS, G)
+            r = band_report("theorem1", corpus_member(name, W1), W1)
             assert r["passed"], (name, r["slope"], r["spread"])
 
     def test_theorem2_w2_branch_bounded(self):
@@ -263,19 +288,19 @@ class TestTheoremCheckers:
                 # saturates only once the bridge zone is narrower than the
                 # step; needs the upper part of the sweep (acceptance runs
                 # the full default sweep)
-                r = check_theorem2(tf, W1, 1.0, "w2", (256, 512, 1024, 2048), G)
+                r = band_report("theorem2 w2", tf, W1, (256, 512, 1024, 2048), lam=1.0)
             else:
-                r = check_theorem2(tf, W1, 1.0, "w2", NS, G)
+                r = band_report("theorem2 w2", tf, W1, lam=1.0)
             assert r["passed"], (tf.name, r["slope"], r["spread"])
 
     def test_theorem2_cw_branch_bounded(self):
-        r = check_theorem2(corpus_member("abs_beta_1.0", W1), W1, 0.5, "cw", NS, G)
+        r = band_report("theorem2 cw", corpus_member("abs_beta_1.0", W1), W1, lam=0.5)
         assert r["passed"]
 
     def test_theorem2_lambda0_matches_theorem1(self):
         f = corpus_member("abs_beta_0.5", W1)
-        r1 = check_theorem1(f, W1, NS, G)
-        r2 = check_theorem2(f, W1, 0.0, "cw", NS, G)
+        r1 = band_report("theorem1", f, W1)
+        r2 = band_report("theorem2 cw", f, W1)
         for row1, row2 in zip(r1["rows"], r2["rows"]):
             shared = max(row2["ratio_small_phi"], row2["ratio_large_phi"])
             assert shared == pytest.approx(row1["ratio"], rel=1e-12)
@@ -294,8 +319,8 @@ class TestAsymmetricWeight:
         g = GridSpec(count=513)
         assert check_lemma5(w, ns, g)["passed"]
         assert check_lemma6(w, 2.0, ns, g)["passed"]
-        assert check_theorem1(corpus_member("abs_beta_0.5", w), w, ns, g)["passed"]
-        assert check_lemma2(corpus_member("abs_beta_1.0", w), w, ns, g)["passed"]
+        assert band_report("theorem1", corpus_member("abs_beta_0.5", w), w, ns, g)["passed"]
+        assert band_report("lemma2", corpus_member("abs_beta_1.0", w), w, ns, g)["passed"]
         r = check_inverse(corpus_member("square", w), w, 0.0, g=g)
         assert abs(r["mainpart_slope"] - 2.0) <= 0.15
         assert r["passed"]
@@ -389,6 +414,16 @@ class TestRatePipeline:
         a = run_function_sweep([f], DEFAULT_WEIGHT, 0.0, NS, g=G)
         b = run_function_sweep([f], DEFAULT_WEIGHT, 0.0, NS, g=G)
         assert a == b
+
+
+def _row_peaking_at(n, k, level):
+    """The x < k/n where b(n, k, x) is ``level``: on that row every entry from k upward is at most ``level``."""
+    lo, hi = 0.0, k / n
+    for _ in range(100):
+        x = (lo + hi) / 2.0
+        log_b = k * math.log(x) + (n - k) * math.log1p(-x) + math.lgamma(n + 1) - math.lgamma(k + 1)
+        lo, hi = (x, hi) if log_b - math.lgamma(n - k + 1) < math.log(level) else (lo, x)
+    return x
 
 
 def _failing_member(name, bad_x):
@@ -506,14 +541,9 @@ class TestSharedBands:
         members = corpus(W1, lam)
         plan = _full_plan(members)
         reports = band_checks(plan, W1, lam, NS, G, 1.0, 0.0, 2.0)
-        assert list(reports("lemma1")) == [check_lemma1(NS, G, 1.0, 0.0)]
-        assert list(reports("lemma4")) == [check_lemma4(NS, G, 2.0)]
-        assert list(reports("lemma2")) == [check_lemma2(f, W1, NS, G) for f in members]
-        assert list(reports("theorem1")) == [check_theorem1(f, W1, NS, G) for f in members]
-        for branch in ("cw", "w2"):
-            assert list(reports(f"theorem2 {branch}")) == [
-                check_theorem2(f, W1, lam, branch, NS, G) for f in plan[f"theorem2 {branch}"]]
-        assert list(reports("direct")) == [check_direct([f], W1, lam, NS, G)[0] for f in plan["direct"]]
+        for name in plan:
+            alone = [band_report(name, f, W1, lam=lam) for f in plan[name] or [None]]
+            assert list(reports(name)) == alone, name
 
     def test_xi_on_the_grid_changes_nothing(self):
         # the node grid leaves xi out, where the weight and every weighted value
@@ -521,7 +551,7 @@ class TestSharedBands:
         g = GridSpec(count=257, placement="uniform")
         f = corpus_member("abs_beta_1.0", W1)
         fnorm = weighted_sup_norm(f, W1, g)
-        lemma2, theorem1 = check_lemma2(f, W1, NS, g)["rows"], check_theorem1(f, W1, NS, g)["rows"]
+        lemma2, theorem1 = (band_report(name, f, W1, NS, g)["rows"] for name in ("lemma2", "theorem1"))
         for n, r2, r1 in zip(NS, lemma2, theorem1):
             nd = compute_nodes(n, W1.xi)
             xs = grid_points(g, W1.xi, extra=(nd.x1, nd.x2, nd.x3, nd.x4))
@@ -541,12 +571,9 @@ class TestSharedBands:
         members = [good, early, late]
         plan = {"lemma2": members, "theorem1": members, "theorem2 cw": members, "direct": members}
         errors = {}
-        for name, one in (("lemma2", lambda: check_lemma2(early, DEFAULT_WEIGHT, NS, G)),
-                          ("theorem1", lambda: check_theorem1(early, DEFAULT_WEIGHT, NS, G)),
-                          ("theorem2 cw", lambda: check_theorem2(early, DEFAULT_WEIGHT, 0.0, "cw", NS, G)),
-                          ("direct", lambda: check_direct([early], DEFAULT_WEIGHT, 0.0, NS, G))):
+        for name in plan:
             with pytest.raises((EvaluationError, ArithmeticError)) as alone:
-                one()
+                band_report(name, early)
             reports = band_checks(plan, DEFAULT_WEIGHT, 0.0, NS, G)
             with pytest.raises((EvaluationError, ArithmeticError)) as shared:
                 list(reports(name))

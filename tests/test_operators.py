@@ -16,7 +16,8 @@ from singbern.operators import (
     build_surrogate,
     collocation_matrix,
 )
-from singbern.experiments import ROUNDING, check_theorem1, check_theorem2
+from singbern.experiments import ROUNDING
+from test_experiments import band_report
 from singbern.weight import (
     EvaluationError, GridSpec, SingularWeight, TestFunction, corpus_member, grid_points, weighted_sup_norm,
 )
@@ -506,25 +507,19 @@ class TestNormRatio:
         g = GridSpec(count=513)
         # coefficient rounding leaves second differences at the eps level,
         # which the checks zero where they compute them
-        cw = check_theorem1(f, W, self.NS, g)
+        cw = band_report("theorem1", f, W, self.NS, g)
         assert [row["ratio"] for row in cw["rows"]] == [0.0] * len(self.NS)
-        w2 = check_theorem2(f, W, 1.0, "w2", self.NS, g)
+        w2 = band_report("theorem2 w2", f, W, self.NS, g, lam=1.0)
         assert [row["ratio"] for row in w2["rows"]] == [0.0] * len(self.NS)
 
     def test_finite_for_corpus(self):
         g = GridSpec(count=513)
-        w2 = check_theorem2(corpus_member("cubic", W), W, 1.0, "w2", self.NS, g)
-        cw = check_theorem1(corpus_member("abs_beta_0.5", W), W, self.NS, g)
+        w2 = band_report("theorem2 w2", corpus_member("cubic", W), W, self.NS, g, lam=1.0)
+        cw = band_report("theorem1", corpus_member("abs_beta_0.5", W), W, self.NS, g)
         for row in w2["rows"] + cw["rows"]:
             assert math.isfinite(row["ratio"]) and row["ratio"] > 0.0
 
     def test_w2_branch_requires_second_derivative(self):
         f = TestFunction(name="identity", f=lambda x: np.asarray(x, dtype=float))
         with pytest.raises(ValueError):
-            check_theorem2(f, W, 0.0, "w2", self.NS, GridSpec(count=65))
-
-    def test_lambda_outside_unit_interval_rejected(self):
-        f = corpus_member("square", W)
-        for branch in ("cw", "w2"):
-            with pytest.raises(ValueError, match="lam"):
-                check_theorem2(f, W, 1.5, branch, self.NS, GridSpec(count=65))
+            band_report("theorem2 w2", f, W, self.NS, GridSpec(count=65))
