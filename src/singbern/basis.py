@@ -36,14 +36,21 @@ its segment, so no segment climbs out of underflow.  A kept entry agrees
 with ``basis_values``, the broadcast log-space oracle of the tests, to
 1e-12 relative (1e-250 absolute below 1e-250; up to 3e-13 seen), and the
 band's row sums keep the partition of unity and the first moment k/n to
-8 eps (4 eps seen).  The rows come in passes of a fixed budget of
-entries, sized so that a pass's temporaries stay in cache; the k-only
-and x-only parts of log b are computed once per call, the anchors about
-_ANCHOR_BATCH at a time, and every pass walks in scratch that the call
-makes and reuses; no scratch is shared between calls.  ``basis_matrix``
-writes each pass straight into the whole block; otherwise the passes
-come one at a time in one reused buffer, so a caller that reduces each
-pass as it comes never holds the block.
+8 eps (4 eps seen).  The walk is cut past the kept indices: the factor
+into the first index past either end is 0, so every entry that a block
+reads outside them is +0.0.  Each walked row lies in a buffer between
+``width`` zeros on either side, so a block row is the start-aligned
+window of its walk, with no mask; where a batch of rows walks less far
+than the batch before, the ring of the buffer that it no longer writes
+is cleared.  The rows come in passes of a fixed budget of entries, sized
+so that a pass's temporaries stay in cache; the k-only and x-only parts
+of log b are computed once per call, the anchors about _ANCHOR_BATCH at
+a time, and the powers of the ratio's x-part once per chunk of whole
+anchor batches, about _PASS_ENTRIES / (4 S) rows.  Every pass walks in
+scratch that the call makes and reuses; no scratch is shared between
+calls.  ``basis_matrix`` writes each pass straight into the whole block;
+otherwise the passes come one at a time in one reused buffer, so a
+caller that reduces each pass as it comes never holds the block.
 
 Every basis-weighted sum, sum_k c(k, x) b(n, k, x), is summed 64 columns
 at a time: each block of terms is summed pairwise and the block sums are
@@ -413,13 +420,19 @@ def _band_passes(n: int, xs: np.ndarray, width: int, bounds: tuple, out: np.ndar
     Takes n and xs as ``_band_grid`` returns them, and ``bounds`` =
     (start, lo, hi): row i holds b(n, start[i] + j, xs[i]) for j < width
     where lo[i] <= k <= hi[i], with start[i] <= lo[i] and hi[i] < start[i]
-    + width, and 0 elsewhere.  Yields (rows, block) for consecutive slices
-    ``rows`` of ``_pass_rows`` grid points, block holding their rows: out[rows]
-    given ``out``, a zero (len(xs), width) array, else one reused buffer.
+    + width, and +0.0 elsewhere.  Yields (rows, block) for consecutive
+    slices ``rows`` of ``_pass_rows`` grid points, block holding their
+    rows: out[rows] given ``out``, a zero (len(xs), width) array, else one
+    reused buffer.
 
     Each row is walked outward from its mode round(n x), clipped into
     lo..hi, by the neighbour ratio (``_walk``) from log-space anchors
-    (``_anchors``), those of about _ANCHOR_BATCH rows in one call.
+    (``_anchors``), those of about _ANCHOR_BATCH rows in one call, and the
+    ratio's x-part (``_powers``) is made once per chunk of about
+    _PASS_ENTRIES / (4 _ANCHOR_STEP) rows, whole anchor batches.  The walk
+    is cut past lo..hi, so its entries there are +0.0, and each walked row
+    lies between ``width`` zeros: a block row is its start-aligned window
+    of the walked row, with no mask.
     """
     start, lo, hi = bounds
     mode = np.clip(np.floor(n * xs + 0.5).astype(np.int64), lo, hi)
@@ -431,31 +444,40 @@ def _band_passes(n: int, xs: np.ndarray, width: int, bounds: tuple, out: np.ndar
     reach = int(np.maximum(hi - mode, mode - lo).max(initial=0))
     most = 2 * (reach // _ANCHOR_STEP) + 3  # anchors per row, at most
     batch = rows * max(1, _ANCHOR_BATCH // (rows * most))
+    # rows per ``_powers`` call, whole batches: its table of 2 S entries a row fills
+    # half a pass (a whole pass raised the peak of a default sweep by 0.5 MiB)
+    chunk = batch * max(1, _PASS_ENTRIES // (4 * _ANCHOR_STEP * batch))
     ws = _workspace(_LOG_B_ROWS, min(batch, xs.size) * most)
     half = (reach // _ANCHOR_STEP + 1) * _ANCHOR_STEP
     scratch = np.empty(2 * size * half), np.empty(2 * size * half)
-    walked = np.zeros(2 * (width + size * half))  # the walked rows, between two pads of ``width``
+    # row i walks in lanes[i, :2 half - 1], its mode at column half - 1; ``width``
+    # zeros lie before row 0 and after every row, so no window reads another row
+    lane = 2 * half - 1 + width
+    walked = np.zeros(width + size * lane)
+    lanes = walked[width:].reshape(size, lane)
     windows = sliding_window_view(walked, width)
-    cols = np.arange(width)
-    drop = np.empty((size, width), dtype=bool)
     buf = np.empty((size, width)) if out is None else None
+    prev = 0  # lanes are 0 outside their columns half - prev .. half + prev - 2
     for first in range(0, xs.size, batch):
         bs = slice(first, min(first + batch, xs.size))
+        if first % chunk == 0:
+            cs = slice(first, min(first + chunk, xs.size))
+            powers = _powers(xs[cs], mode[cs], lo[cs], hi[cs])
         steps = int(np.maximum(hi[bs] - mode[bs], mode[bs] - lo[bs]).max()) // _ANCHOR_STEP
+        hb = (steps + 1) * _ANCHOR_STEP  # this batch walks lanes[:, half - hb:half + hb - 1]
+        if hb < prev:  # clear the ring that the wider walks before wrote and these do not
+            lanes[:, half - prev:half - hb] = 0.0
+            lanes[:, half + hb - 1:half + prev - 1] = 0.0
+        prev = hb
         anchors = _anchors(n, xs[bs], mode[bs], lo[bs], hi[bs], steps, [m[bs] for m in moments], const, ws)
-        powers = _powers(xs[bs], mode[bs], lo[bs], hi[bs])
-        span = 2 * (steps + 1) * _ANCHOR_STEP - 1  # walked entries per row
         for p in range(bs.start, bs.stop, rows):
             sl = slice(p, min(p + rows, bs.stop))
             r = sl.stop - p
             block = out[sl] if out is not None else buf[:r]
-            _walk(n, anchors[p - first:sl.stop - first], mode[sl], powers[..., p - first:sl.stop - first],
-                  scratch, walked[width:width + r * span].reshape(r, span))
-            # row i starts at its walked entry k = start[i], span // 2 + start[i] - mode[i] into its walk
-            block[...] = windows[width + span * np.arange(r) + start[sl] - mode[sl] + span // 2]
-            np.less(cols, (lo[sl] - start[sl])[:, None], out=drop[:r])
-            drop[:r] |= cols > (hi[sl] - start[sl])[:, None]
-            np.copyto(block, 0.0, where=drop[:r])
+            _walk(n, anchors[p - first:sl.stop - first], mode[sl], lo[sl], hi[sl],
+                  powers[..., p - cs.start:sl.stop - cs.start], scratch, lanes[:r, half - hb:half + hb - 1])
+            # row i starts at its walked entry k = start[i], half - 1 + start[i] - mode[i] into its lane
+            block[...] = windows[width + lane * np.arange(r) + start[sl] - mode[sl] + half - 1]
             yield sl, block
 
 
@@ -484,7 +506,9 @@ def _powers(x: np.ndarray, mode: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> 
     dsigma = np.divide((s - p) - e + c, s, out=np.zeros(x.shape), where=sigma > 0.0)
     t = np.arange(float(_ANCHOR_STEP))[:, None, None]
     out = np.power(np.stack([rho, sigma]), t)
-    out += out * (t * np.stack([drho, dsigma]))
+    fix = t * np.stack([drho, dsigma])  # one (S, 2, len(x)) temporary, not two
+    fix *= out
+    out += fix
     return out
 
 
@@ -507,21 +531,24 @@ def _anchors(n, x, mode, lo, hi, steps, moments, const, ws) -> np.ndarray:
     return out
 
 
-def _walk(n: int, anchors: np.ndarray, mode: np.ndarray, powers: np.ndarray, scratch: tuple,
-          out: np.ndarray) -> None:
+def _walk(n: int, anchors: np.ndarray, mode: np.ndarray, lo: np.ndarray, hi: np.ndarray, powers: np.ndarray,
+          scratch: tuple, out: np.ndarray) -> None:
     """Walk the rows outward from their ``_anchors`` by the neighbour ratio, into ``out``.
 
     Row i of ``out``, shape (rows, 2 half - 1) with half = (steps + 1) S
     and S = _ANCHOR_STEP, gets b(n, k, x_i) at k = mode[i] - half + 1,
-    ..., mode[i] + half - 1, wherever k lies in the kept part of the row.
-    Each anchor starts a segment of S - 1 entries away from the mode:
-    entry t of the segment from k0 is the anchor times the running product
-    of (n+1-k)/k over k = k0+1..k0+t rightward, or of (k+1)/(n-k) over
-    k = k0-1..k0-t leftward, times ``powers[t]``, the t-th power of
-    x/(1-x) or (1-x)/x (``_powers``).  So each anchor is the largest value
-    of its segment and no segment climbs out of underflow.  The end
-    weights are the anchors' closed forms.  The walk runs in the two
-    buffers of ``scratch``, each of at least 2 rows half entries.
+    ..., mode[i] + half - 1 where lo[i] <= k <= hi[i], and +0.0 at the
+    other k in 0..n.  Each anchor starts a segment of S - 1 entries away
+    from the mode: entry t of the segment from k0 is the anchor times the
+    running product of (n+1-k)/k over k = k0+1..k0+t rightward, or of
+    (k+1)/(n-k) over k = k0-1..k0-t leftward, times ``powers[t]``, the
+    t-th power of x/(1-x) or (1-x)/x (``_powers``).  So each anchor is the
+    largest value of its segment and no segment climbs out of underflow.
+    The factor into hi + 1, and into lo - 1, is 0 where that index lies
+    inside a segment (an anchor there is 0 already), so the product is 0
+    past both.  The end weights are the anchors' closed forms.  The walk
+    runs in the two buffers of ``scratch``, each of at least 2 rows half
+    entries.
     """
     step, rows = _ANCHOR_STEP, mode.size
     steps = (anchors.shape[1] - 3) // 2
@@ -536,6 +563,9 @@ def _walk(n: int, anchors: np.ndarray, mode: np.ndarray, powers: np.ndarray, scr
     factors = v[1:].reshape(step - 1, 2 * segs)
     np.subtract(np.concatenate([(n + 1.0) - up, down + 1.0]), t, out=factors)
     factors /= np.add(np.concatenate([up, n - down]), t, out=scratch[1][:factors.size].reshape(factors.shape))
+    for side, past in enumerate((hi - mode + 1, mode - lo + 1)):  # offsets of hi + 1 and lo - 1
+        i = np.flatnonzero(past % step)
+        v[past[i] % step, side, i, past[i] // step] = 0.0
     v[0, 0] = anchors[:, steps:-2]
     v[0, 1] = anchors[:, steps::-1]
     for i in range(1, step):

@@ -182,21 +182,31 @@ def cmd_eval(args: argparse.Namespace) -> int:
     fv = np.asarray(f(xs), dtype=float)
     bv = bbar_apply(f, args.n, w, xs)
     werr = np.abs(w(xs) * (fv - bv))
-    # one row's dict at a time: the CSV is written as the rows are made
-    rows = (
-        {"x": float(x), "f": float(a), "bbar": float(b), "weighted_error": float(e)}
-        for x, a, b, e in zip(xs, fv, bv, werr)
-    )
     if args.format == "json":
+        rows = [{"x": float(x), "f": float(a), "bbar": float(b), "weighted_error": float(e)}
+                for x, a, b, e in zip(xs, fv, bv, werr)]
         doc = {
             "schema_version": SCHEMAS["schema_version"], "command": "eval",
             "params": {"f": f.name, "xi": w.xi, "alpha": w.alpha, "lambda": args.lam, "n": args.n},
-            "rows": list(rows),
+            "rows": rows,
         }
         _emit(json_dumps(doc), args.out)
     else:
-        _emit_csv(["x", "f", "bbar", "weighted_error"], rows, args.out)
+        _write(args.out, lambda stream: _write_eval_csv(stream, (xs, fv, bv, werr)))
     return EXIT_OK
+
+
+# rows of eval's CSV formatted per write; "%.17g" prints format_float's text
+_EVAL_CSV_ROWS = 1024
+_EVAL_CSV_ROW = "%.17g,%.17g,%.17g,%.17g\n"
+
+
+def _write_eval_csv(stream, columns) -> None:
+    """eval's CSV, the bytes of ``write_csv`` over its row dicts, a chunk of rows per write."""
+    stream.write("x,f,bbar,weighted_error\n")
+    for lo in range(0, columns[0].size, _EVAL_CSV_ROWS):
+        chunk = zip(*(c[lo:lo + _EVAL_CSV_ROWS].tolist() for c in columns))
+        stream.write("".join(map(_EVAL_CSV_ROW.__mod__, chunk)))
 
 
 def cmd_modulus(args: argparse.Namespace) -> int:

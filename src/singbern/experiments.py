@@ -512,13 +512,24 @@ def _window_sums(n: int, xi: float, xs: np.ndarray, beta: float | None = None) -
     """Sum of b(n, k, x), times |k - n x|^beta if given, over the window |k - n xi| <= sqrt(n), at each x of xs.
 
     Each row is walked over the window (``_band_passes``), and each pass
-    goes to ``_RowSums`` as it comes, as lemma4's band rows do.
+    goes to ``_RowSums`` as it comes, as lemma4's band rows do.  Where
+    |k - n x|^beta alone overflows, the term is exp(log b + beta log|k - n x|),
+    or 0 where b is: far from xi the weight underflows before the power
+    reaches the term, so only a term that overflows itself raises.
     """
     win = np.flatnonzero(np.abs(np.arange(n + 1) - n * xi) <= math.sqrt(n))
     first, sums = np.broadcast_to(win[0], xs.shape), _RowSums((), xs.size, win.size)
     for sl, B in _band_passes(n, xs, win.size, (first, first, np.broadcast_to(win[-1], xs.shape))):
         if beta is not None:
-            B *= np.abs(win - n * xs[sl, None]) ** beta
+            dist = np.abs(win - n * xs[sl, None])
+            with np.errstate(over="ignore"):
+                power = dist ** beta
+            big = np.isinf(power)
+            if big.any():
+                live = big & (B > 0.0)
+                B[live] = np.exp(np.log(B[live]) + beta * np.log(dist[live]))
+                power[big] = 1.0
+            B *= power
         sums.add(B)
     return sums.total()
 

@@ -7,9 +7,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from numpy.lib.stride_tricks import sliding_window_view
+
 from singbern.basis import (
+    _ANCHOR_BATCH,
+    _ANCHOR_STEP,
+    _LOG_B_ROWS,
     _PASS_ENTRIES,
+    _anchors,
+    _band_grid,
+    _band_passes,
     _bd0,
+    _log_const_table,
+    _pass_rows,
+    _powers,
+    _split_moments,
     _workspace,
     band_start,
     basis_matrix,
@@ -418,6 +430,13 @@ def test_apply_warns_nothing_at_extreme_points(n):
 class TestBandPasses:
     """Edge cases of the pass structure of ``basis_matrix``."""
 
+    @pytest.mark.parametrize("n", (1, 64, 16384))
+    def test_empty_grid(self, n):
+        from singbern.operators import bernstein_apply
+
+        assert basis_matrix(n, np.array([])).shape == (0, min(n + 1, 2 * _hoeffding_radius(n) + 1))
+        assert bernstein_apply(np.ones(n + 1), np.array([])).shape == (0,)
+
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_smallest_degrees(self, n):
         # the k-only table holds n - 1 entries: none at n = 1
@@ -431,6 +450,7 @@ class TestBandPasses:
         xs[rows // 2] = 0.0
         xs[rows + rows // 2] = 1.0
         assert_band_matches_values(n, xs)
+        assert_walk_matches_old(n, xs)
 
     @pytest.mark.parametrize("n", (4096, 16384))
     @pytest.mark.parametrize("extra", (-1, 0, 1))
@@ -442,6 +462,186 @@ class TestBandPasses:
 
     def test_many_small_passes_at_degree_65536(self):
         assert_band_matches_values(65536, grid_points(GridSpec()))
+
+
+def old_walk(n, anchors, mode, powers, out):
+    """The walk as it was before its cut: ``basis._walk`` without lo and hi.
+
+    Every factor of the running product is (n+1-k)/k rightward or
+    (k+1)/(n-k) leftward, past the kept indices too: the entries there
+    are whatever the product gives, and only the mask of
+    ``old_band_passes`` zeroes them.
+    """
+    step, rows = _ANCHOR_STEP, mode.size
+    steps = (anchors.shape[1] - 3) // 2
+    half = (steps + 1) * step
+    v = np.empty((step, 2, rows, steps + 1))
+    jump = step * np.arange(steps + 1.0)
+    up, down = (mode[:, None] + jump).ravel(), (mode[:, None] - jump).ravel()
+    t = np.arange(1.0, step)[:, None]
+    v[1:] = ((np.concatenate([(n + 1.0) - up, down + 1.0]) - t)
+             / (np.concatenate([up, n - down]) + t)).reshape(step - 1, 2, rows, steps + 1)
+    v[0, 0] = anchors[:, steps:-2]
+    v[0, 1] = anchors[:, steps::-1]
+    for i in range(1, step):
+        v[i] *= v[i - 1]
+    v *= powers[..., None]
+    out[:, half - 1:] = v[:, 0].transpose(1, 2, 0).reshape(rows, -1)
+    out[:, half - 1::-1] = v[:, 1].transpose(1, 2, 0).reshape(rows, -1)
+    i = np.flatnonzero(mode < half)
+    out[i, half - 1 - mode[i]] = anchors[i, -2]
+    i = np.flatnonzero(mode > n - half)
+    out[i, n + half - 1 - mode[i]] = anchors[i, -1]
+
+
+def old_band_passes(n, xs, width, bounds, out=None):
+    """``basis._band_passes`` as it was: the uncut ``old_walk``, rows packed back to back, and a block mask.
+
+    The oracle of the streamed band: the same anchors, one ``_powers``
+    call per anchor batch, the row walks laid end to end (so a window may
+    read into the next row's walk), and every block entry outside
+    lo..hi set to 0 by a whole-block mask.
+    """
+    start, lo, hi = bounds
+    mode = np.clip(np.floor(n * xs + 0.5).astype(np.int64), lo, hi)
+    const = _log_const_table(n)
+    moments = _split_moments(n, xs)
+    rows = _pass_rows(width)
+    size = min(rows, xs.size)
+    reach = int(np.maximum(hi - mode, mode - lo).max(initial=0))
+    most = 2 * (reach // _ANCHOR_STEP) + 3
+    batch = rows * max(1, _ANCHOR_BATCH // (rows * most))
+    ws = _workspace(_LOG_B_ROWS, min(batch, xs.size) * most)
+    half = (reach // _ANCHOR_STEP + 1) * _ANCHOR_STEP
+    walked = np.zeros(2 * (width + size * half))
+    windows = sliding_window_view(walked, width)
+    cols = np.arange(width)
+    buf = np.empty((size, width)) if out is None else None
+    for first in range(0, xs.size, batch):
+        bs = slice(first, min(first + batch, xs.size))
+        steps = int(np.maximum(hi[bs] - mode[bs], mode[bs] - lo[bs]).max()) // _ANCHOR_STEP
+        anchors = _anchors(n, xs[bs], mode[bs], lo[bs], hi[bs], steps, [m[bs] for m in moments], const, ws)
+        powers = _powers(xs[bs], mode[bs], lo[bs], hi[bs])
+        span = 2 * (steps + 1) * _ANCHOR_STEP - 1
+        for p in range(bs.start, bs.stop, rows):
+            sl = slice(p, min(p + rows, bs.stop))
+            r = sl.stop - p
+            block = out[sl] if out is not None else buf[:r]
+            old_walk(n, anchors[p - first:sl.stop - first], mode[sl], powers[..., p - first:sl.stop - first],
+                     walked[width:width + r * span].reshape(r, span))
+            block[...] = windows[width + span * np.arange(r) + start[sl] - mode[sl] + span // 2]
+            drop = (cols < (lo[sl] - start[sl])[:, None]) | (cols > (hi[sl] - start[sl])[:, None])
+            np.copyto(block, 0.0, where=drop)
+            yield sl, block
+
+
+def assert_bits_equal(got, want):
+    # int64 views: +0.0 and -0.0 differ, as does every NaN payload
+    np.testing.assert_array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+
+def assert_walk_matches_old(n, xs, width=None, bounds=None):
+    """The streamed passes, ``basis_matrix`` and ``bernstein_apply`` on xs keep ``old_band_passes``' bits.
+
+    Given ``width`` and ``bounds`` (a window's), only the streamed passes.
+    """
+    from singbern.operators import _band_sum, bernstein_apply
+
+    whole = bounds is None
+    if whole:
+        n, xs, width, bounds = _band_grid(n, xs)
+    new, old = _band_passes(n, xs, width, bounds), old_band_passes(n, xs, width, bounds)
+    for (sl, got), (want_sl, want) in zip(new, old, strict=True):
+        assert sl == want_sl
+        assert_bits_equal(got, want)
+    if whole:
+        B = basis_matrix(n, xs)
+        for sl, want in old_band_passes(n, xs, width, bounds):
+            assert_bits_equal(B[sl], want)
+        del B
+        values = np.cos(0.37 * np.arange(n + 1))
+        assert_bits_equal(bernstein_apply(values, xs), _band_sum(values, bounds[0], width,
+                                                                 old_band_passes(n, xs, width, bounds)))
+
+
+ORACLE_GRIDS = {
+    "default": grid_points(GridSpec()),
+    "uniform1001": np.linspace(0.0, 1.0, 1001),
+    "random500": np.random.default_rng(5).uniform(0.0, 1.0, 500),
+    "extreme": np.array([0.0, 5e-324, 1e-300, 1e-9, 0.5, 1.0 - 2.0**-53, 1.0]),
+}
+ORACLE_DEGREES = (1, 2, 3, 5, 64, 100, 1000, 4096, 16384, 65536)
+
+
+class TestAgainstTheOldWalk:
+    """The cut walk between zero margins keeps every bit of the masked walk, its +0.0 outside lo..hi too."""
+
+    @pytest.mark.parametrize("grid", sorted(ORACLE_GRIDS))
+    @pytest.mark.parametrize("n", ORACLE_DEGREES)
+    def test_band(self, n, grid):
+        assert_walk_matches_old(n, ORACLE_GRIDS[grid])
+
+    @pytest.mark.parametrize("xi", (0.5, 0.37))
+    @pytest.mark.parametrize("n", ORACLE_DEGREES)
+    def test_windows(self, monkeypatch, n, xi):
+        # _window_sums' bounds: one window for every row, as zero-stride views
+        import singbern.experiments as experiments
+        from singbern.experiments import _window_sums
+
+        k = np.arange(n + 1)
+        win = k[np.abs(k - n * xi) <= math.sqrt(n)]
+        for xs in ORACLE_GRIDS.values():
+            first, last = np.broadcast_to(win[0], xs.shape), np.broadcast_to(win[-1], xs.shape)
+            assert_walk_matches_old(n, xs, win.size, (first, first, last))
+        xs = ORACLE_GRIDS["default"]
+        got = [_window_sums(n, xi, xs, beta) for beta in (None, 2.0)]
+        monkeypatch.setattr(experiments, "_band_passes", old_band_passes)
+        for beta, sums in zip((None, 2.0), got):
+            assert_bits_equal(sums, _window_sums(n, xi, xs, beta))
+
+    def test_batches_wide_narrow_wide(self, monkeypatch):
+        # rows near 1/2 walk about W either side of the mode, rows near the
+        # ends a few dozen entries; a narrow batch after a wide one reads, in
+        # its windows, the ring that the wide walks wrote and it does not
+        n = 16384
+        batch = calls_of(monkeypatch, "_anchors", n, np.linspace(0.45, 0.55, 200))[0][1].size
+        wide, narrow, mid = np.linspace(0.45, 0.55, 2 * batch), np.linspace(0.0, 1e-6, 2 * batch), 0.01
+        xs = np.concatenate([wide, narrow, wide, np.full(2 * batch, mid), narrow[::-1], 1.0 - narrow, wide])
+        steps = [args[5] for args in calls_of(monkeypatch, "_anchors", n, xs)]
+        runs = [s for s, after in zip(steps, steps[1:] + [None]) if s != after]
+        assert sum(a > b < c for a, b, c in zip(runs, runs[1:], runs[2:])) == 2  # wide, narrow, wide twice
+        assert_walk_matches_old(n, xs)
+
+    @pytest.mark.parametrize("n", (1000, 16384))
+    def test_grid_sizes_around_a_batch_and_a_powers_chunk(self, monkeypatch, n):
+        # _powers runs once per chunk of whole anchor batches, the most whose
+        # tables of 2 _ANCHOR_STEP entries a row fit in half a pass
+        xs = np.linspace(0.3, 0.7, 3000)
+        batch = calls_of(monkeypatch, "_anchors", n, xs)[0][1].size
+        chunks = [args[0].size for args in calls_of(monkeypatch, "_powers", n, xs)]
+        chunk = chunks[0]
+        assert chunk % batch == 0 and chunk * 4 * _ANCHOR_STEP <= _PASS_ENTRIES < (chunk + batch) * 4 * _ANCHOR_STEP
+        assert chunks == [chunk] * (len(chunks) - 1) + [xs.size - chunk * (len(chunks) - 1)]
+        for size in (batch - 1, batch + 1, chunk - 1, chunk + 1):
+            xs = np.linspace(0.3, 0.7, size)
+            assert calls_of(monkeypatch, "_anchors", n, xs)[0][1].size == min(batch, size)
+            assert_walk_matches_old(n, xs)
+
+
+def calls_of(monkeypatch, name, n, xs):
+    """The arguments of each call of basis.``name`` made by ``basis_matrix(n, xs)``."""
+    import singbern.basis as basis
+
+    real, seen = getattr(basis, name), []
+
+    def spy(*args):
+        seen.append(args)
+        return real(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(basis, name, spy)
+        basis_matrix(n, xs)
+    return seen
 
 
 def test_basis_values_passes_match_short_calls():

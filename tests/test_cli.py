@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from singbern.cli import CHECK_NAMES, main
+from singbern.cli import CHECK_NAMES, _EVAL_CSV_ROW, _EVAL_CSV_ROWS, _write_eval_csv, main
+from singbern.reporting import format_float, write_csv
 from singbern.weight import TestFunction, corpus_member
 
 
@@ -99,6 +100,42 @@ class TestEval:
         assert out == ""
         assert target.read_text().startswith("x,f,bbar,weighted_error")
         assert list(tmp_path.iterdir()) == [target]
+
+    @pytest.mark.parametrize("extra", (-1, 1))
+    def test_csv_is_write_csv_of_the_json_rows(self, capsys, extra):
+        # the CSV is written a chunk of rows at a time; a grid of 4 nodes +
+        # (count) points ends one row short of a chunk boundary, or one past it
+        argv = ("eval", "--f", "abs_beta_1.0", "--n", "64", "--grid-count", str(_EVAL_CSV_ROWS - 4 + extra))
+        code, csv_text, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, json_text, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        rows = json.loads(json_text)["rows"]
+        assert len(rows) == _EVAL_CSV_ROWS + extra
+        want = io.StringIO()
+        write_csv(want, ["x", "f", "bbar", "weighted_error"], rows)
+        assert csv_text == want.getvalue()
+
+    @pytest.mark.parametrize("size", (0, 1, _EVAL_CSV_ROWS - 1, _EVAL_CSV_ROWS, _EVAL_CSV_ROWS + 1,
+                                      2 * _EVAL_CSV_ROWS + 1))
+    def test_csv_chunks_keep_the_bytes_of_write_csv(self, size):
+        rng = np.random.default_rng(size)
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e308, math.inf, -math.inf, math.nan, 0.1, 1.0 / 3.0]
+        columns = [rng.standard_normal(size) * 10.0 ** rng.integers(-320, 308, size) for _ in range(4)]
+        for c in columns:
+            c[:len(special)] = special[:size]
+            rng.shuffle(c)
+        got = io.StringIO()
+        _write_eval_csv(got, columns)
+        header = ["x", "f", "bbar", "weighted_error"]
+        want = io.StringIO()
+        write_csv(want, header, ({h: float(v) for h, v in zip(header, row)} for row in zip(*columns)))
+        assert got.getvalue() == want.getvalue()
+
+    @pytest.mark.parametrize("v", [0.0, -0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan])
+    def test_csv_row_format_prints_format_float(self, v):
+        assert _EVAL_CSV_ROW % (v, -v, v, 1.0) == ",".join([format_float(v), format_float(-v),
+                                                            format_float(v), "1"]) + "\n"
 
 
 class TestModulus:
@@ -572,6 +609,15 @@ def test_arithmetic_overflow_exits_3(capsys, argv):
     assert (code, out) == (3, "")
     assert err.startswith(f"error: check {argv[0]}: ") and err.count("\n") == 1
     assert f"{argv[1][2:]} = {float(argv[2])!r}" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_lemma6_at_beta_100_returns_a_verdict(capsys):
+    # |k - nx|^100 overflows on rows far from xi, where the weights are 0
+    # and so is every term: the ratios are finite and the trend fails
+    code, out, err = run_cli(capsys, "check", "--which", "lemma6", "--beta", "100", "--grid-count", "65")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[1].startswith("lemma6,,data,64,,1.24617059142108")
 
 
 _FLAG_VALUES = {

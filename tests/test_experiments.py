@@ -9,6 +9,7 @@ import pytest
 from singbern.basis import _band_passes, basis_values, ksum
 from singbern.bridge import InvalidNodesError, chord, compute_nodes
 from singbern.experiments import (
+    DEFAULT_N_VALUES,
     DEFAULT_WEIGHT,
     _interior_degree,
     _window_sums,
@@ -177,6 +178,52 @@ class TestLemmaCheckers:
                 n ** ((50 - mpmath.mpf(w.alpha)) / 2) * mpmath.sqrt(X * (1 - X)) ** 50)
         assert ours == pytest.approx(float(exact), rel=1e-12)
         assert r["rows"][0]["ratio"] == pytest.approx(float(ratio), rel=1e-12)
+
+    def test_lemma6_at_beta_100_against_mpmath(self):
+        # on 65 points the ratios at n = 64, 128, 256 are 1.25e149, 7.32e96 and
+        # 3.28e84 and finite, though at n = 4096 |k - nx|^100 overflows on the
+        # rows far from xi (where the weights are 0); 1e-12 relative, the window
+        # sums' bound (4e-15 seen)
+        mpmath = pytest.importorskip("mpmath")
+        w, beta, g = DEFAULT_WEIGHT, 100.0, GridSpec(count=65)
+        r = check_lemma6(w, beta, DEFAULT_N_VALUES, g)
+        assert len(r["rows"]) == len(DEFAULT_N_VALUES) and not r["passed"]
+        xs = [float(x) for x in grid_points(g, w.xi)[1:-1]]
+        with mpmath.workdps(40):
+            for row in r["rows"][:3]:
+                n = row["n"]
+                win = [k for k in range(n + 1) if abs(k - n * w.xi) <= math.sqrt(n)]
+                ratios = []
+                for x in xs:
+                    X = mpmath.mpf(x)
+                    moment = mpmath.fsum(abs(k - n * X) ** 100 * mpmath.binomial(n, k) * X**k * (1 - X) ** (n - k)
+                                         for k in win)
+                    ratios.append(abs(X - w.xi) ** mpmath.mpf(w.alpha) * moment
+                                  / (mpmath.mpf(n) ** ((beta - mpmath.mpf(w.alpha)) / 2)
+                                     * mpmath.sqrt(X * (1 - X)) ** 100))
+                assert row["ratio"] == pytest.approx(float(max(ratios)), rel=1e-12, abs=0.0), n
+
+    def test_window_terms_whose_power_alone_overflows_against_mpmath(self):
+        # at n = 16384 |k - nx|^100 overflows on every window index for x = 0.4
+        # and on some for 0.42, 0.43 and 0.58, where the weights lie between
+        # 1e-145 and 1e-35 and the terms are finite: those terms are formed in
+        # log space; at x = 0.2 every term is below the subnormals, so the sum
+        # is 0; 1e-12 relative (2.5e-14 seen)
+        mpmath = pytest.importorskip("mpmath")
+        n, xi, beta = 16384, 0.5, 100.0
+        win = [k for k in range(n + 1) if abs(k - n * xi) <= math.sqrt(n)]
+        xs = np.array([0.2, 0.4, 0.42, 0.43, 0.45, 0.58])
+        with np.errstate(over="ignore"):
+            over = np.isinf(np.abs(np.array(win) - n * xs[:, None]) ** beta)
+        assert over[1:4].any(axis=1).all() and over[-1].any() and not over[-2].any()
+        got = _window_sums(n, xi, xs, beta)
+        assert got[0] == 0.0
+        with mpmath.workdps(40):
+            for x, sum_ in zip(xs[1:], got[1:]):
+                X = mpmath.mpf(float(x))
+                exact = mpmath.fsum(abs(k - n * X) ** 100 * mpmath.binomial(n, k) * X**k * (1 - X) ** (n - k)
+                                    for k in win)
+                assert abs(sum_ - exact) <= mpmath.mpf("1e-12") * exact, (x, sum_, exact)
 
     @pytest.mark.parametrize("n", (1, 64, 1000, 10**6))
     def test_window_sums_against_live_mpmath(self, n):
