@@ -33,33 +33,31 @@ outward from its segment's anchor by the neighbour ratio b(k+1)/b(k) =
 k-part times a power of the x-part, whose rounding is taken out to first
 order.  Walking away from the mode, each anchor is the largest entry of
 its segment, so no segment climbs out of underflow.  A kept entry agrees
-with ``basis_values``, the broadcast log-space oracle of the tests, to
-1e-12 relative (1e-250 absolute below 1e-250; up to 3e-13 seen), and the
-band's row sums keep the partition of unity and the first moment k/n to
-8 eps (4 eps seen).  The walk is cut past the kept indices: the factor
-into the first index past either end is 0, so every entry that a block
-reads outside them is +0.0.  Each walked row lies in a buffer between
-``width`` zeros on either side, so a block row is the start-aligned
-window of its walk, with no mask; where a batch of rows walks less far
-than the batch before, the ring of the buffer that it no longer writes
-is cleared.  The rows come in passes of a fixed budget of entries, sized
-so that a pass's temporaries stay in cache; the k-only and x-only parts
-of log b are computed once per call, the anchors about _ANCHOR_BATCH at
-a time, and the powers of the ratio's x-part once per chunk of whole
-anchor batches, about _PASS_ENTRIES / (4 S) rows.  Every pass walks in
-scratch that the call makes and reuses; no scratch is shared between
-calls.  ``basis_matrix`` writes each pass straight into the whole block;
-otherwise the passes come one at a time in one reused buffer, so a
-caller that reduces each pass as it comes never holds the block.
+with the log-space weight (the broadcast evaluator of the tests,
+``tests/basis_oracle.py``) to 1e-12 relative (1e-250 absolute below
+1e-250; up to 3e-13 seen), and the band's row sums keep the partition of
+unity and the first moment k/n to 8 eps (4 eps seen).  The walk is cut
+past the kept indices: the factor into the first index past either end
+is 0, so every entry that a block reads outside them is +0.0.  Each
+walked row lies in a buffer between ``width`` zeros on either side, so a
+block row is the start-aligned window of its walk, with no mask; where a
+batch of rows walks less far than the batch before, the ring of the
+buffer that it no longer writes is cleared.  The rows come in passes of
+a fixed budget of entries, sized so that a pass's temporaries stay in
+cache; the k-only and x-only parts of log b are computed once per call,
+the anchors about _ANCHOR_BATCH at a time, and the powers of the ratio's
+x-part once per chunk of whole anchor batches, about _PASS_ENTRIES /
+(4 S) rows.  Every pass walks in scratch that the call makes and reuses;
+no scratch is shared between calls.  The passes come one at a time in
+one reused buffer, so a caller that reduces each pass as it comes never
+holds the block; ``basis_matrix`` copies each into the whole block.
 
 Every basis-weighted sum, sum_k c(k, x) b(n, k, x), is summed 64 columns
 at a time: each block of terms is summed pairwise and the block sums are
-joined by one exact two-sum accumulation, ``_two_sum_total``.
-``block_sum`` asks its caller for one block of terms at a time, so only
-one block is live; ``ksum`` is the same walk over a materialised array.
-The operator's apply takes the band pass by pass instead, sums each
-pass's blocks as it comes and joins the held block sums a chunk of rows
-at a time.
+joined by one exact two-sum accumulation, ``_two_sum_total``.  ``ksum``
+sums an array in memory this way; the operator's apply takes the band
+pass by pass instead, sums each pass's blocks as it comes and joins the
+held block sums a chunk of rows at a time.
 """
 
 from __future__ import annotations
@@ -70,19 +68,17 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
-    "basis_values",
     "basis_matrix",
     "band_start",
-    "block_sum",
     "ksum",
 ]
 
 BAND_EPS = 1e-20
 _BAND_LOG = math.log(2.0 / BAND_EPS)
 _LN_2PI = math.log(2.0 * math.pi)
-# Entries per pass of the band, of ``basis_values`` and of every chunk of
-# scratch that follows it (block sums, surrogate values): the scratch of a
-# pass stays in cache.  Measured on a 2-vCPU Intel Xeon (AVX-512) VM, each
+# Entries per pass of the band and of every chunk of scratch that follows
+# it (block sums, surrogate values): the scratch of a pass stays in
+# cache.  Measured on a 2-vCPU Intel Xeon (AVX-512) VM, each
 # command in a fresh interpreter with its start-up, medians of 6, passes of
 # 8k/16k/32k/64k entries, the band walked from anchors: a default
 # ``sweep --functions all`` took 0.79/0.73/0.79/0.71 s at a peak RSS of
@@ -281,41 +277,11 @@ def _log_b(n: int, k: np.ndarray, const: np.ndarray, moments, ws: tuple) -> np.n
     return np.subtract(out, _bd0(nk, n1x, n1x_lo, ws), out=out)
 
 
-def basis_values(n: int, x, k) -> np.ndarray:
-    """Basis weights b(n, k, x) = C(n, k) x^k (1-x)^(n-k), broadcast over x and k.
+def _values(n: int, x: np.ndarray, k: np.ndarray, moments, const: np.ndarray, ws: tuple) -> np.ndarray:
+    """Basis weights b(n, k, x) in log space, for x in [0, 1] and integer k in [0, n] of one length.
 
-    The log-space path of every anchor of a walked row, and the oracle
-    that the tests hold the rows against.  Relative error stays below
-    1e-12 for n up to 1e6.  Endpoints are exact: x=0 gives 1
-    iff k=0, x=1 gives 1 iff k=n; the k=0 and k=n weights are direct
-    powers.  A buffered iterator copies the broadcast input out in passes
-    of at most _PASS_ENTRIES entries, each evaluated in one workspace, so
-    memory beyond the result is bounded whatever the input's size.
-    """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"degree n must be >= 1, got {n}")
-    x, k = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(k))
-    if not np.issubdtype(k.dtype, np.integer):
-        raise ValueError("indices k must be integers")
-    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
-        raise ValueError("x must lie in [0, 1]")
-    if k.size and not (k.min() >= 0 and k.max() <= n):
-        raise ValueError(f"index k must lie in [0, {n}]")
-    out = np.empty(x.shape)
-    ws = _workspace(_LOG_B_ROWS, min(x.size, _PASS_ENTRIES))
-    with np.nditer([x, k, out], ["external_loop", "buffered", "zerosize_ok"],
-                   [["readonly"], ["readonly"], ["writeonly"]], buffersize=_PASS_ENTRIES) as passes:
-        for xp, kp, op in passes:
-            op[...] = _values(n, xp, kp, _split_moments(n, xp), lambda kk: _log_const(n, kk.astype(float)), ws)
-    return out
-
-
-def _values(n: int, x: np.ndarray, k: np.ndarray, moments, log_const, ws: tuple) -> np.ndarray:
-    """Flat checked ``basis_values``: x in [0, 1], integer k in [0, n], one length.
-
-    ``moments`` is ``_split_moments(n, x)`` and ``log_const`` maps interior
-    k to ``_log_const``; the caller computes both once.  ``ws`` is a
+    ``moments`` is ``_split_moments(n, x)`` and ``const`` the k-table
+    ``_log_const_table(n)``; the caller computes both once.  ``ws`` is a
     workspace of at least _LOG_B_ROWS rows and len(x) entries; the result
     may be one of its rows.  The closed forms for k in {0, n} and x in
     {0, 1} live here alone.
@@ -323,11 +289,11 @@ def _values(n: int, x: np.ndarray, k: np.ndarray, moments, log_const, ws: tuple)
     inside = (x > 0.0) & (x < 1.0)
     mid = inside & (k > 0) & (k < n)
     if mid.all():
-        r = _log_b(n, k.astype(float), log_const(k), moments, ws)
+        r = _log_b(n, k.astype(float), const[k - 1], moments, ws)
         return np.exp(r, out=r)
     out = np.zeros(x.shape)
     km = k[mid]
-    r = _log_b(n, km.astype(float), log_const(km), [m[mid] for m in moments], ws)
+    r = _log_b(n, km.astype(float), const[km - 1], [m[mid] for m in moments], ws)
     out[mid] = np.exp(r, out=r)
     out[((x == 0.0) & (k == 0)) | ((x == 1.0) & (k == n))] = 1.0
     first = inside & (k == 0)
@@ -385,14 +351,14 @@ def basis_matrix(n: int, xs: np.ndarray) -> np.ndarray:
     drops less than BAND_EPS = 1e-20 of its mass.  Every kept entry is
     walked by the neighbour ratio from a log-space anchor at most
     _ANCHOR_STEP - 1 entries nearer the mode, and agrees with
-    ``basis_values`` to 1e-12 relative (1e-250 absolute below 1e-250).
-    Memory is O(len(xs) sqrt(n)).  The passes of ``_band_passes`` write
-    straight into the block.
+    the log-space weight to 1e-12 relative (1e-250 absolute below
+    1e-250).  Memory is O(len(xs) sqrt(n)).  Each pass of
+    ``_band_passes`` is copied into the block.
     """
     n, xs, width, bounds = _band_grid(n, xs)
-    out = np.zeros((xs.size, width))
-    for _ in _band_passes(n, xs, width, bounds, out):
-        pass
+    out = np.empty((xs.size, width))
+    for sl, block in _band_passes(n, xs, width, bounds):
+        out[sl] = block
     return out
 
 
@@ -414,7 +380,7 @@ def _pass_rows(width: int) -> int:
     return max(1, _PASS_ENTRIES // width)
 
 
-def _band_passes(n: int, xs: np.ndarray, width: int, bounds: tuple, out: np.ndarray | None = None):
+def _band_passes(n: int, xs: np.ndarray, width: int, bounds: tuple):
     """Walk the rows of xs pass by pass between the indices that ``bounds`` keeps.
 
     Takes n and xs as ``_band_grid`` returns them, and ``bounds`` =
@@ -422,8 +388,7 @@ def _band_passes(n: int, xs: np.ndarray, width: int, bounds: tuple, out: np.ndar
     where lo[i] <= k <= hi[i], with start[i] <= lo[i] and hi[i] < start[i]
     + width, and +0.0 elsewhere.  Yields (rows, block) for consecutive
     slices ``rows`` of ``_pass_rows`` grid points, block holding their
-    rows: out[rows] given ``out``, a zero (len(xs), width) array, else one
-    reused buffer.
+    rows in one buffer that every pass reuses.
 
     Each row is walked outward from its mode round(n x), clipped into
     lo..hi, by the neighbour ratio (``_walk``) from log-space anchors
@@ -456,7 +421,7 @@ def _band_passes(n: int, xs: np.ndarray, width: int, bounds: tuple, out: np.ndar
     walked = np.zeros(width + size * lane)
     lanes = walked[width:].reshape(size, lane)
     windows = sliding_window_view(walked, width)
-    buf = np.empty((size, width)) if out is None else None
+    buf = np.empty((size, width))
     prev = 0  # lanes are 0 outside their columns half - prev .. half + prev - 2
     for first in range(0, xs.size, batch):
         bs = slice(first, min(first + batch, xs.size))
@@ -473,7 +438,7 @@ def _band_passes(n: int, xs: np.ndarray, width: int, bounds: tuple, out: np.ndar
         for p in range(bs.start, bs.stop, rows):
             sl = slice(p, min(p + rows, bs.stop))
             r = sl.stop - p
-            block = out[sl] if out is not None else buf[:r]
+            block = buf[:r]
             _walk(n, anchors[p - first:sl.stop - first], mode[sl], lo[sl], hi[sl],
                   powers[..., p - cs.start:sl.stop - cs.start], scratch, lanes[:r, half - hb:half + hb - 1])
             # row i starts at its walked entry k = start[i], half - 1 + start[i] - mode[i] into its lane
@@ -527,7 +492,7 @@ def _anchors(n, x, mode, lo, hi, steps, moments, const, ws) -> np.ndarray:
     kept = (k >= lo[:, None]) & (k <= hi[:, None])
     row = np.nonzero(kept)[0]
     out = np.zeros(k.shape)
-    out[kept] = _values(n, x[row], k[kept], [m[row] for m in moments], lambda kk: const[kk - 1], ws)
+    out[kept] = _values(n, x[row], k[kept], [m[row] for m in moments], const, ws)
     return out
 
 
@@ -581,17 +546,6 @@ def _walk(n: int, anchors: np.ndarray, mode: np.ndarray, lo: np.ndarray, hi: np.
         out[i, n + half - 1 - mode[i]] = anchors[i, -1]
 
 
-def block_sum(block, width: int):
-    """Compensated sum of ``width`` columns of terms, 64 columns at a time.
-
-    ``block(sl)`` returns the terms of the columns in slice ``sl`` along its
-    last axis.  Each block is summed pairwise and the block sums are joined
-    by ``_two_sum_total``, so the result carries compensated-summation
-    accuracy while only one block of terms is live at a time.
-    """
-    return _two_sum_total(block(slice(lo, lo + 64)).sum(axis=-1) for lo in range(0, width, 64))
-
-
 def _two_sum_total(terms):
     """Sum of an iterable of arrays by an exact two-sum (Kahan-style) running accumulation."""
     s = comp = 0.0
@@ -604,6 +558,11 @@ def _two_sum_total(terms):
 
 
 def ksum(a: np.ndarray, axis: int = -1):
-    """Compensated sum along ``axis``: ``block_sum`` over the columns of ``a``."""
+    """Compensated sum along ``axis``, 64 entries at a time.
+
+    Each block of 64 is summed pairwise and the block sums are joined by
+    ``_two_sum_total``, so the result carries compensated-summation
+    accuracy.
+    """
     am = np.moveaxis(np.asarray(a, dtype=float), axis, -1)
-    return block_sum(lambda sl: am[..., sl], am.shape[-1])
+    return _two_sum_total(am[..., lo:lo + 64].sum(axis=-1) for lo in range(0, am.shape[-1], 64))

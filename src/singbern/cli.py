@@ -250,6 +250,11 @@ def _run_checker(which: str, args: argparse.Namespace, w, g, members, band_repor
     lam, n_values, sel = args.lam, args.n_values, args.f
     if which in ("lemma1", "lemma2", "lemma4", "theorem1"):
         return list(band_reports(which))
+    # lemma7 and the w2 branch alone read only members with a smooth f''
+    w2_only = which == "theorem2" and args.branch == "w2"
+    if (which == "lemma7" or w2_only) and sel != "all" and not w2_members(members):
+        label = "theorem2 --branch w2" if w2_only else which
+        raise ConfigError(f"--f {sel}: not usable by {label} (needs a smooth second derivative)")
     if which == "theorem2":
         return [*band_reports("theorem2 cw"), *band_reports("theorem2 w2")]
     if which == "lemma5":
@@ -257,10 +262,7 @@ def _run_checker(which: str, args: argparse.Namespace, w, g, members, band_repor
     if which == "lemma6":
         return [check_lemma6(w, args.beta, n_values, g)]
     if which == "lemma7":
-        usable = w2_members(members)
-        if sel != "all" and not usable:
-            raise ConfigError(f"--f {sel}: not usable by lemma7 (needs a smooth second derivative)")
-        return [check_lemma7(tf, w, lam, n_values, g) for tf in usable]
+        return [check_lemma7(tf, w, lam, n_values, g) for tf in w2_members(members)]
     usable = _rate_members(members)
     if not usable:
         raise ConfigError(f"--f {sel}: {_NO_RATE_TARGET}")

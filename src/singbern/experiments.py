@@ -23,7 +23,8 @@ of band work: lemma4's block sums are joined a chunk of rows at a time,
 as the apply's are, and lemma5 and lemma6 walk their rows over the
 window around xi (``_window_sums``) and sum them the same way.  An
 exponent whose powers overflow is an OverflowError naming it, with no
-warning.
+warning; a ratio against a majorant or norm that is 0 is 0 where its
+numerator is 0 too, else inf (``_majorant_ratio``).
 
 Rate targets are a closed form, not fitted numbers: for |x - xi|^beta
 under the weight |x - xi|^alpha the weighted error peaks at the bridge
@@ -364,7 +365,7 @@ def _lemma4(_, c):
 
     def row(n, xs, moments):
         with _powers_of(f"gamma = {c.gamma!r}", moments):
-            return {"n": n, "ratio": float(np.max(moments / (n ** (c.gamma / 2.0) * phi(xs) ** c.gamma)))}
+            return {"n": n, "ratio": _majorant_ratio(moments, n ** (c.gamma / 2.0) * phi(xs) ** c.gamma)}
 
     return row, _trend_report("lemma4", {"gamma": c.gamma, "grid": c.g.key()})
 
@@ -378,7 +379,7 @@ def _lemma2(f, c):
     fnorm = weighted_sup_norm(f, c.w, c.g)
 
     def row(n, xs, bv):
-        return {"n": n, "ratio": float(np.max(np.abs(c.w(xs) * bv))) / fnorm}
+        return {"n": n, "ratio": _majorant_ratio(np.max(np.abs(c.w(xs) * bv)), fnorm)}
 
     return row, _trend_report("lemma2", _params(f, c))
 
@@ -390,9 +391,9 @@ def _direct(f, c):
         err = np.abs(weighted_values(lambda x: f(x) - bv, w, xs))
         out = {"n": n, "max_weighted_error": float(np.max(err))}
         if target is not None:
-            with np.errstate(divide="ignore"):
+            with np.errstate(divide="ignore", over="ignore"):
                 power = (phi(xs) ** (-lam) * delta_n(n, xs) / math.sqrt(n)) ** target
-            out["normalized_error"] = float(np.max(np.where(np.isfinite(power), err / power, 0.0)))
+            out["normalized_error"] = _majorant_ratio(err, np.where(np.isfinite(power), power, math.inf))
         return out
 
     return row, partial(_direct_report, f, w, lam, c.g)
@@ -402,11 +403,13 @@ def _weighted_d2(d2, xs, w: SingularWeight, lam: float) -> np.ndarray:
     return np.abs(w(xs) * phi(xs) ** (2.0 * lam) * d2)
 
 
-def _majorant_ratio(num: float, den: float) -> float:
-    """num / den, where 0 / 0 is 0 (both sides vanish) and num / 0 is inf."""
-    if den == 0.0:
-        return 0.0 if num == 0.0 else math.inf
-    return num / den
+def _majorant_ratio(num, den) -> float:
+    """The largest num / den, elementwise, where 0 / 0 is 0 (both sides vanish) and num / 0 is inf.
+
+    So a majorant that underflows to 0, or a zero ||w f||, gives no NaN
+    and no RuntimeWarning; an infinite majorant gives 0.
+    """
+    return float(np.max(np.divide(num, den, out=np.where(num == 0.0, 0.0, math.inf), where=den != 0.0)))
 
 
 def _theorem1(f, c):
@@ -415,7 +418,7 @@ def _theorem1(f, c):
 
     def row(n, xs, d2):
         num = _weighted_d2(d2, xs, c.w, 0.0)
-        return {"n": n, "ratio": _majorant_ratio(float(np.max(num)), float(n) ** 2.0 * fnorm)}
+        return {"n": n, "ratio": _majorant_ratio(np.max(num), float(n) ** 2.0 * fnorm)}
 
     return row, _trend_report("theorem1", _params(f, c), partial(_ratio_trend, max_slope=0.1))
 
@@ -429,7 +432,7 @@ def _theorem2_w2(f, c):
     def row(n, xs, d2):
         num = _weighted_d2(d2, xs, w, lam)
         curv = np.abs(weighted_values(lambda x: phi(x) ** (2.0 * lam) * f.second_derivative(x), w, xs))
-        return {"n": n, "ratio": _majorant_ratio(float(np.max(num)), float(np.max(curv)))}
+        return {"n": n, "ratio": _majorant_ratio(np.max(num), np.max(curv))}
 
     return row, _trend_report("theorem2", _params(f, c, **{"lambda": lam, "branch": "w2"}))
 
@@ -444,13 +447,14 @@ def _theorem2_cw(f, c):
 
     def row(n, xs, d2):
         num = _weighted_d2(d2, xs, w, lam)
-        with np.errstate(divide="ignore"):
+        # at phi = 0 the majorant is infinite, or inf * 0 = NaN when ||w f|| = 0: no ratio there
+        with np.errstate(divide="ignore", invalid="ignore"):
             majorant = n * np.maximum(n ** (1.0 - lam), phi(xs) ** (2.0 * (lam - 1.0))) * fnorm
-            pointwise = float(np.max(np.where(np.isfinite(majorant), num / majorant, 0.0)))
+        pointwise = _majorant_ratio(num, np.where(np.isfinite(majorant), majorant, math.inf))
         uniform_major = n ** (2.0 - lam) * fnorm
         small = phi(xs) <= 1.0 / math.sqrt(n)
-        r_small = float(np.max(num[small]) / uniform_major) if small.any() else 0.0
-        r_large = float(np.max(num[~small]) / uniform_major) if (~small).any() else 0.0
+        r_small = _majorant_ratio(np.max(num[small]), uniform_major) if small.any() else 0.0
+        r_large = _majorant_ratio(np.max(num[~small]), uniform_major) if (~small).any() else 0.0
         return {"n": n, "ratio": pointwise, "ratio_small_phi": r_small, "ratio_large_phi": r_large}
 
     def trend(ns, rows):
@@ -560,7 +564,7 @@ def check_lemma6(w: SingularWeight, beta: float = 2.0, n_values=DEFAULT_N_VALUES
     def row(n):
         with _powers_of(f"beta = {beta!r}"):
             moments = w(xs) * _window_sums(n, w.xi, xs, beta)
-            return {"n": n, "ratio": float(np.max(moments / (n ** ((beta - w.alpha) / 2.0) * phi(xs) ** beta)))}
+            return {"n": n, "ratio": _majorant_ratio(moments, n ** ((beta - w.alpha) / 2.0) * phi(xs) ** beta)}
 
     params = {"xi": w.xi, "alpha": w.alpha, "beta": beta, "grid": g.key()}
     return _check("lemma6", params, n_values, row, w.xi)
@@ -588,7 +592,7 @@ def check_lemma7(
             # curvature-free f: the chord reproduces it up to rounding
             return {"n": n, "ratio": 0.0 if float(np.max(defect)) <= ROUNDING * weighted_sup_norm(f, w, g) else math.inf}
         majorant = (delta_n(n, xs) / (math.sqrt(n) * phi(xs) ** lam)) ** 2 * curv_norm
-        return {"n": n, "ratio": float(np.max(defect / majorant))}
+        return {"n": n, "ratio": _majorant_ratio(defect, majorant)}
 
     params = {"function": f.name, "xi": w.xi, "alpha": w.alpha, "lambda": lam, "grid": g.key()}
     return _check("lemma7", params, n_values, row, w.xi)

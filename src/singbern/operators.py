@@ -80,7 +80,7 @@ def _band_sum(values: np.ndarray, start: np.ndarray, width: int, passes) -> np.n
     slice ``rows``, whose bands begin at start[rows].  Each pass gathers
     the value windows of every vector, multiplies them by the block and
     hands the products to ``_RowSums``, so each vector's result is
-    ``block_sum`` over the whole band, and beside the result only one
+    ``ksum`` over the whole band, and beside the result only one
     pass and one chunk of block sums are held.
     """
     windows = sliding_window_view(values, width, axis=-1)
@@ -98,13 +98,13 @@ def _join_rows(members: int, width: int) -> int:
 
 
 class _RowSums:
-    """``block_sum`` over each row of a (*lead, rows, width) array of terms that arrives rows first.
+    """``ksum`` over each row of a (*lead, rows, width) array of terms that arrives rows first.
 
     ``add(t)`` takes the terms of the next rows, shaped (*lead, r, width),
     and sums every 64 columns pairwise while they are in cache.  The
     block sums are held for ``_join_rows`` rows; then each held row's are
-    joined by the exact two-sum of ``block_sum``, in its block order, so
-    every row gets ``block_sum``'s bits while only one chunk of block sums
+    joined by the exact two-sum of ``ksum``, in its block order, so
+    every row gets ``ksum``'s bits while only one chunk of block sums
     is held.  ``total()`` joins the rest and returns the (*lead, rows) sums.
     """
 

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -618,6 +619,116 @@ def test_lemma6_at_beta_100_returns_a_verdict(capsys):
     code, out, err = run_cli(capsys, "check", "--which", "lemma6", "--beta", "100", "--grid-count", "65")
     assert (code, err) == (1, "")
     assert out.splitlines()[1].startswith("lemma6,,data,64,,1.24617059142108")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, code",
+    [(("sweep", "--alpha", "100", "--grid-count", "33"), 1),
+     (("sweep", "--alpha", "1e308", "--grid-count", "33"), 0),
+     (("check", "--which", "direct", "--alpha", "100", "--grid-count", "33"), 1),
+     (("check", "--which", "theorem2", "--alpha", "1e308", "--grid-count", "33"), 0),
+     (("check", "--which", "lemma2", "--alpha", "1e308", "--grid-count", "33"), 0),
+     (("check", "--which", "lemma6", "--alpha", "1e308", "--grid-count", "33"), 0),
+     (("check", "--which", "lemma7", "--alpha", "1070", "--grid-count", "65", "--n-values", "64,128,256"), 0),
+     (("check", "--which", "lemma4", "--gamma", "100", "--n-values", "64,128,256"), 1)],
+    ids=["sweep-100", "sweep-1e308", "direct-100", "theorem2-1e308", "lemma2-1e308", "lemma6-1e308",
+         "lemma7-1070", "lemma4-gamma-100"],
+)
+def test_ratios_against_an_underflowed_majorant(capsys, argv, code):
+    # the weight |x - xi|^alpha underflows: at alpha = 100 the direct rate
+    # factor's power is 0 where the error is 0 too, at 1e308 ||w f|| and every
+    # majorant are 0, at 1070 lemma7's curvature norm is subnormal and its
+    # majorant 0; on the default grid phi^100 underflows in lemma4's majorant.
+    # A ratio 0 / 0 is 0 and x / 0 is inf, with no RuntimeWarning and no exit 3
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, err) == (code, "")
+    if argv[0] == "check":
+        assert "nan" not in out  # a CSV cell prints a NaN ratio as nan
+    else:  # a JSON value prints it as null
+        assert all(row["normalized_error"] is not None
+                   for r in json.loads(out)["results"] for row in r["direct"]["rows"] if "normalized_error" in row)
+
+
+def test_theorem2_w2_branch_of_a_member_without_f2_exits_2(capsys):
+    # the w2 branch reads only members with a smooth f'', as lemma7 does; it
+    # used to print no report and pass
+    argv = ("--f", "abs_beta_0.5", "--n-values", "64,128,256", "--grid-count", "65")
+    for which in (("lemma7",), ("theorem2", "--branch", "w2")):
+        code, out, err = run_cli(capsys, "check", "--which", *which, *argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: --f abs_beta_0.5: not usable by {' '.join(which)} "
+                       "(needs a smooth second derivative)\n")
+    assert run_cli(capsys, "check", "--which", "theorem2", "--branch", "both", *argv)[0] == 0
+
+
+# each option's in-range values, then its edge values: non-finite, huge,
+# tiny, zero, negative, unsorted or short lists, unknown names; grids have
+# at most 65 points and degrees stay at most 256
+_EDGE_NUMBERS = ("1e308", "100", "nan", "inf", "-inf", "0", "-1", "1e-300")
+_FUZZ_OPTIONS = {
+    "xi": (("0.5", "0.37", "0.7"), ("nan", "inf", "0", "1", "-1", "1e-300", "1e308")),
+    "alpha": (("0.5", "1", "2"), _EDGE_NUMBERS),
+    "lambda": (("0", "0.5", "1"), ("nan", "inf", "-1", "2", "1e-300")),
+    "grid-count": (("3", "5", "33", "65"), ("2", "0", "-1", "nan", "1e308", "x")),
+    "grid-placement": (("uniform", "chebyshev"), ("random",)),
+    "exclusion-radius": (("0", "0.1"), ("0.49", "nan", "inf", "-1", "1e-300", "1e308")),
+    "format": (("csv", "json"), ("yaml",)),
+    "f": (("linear", "square", "abs_beta_0.5", "abs_beta_1.0", "all"), ("nope", "")),
+    "n": (("64", "256", "1", "2"), ("0", "-1", "nan", "1e308", "x")),
+    "n-values": (("64,128,256", "50,100,200"),
+                 ("256,128,64", "64,64,128", "64,128", "", "1,2,3", "0,1,2", "-64,128,256", "64,nan,256",
+                  "1e308,2e308,3e308")),
+    "t-values": (("0.25,0.125,0.0625", "0.0625,0.25,0.125", "0.1,0.1,0.1"),
+                 ("0.25", "", "0", "-0.1", "nan", "inf", "0.5", "1e-308")),
+    "h-steps": (("1", "4", "32"), ("0", "-3", "nan", "1e308")),
+    "which": (("all", "lemma1", "lemma2,lemma4", "lemma5,lemma6", "lemma7", "theorem1", "theorem2", "direct",
+               "inverse"), ("nope", "lemma1,nope", "")),
+    "beta": (("0.5", "2"), _EDGE_NUMBERS),
+    "gamma": (("0.5", "2"), _EDGE_NUMBERS),
+    "u": (("0.5", "2"), _EDGE_NUMBERS),
+    "v": (("0.5", "2"), _EDGE_NUMBERS),
+    "branch": (("cw", "w2", "both"), ("neither",)),
+    "functions": (("all", "abs_beta_1.0", "abs_beta_0.5,abs_beta_1.0", "linear"), ("square", "nope", "")),
+}
+_COMMON = ("xi", "alpha", "lambda", "format", "grid-count", "grid-placement", "exclusion-radius")
+_FUZZ_COMMANDS = {
+    "eval": ("n", "f", *_COMMON),
+    "modulus": ("f", "t-values", "h-steps", *_COMMON),
+    "check": ("n-values", "which", "f", "t-values", "h-steps", "beta", "gamma", "u", "v", "branch", *_COMMON),
+    "sweep": ("n-values", "functions", "t-values", "h-steps", *_COMMON),
+    "list-functions": ("xi", "alpha", "lambda", "format"),
+}
+# always given: they bound the size of a run, or name what it runs
+_FUZZ_ALWAYS = ("grid-count", "n", "n-values", "f")
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """A command with each flag absent or in range, and up to two flags at edge values."""
+    command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    flags = _FUZZ_COMMANDS[command]
+    odd = draw(st.lists(st.sampled_from(flags), max_size=2, unique=True))
+    argv = [command]
+    for flag in flags:
+        if flag in _FUZZ_ALWAYS or flag in odd or draw(st.booleans()):
+            argv.append(f"--{flag}={draw(st.sampled_from(_FUZZ_OPTIONS[flag][flag in odd]))}")
+    return argv
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_fuzz_argv())
+def test_every_command_exits_with_a_documented_code_on_edge_values(argv):
+    # wall budget 10 s on a 2-vCPU VM (4 s measured): most examples exit 2 at
+    # once, and a run that gets through parsing checks at most three degrees
+    # up to 256 on at most 65 points
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert [str(w.message) for w in seen if issubclass(w.category, RuntimeWarning)] == []
 
 
 _FLAG_VALUES = {
