@@ -365,7 +365,7 @@ def _lemma4(_, c):
 
     def row(n, xs, moments):
         with _powers_of(f"gamma = {c.gamma!r}", moments):
-            return {"n": n, "ratio": _majorant_ratio(moments, n ** (c.gamma / 2.0) * phi(xs) ** c.gamma)}
+            return {"n": n, "ratio": float(np.max(moments / (n ** (c.gamma / 2.0) * phi(xs) ** c.gamma)))}
 
     return row, _trend_report("lemma4", {"gamma": c.gamma, "grid": c.g.key()})
 
@@ -393,7 +393,7 @@ def _direct(f, c):
         if target is not None:
             with np.errstate(divide="ignore", over="ignore"):
                 power = (phi(xs) ** (-lam) * delta_n(n, xs) / math.sqrt(n)) ** target
-            out["normalized_error"] = _majorant_ratio(err, np.where(np.isfinite(power), power, math.inf))
+            out["normalized_error"] = _majorant_ratio(err, power)
         return out
 
     return row, partial(_direct_report, f, w, lam, c.g)
@@ -407,8 +407,10 @@ def _majorant_ratio(num, den) -> float:
     """The largest num / den, elementwise, where 0 / 0 is 0 (both sides vanish) and num / 0 is inf.
 
     So a majorant that underflows to 0, or a zero ||w f||, gives no NaN
-    and no RuntimeWarning; an infinite majorant gives 0.
+    and no RuntimeWarning; an infinite majorant, or a NaN one (inf * 0),
+    gives 0.
     """
+    den = np.where(np.isnan(den), math.inf, den)
     return float(np.max(np.divide(num, den, out=np.where(num == 0.0, 0.0, math.inf), where=den != 0.0)))
 
 
@@ -450,7 +452,7 @@ def _theorem2_cw(f, c):
         # at phi = 0 the majorant is infinite, or inf * 0 = NaN when ||w f|| = 0: no ratio there
         with np.errstate(divide="ignore", invalid="ignore"):
             majorant = n * np.maximum(n ** (1.0 - lam), phi(xs) ** (2.0 * (lam - 1.0))) * fnorm
-        pointwise = _majorant_ratio(num, np.where(np.isfinite(majorant), majorant, math.inf))
+        pointwise = _majorant_ratio(num, majorant)
         uniform_major = n ** (2.0 - lam) * fnorm
         small = phi(xs) <= 1.0 / math.sqrt(n)
         r_small = _majorant_ratio(np.max(num[small]), uniform_major) if small.any() else 0.0
@@ -564,7 +566,10 @@ def check_lemma6(w: SingularWeight, beta: float = 2.0, n_values=DEFAULT_N_VALUES
     def row(n):
         with _powers_of(f"beta = {beta!r}"):
             moments = w(xs) * _window_sums(n, w.xi, xs, beta)
-            return {"n": n, "ratio": _majorant_ratio(moments, n ** ((beta - w.alpha) / 2.0) * phi(xs) ** beta)}
+        # the ratio is (n^(1/2) |x - xi|)^alpha S / (n^(beta/2) phi^beta): where the
+        # majorant underflows, that power of alpha overflows or cannot be formed
+        with _powers_of(f"alpha = {w.alpha!r}, beta = {beta!r}"):
+            return {"n": n, "ratio": float(np.max(moments / (n ** ((beta - w.alpha) / 2.0) * phi(xs) ** beta)))}
 
     params = {"xi": w.xi, "alpha": w.alpha, "beta": beta, "grid": g.key()}
     return _check("lemma6", params, n_values, row, w.xi)

@@ -599,13 +599,16 @@ SMALL_SWEEP = ("--n-values", "64,128,256", "--grid-count", "65")
     "argv",
     [("lemma6", "--beta", "1e6"), ("lemma4", "--gamma", "1e4"), ("lemma5", "--alpha", "1e5"),
      ("lemma1", "--u", "1e308"), ("lemma1", "--v", "1e308"), ("lemma1", "--u", "400"),
-     ("lemma4", "--gamma", "200"), ("lemma4", "--gamma", "1e308"), ("lemma6", "--beta", "400")],
-    ids=["beta", "gamma", "alpha", "u", "v", "u-400", "gamma-200", "gamma-1e308", "beta-400"],
+     ("lemma4", "--gamma", "200"), ("lemma4", "--gamma", "1e308"), ("lemma6", "--beta", "400"),
+     ("lemma6", "--alpha", "1e308")],
+    ids=["beta", "gamma", "alpha", "u", "v", "u-400", "gamma-200", "gamma-1e308", "beta-400", "lemma6-alpha-1e308"],
 )
 def test_arithmetic_overflow_exits_3(capsys, argv):
     # a power of the exponent overflows ((k/n)^-u in lemma1; at gamma = 200 only
-    # |k - nx|^gamma in the moment sums, not the majorant): no NaN ratio and no
-    # RuntimeWarning, but one error line naming the check and its exponent
+    # |k - nx|^gamma in the moment sums, not the majorant; in lemma6 at alpha =
+    # 1e308 the ratio's (n^(1/2) |x - xi|)^alpha, where weight and majorant both
+    # underflow): no NaN ratio and no RuntimeWarning, but one error line naming
+    # the check and its exponent
     code, out, err = run_cli(capsys, "check", "--which", *argv, *SMALL_SWEEP)
     assert (code, out) == (3, "")
     assert err.startswith(f"error: check {argv[0]}: ") and err.count("\n") == 1
@@ -629,18 +632,15 @@ def test_lemma6_at_beta_100_returns_a_verdict(capsys):
      (("check", "--which", "direct", "--alpha", "100", "--grid-count", "33"), 1),
      (("check", "--which", "theorem2", "--alpha", "1e308", "--grid-count", "33"), 0),
      (("check", "--which", "lemma2", "--alpha", "1e308", "--grid-count", "33"), 0),
-     (("check", "--which", "lemma6", "--alpha", "1e308", "--grid-count", "33"), 0),
-     (("check", "--which", "lemma7", "--alpha", "1070", "--grid-count", "65", "--n-values", "64,128,256"), 0),
-     (("check", "--which", "lemma4", "--gamma", "100", "--n-values", "64,128,256"), 1)],
-    ids=["sweep-100", "sweep-1e308", "direct-100", "theorem2-1e308", "lemma2-1e308", "lemma6-1e308",
-         "lemma7-1070", "lemma4-gamma-100"],
+     (("check", "--which", "lemma7", "--alpha", "1070", "--grid-count", "65", "--n-values", "64,128,256"), 0)],
+    ids=["sweep-100", "sweep-1e308", "direct-100", "theorem2-1e308", "lemma2-1e308", "lemma7-1070"],
 )
 def test_ratios_against_an_underflowed_majorant(capsys, argv, code):
     # the weight |x - xi|^alpha underflows: at alpha = 100 the direct rate
     # factor's power is 0 where the error is 0 too, at 1e308 ||w f|| and every
     # majorant are 0, at 1070 lemma7's curvature norm is subnormal and its
-    # majorant 0; on the default grid phi^100 underflows in lemma4's majorant.
-    # A ratio 0 / 0 is 0 and x / 0 is inf, with no RuntimeWarning and no exit 3
+    # majorant 0.  A ratio 0 / 0 is 0 and x / 0 is inf, with no RuntimeWarning
+    # and no exit 3
     got, out, err = run_cli(capsys, *argv)
     assert (got, err) == (code, "")
     if argv[0] == "check":
