@@ -47,10 +47,12 @@ a fixed budget of entries, sized so that a pass's temporaries stay in
 cache; the k-only and x-only parts of log b are computed once per call,
 the anchors about _ANCHOR_BATCH at a time, and the powers of the ratio's
 x-part once per chunk of whole anchor batches, about _PASS_ENTRIES /
-(4 S) rows.  Every pass walks in scratch that the call makes and reuses;
-no scratch is shared between calls.  The passes come one at a time in
-one reused buffer, so a caller that reduces each pass as it comes never
-holds the block; ``basis_matrix`` copies each into the whole block.
+(4 S) rows.  The walk's products run once per anchor batch, in one
+step-major buffer, and are laid into the rows' lanes a pass at a time;
+the call makes that scratch and reuses it, and no scratch is shared
+between calls.  The passes come one at a time in one reused buffer, so a
+caller that reduces each pass as it comes never holds the block;
+``basis_matrix`` copies each into the whole block.
 
 Every basis-weighted sum, sum_k c(k, x) b(n, k, x), is summed 64 columns
 at a time: each block of terms is summed pairwise and the block sums are
@@ -391,13 +393,15 @@ def _band_passes(n: int, xs: np.ndarray, width: int, bounds: tuple):
     rows in one buffer that every pass reuses.
 
     Each row is walked outward from its mode round(n x), clipped into
-    lo..hi, by the neighbour ratio (``_walk``) from log-space anchors
-    (``_anchors``), those of about _ANCHOR_BATCH rows in one call, and the
-    ratio's x-part (``_powers``) is made once per chunk of about
-    _PASS_ENTRIES / (4 _ANCHOR_STEP) rows, whole anchor batches.  The walk
-    is cut past lo..hi, so its entries there are +0.0, and each walked row
-    lies between ``width`` zeros: a block row is its start-aligned window
-    of the walked row, with no mask.
+    lo..hi, by the neighbour ratio from log-space anchors (``_anchors``),
+    those of about _ANCHOR_BATCH rows in one call, and the ratio's x-part
+    (``_powers``) is made once per chunk of about _PASS_ENTRIES /
+    (4 _ANCHOR_STEP) rows, whole anchor batches.  One ``_walk`` call runs
+    the products of a whole anchor batch, and ``_lay`` copies them into the
+    pass-sized lanes a pass at a time.  The walk is cut past lo..hi, so
+    its entries there are +0.0, and each walked row lies between ``width``
+    zeros: a block row is its start-aligned window of the walked row, with
+    no mask.
     """
     start, lo, hi = bounds
     mode = np.clip(np.floor(n * xs + 0.5).astype(np.int64), lo, hi)
@@ -414,7 +418,7 @@ def _band_passes(n: int, xs: np.ndarray, width: int, bounds: tuple):
     chunk = batch * max(1, _PASS_ENTRIES // (4 * _ANCHOR_STEP * batch))
     ws = _workspace(_LOG_B_ROWS, min(batch, xs.size) * most)
     half = (reach // _ANCHOR_STEP + 1) * _ANCHOR_STEP
-    scratch = np.empty(2 * size * half), np.empty(2 * size * half)
+    products = np.empty(2 * min(batch, xs.size) * half)
     # row i walks in lanes[i, :2 half - 1], its mode at column half - 1; ``width``
     # zeros lie before row 0 and after every row, so no window reads another row
     lane = 2 * half - 1 + width
@@ -435,12 +439,15 @@ def _band_passes(n: int, xs: np.ndarray, width: int, bounds: tuple):
             lanes[:, half + hb - 1:half + prev - 1] = 0.0
         prev = hb
         anchors = _anchors(n, xs[bs], mode[bs], lo[bs], hi[bs], steps, [m[bs] for m in moments], const, ws)
+        # the anchors are copied out of ``ws``, so the walk may use it for its denominators
+        v = _walk(n, anchors, mode[bs], lo[bs], hi[bs], powers[..., first - cs.start:bs.stop - cs.start],
+                  products, ws[0])
         for p in range(bs.start, bs.stop, rows):
             sl = slice(p, min(p + rows, bs.stop))
             r = sl.stop - p
             block = buf[:r]
-            _walk(n, anchors[p - first:sl.stop - first], mode[sl], lo[sl], hi[sl],
-                  powers[..., p - cs.start:sl.stop - cs.start], scratch, lanes[:r, half - hb:half + hb - 1])
+            b = slice(p - first, sl.stop - first)
+            _lay(n, v[:, :, b], anchors[b], mode[sl], lanes[:r, half - hb:half + hb - 1])
             # row i starts at its walked entry k = start[i], half - 1 + start[i] - mode[i] into its lane
             block[...] = windows[width + lane * np.arange(r) + start[sl] - mode[sl] + half - 1]
             yield sl, block
@@ -497,37 +504,42 @@ def _anchors(n, x, mode, lo, hi, steps, moments, const, ws) -> np.ndarray:
 
 
 def _walk(n: int, anchors: np.ndarray, mode: np.ndarray, lo: np.ndarray, hi: np.ndarray, powers: np.ndarray,
-          scratch: tuple, out: np.ndarray) -> None:
-    """Walk the rows outward from their ``_anchors`` by the neighbour ratio, into ``out``.
+          products: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """Walk the rows outward from their ``_anchors`` by the neighbour ratio, segment by segment.
 
-    Row i of ``out``, shape (rows, 2 half - 1) with half = (steps + 1) S
-    and S = _ANCHOR_STEP, gets b(n, k, x_i) at k = mode[i] - half + 1,
-    ..., mode[i] + half - 1 where lo[i] <= k <= hi[i], and +0.0 at the
-    other k in 0..n.  Each anchor starts a segment of S - 1 entries away
-    from the mode: entry t of the segment from k0 is the anchor times the
-    running product of (n+1-k)/k over k = k0+1..k0+t rightward, or of
-    (k+1)/(n-k) over k = k0-1..k0-t leftward, times ``powers[t]``, the
-    t-th power of x/(1-x) or (1-x)/x (``_powers``).  So each anchor is the
-    largest value of its segment and no segment climbs out of underflow.
-    The factor into hi + 1, and into lo - 1, is 0 where that index lies
+    Returns v, shape (S, 2, rows, steps + 1) with S = _ANCHOR_STEP, in
+    the first entries of ``products``: v[t, 0, i, j] is b(n, k, x_i) at
+    k = mode[i] + j S + t and v[t, 1, i, j] at k = mode[i] - j S - t
+    where lo[i] <= k <= hi[i], and +0.0 at the other k in 0..n; ``_lay``
+    puts the rows in place and the end weights at k = 0 and n.  Each anchor
+    starts a segment of S - 1 entries away from the mode: entry t of the
+    segment from k0 is the anchor times the running product of
+    (n+1-k)/k over k = k0+1..k0+t rightward, or of (k+1)/(n-k) over
+    k = k0-1..k0-t leftward, times ``powers[t]``, the t-th power of
+    x/(1-x) or (1-x)/x (``_powers``).  So each anchor is the largest
+    value of its segment and no segment climbs out of underflow.  The
+    factor into hi + 1, and into lo - 1, is 0 where that index lies
     inside a segment (an anchor there is 0 already), so the product is 0
-    past both.  The end weights are the anchors' closed forms.  The walk
-    runs in the two buffers of ``scratch``, each of at least 2 rows half
-    entries.
+    past both.  Segments run down axis 0, so each product step is one
+    operation over every segment of the rows: the caller walks a whole
+    anchor batch in one call.  ``products`` holds at least 2 rows
+    (steps + 1) S entries, and ``ws``, of at least 2 rows (steps + 1),
+    takes the factors' denominators a few t at a time.
     """
     step, rows = _ANCHOR_STEP, mode.size
     steps = (anchors.shape[1] - 3) // 2
-    half, segs = (steps + 1) * step, rows * (steps + 1)
-    # v[t, 0, i, j] is at k = k0 + t from k0 = mode + j S, v[t, 1, i, j] at k0 - t
-    # from k0 = mode - j S: segments run down axis 0, so each product step is one
-    # operation over every segment
-    v = scratch[0][:2 * step * segs].reshape(step, 2, rows, steps + 1)
+    segs = rows * (steps + 1)
+    v = products[:2 * step * segs].reshape(step, 2, rows, steps + 1)
     jump = step * np.arange(steps + 1.0)
     up, down = (mode[:, None] + jump).ravel(), (mode[:, None] - jump).ravel()
     t = np.arange(1.0, step)[:, None]
     factors = v[1:].reshape(step - 1, 2 * segs)
     np.subtract(np.concatenate([(n + 1.0) - up, down + 1.0]), t, out=factors)
-    factors /= np.add(np.concatenate([up, n - down]), t, out=scratch[1][:factors.size].reshape(factors.shape))
+    base = np.concatenate([up, n - down])
+    per = ws.size // (2 * segs)  # the denominators of ``per`` t fit in ws
+    for a in range(0, step - 1, per):
+        den = ws.reshape(-1)[:2 * segs * min(per, step - 1 - a)].reshape(-1, 2 * segs)
+        factors[a:a + per] /= np.add(base, t[a:a + per], out=den)
     for side, past in enumerate((hi - mode + 1, mode - lo + 1)):  # offsets of hi + 1 and lo - 1
         i = np.flatnonzero(past % step)
         v[past[i] % step, side, i, past[i] // step] = 0.0
@@ -536,6 +548,19 @@ def _walk(n: int, anchors: np.ndarray, mode: np.ndarray, lo: np.ndarray, hi: np.
     for i in range(1, step):
         v[i] *= v[i - 1]
     v *= powers[..., None]
+    return v
+
+
+def _lay(n: int, v: np.ndarray, anchors: np.ndarray, mode: np.ndarray, out: np.ndarray) -> None:
+    """Lay walked rows ``v`` (``_walk``'s, of some rows) into ``out``, with their end weights.
+
+    Row i of ``out``, shape (rows, 2 half - 1) with half = (steps + 1) S,
+    gets b(n, k, x_i) at k = mode[i] - half + 1, ..., mode[i] + half - 1
+    where lo[i] <= k <= hi[i], and +0.0 at the other k in 0..n.  The end
+    weights are the anchors' closed forms.
+    """
+    step, rows, steps = _ANCHOR_STEP, mode.size, v.shape[3] - 1
+    half = (steps + 1) * step
     np.copyto(out[:, half - 1:].reshape(rows, steps + 1, step), v[:, 0].transpose(1, 2, 0))
     np.copyto(out[:, half - 1::-1].reshape(rows, steps + 1, step), v[:, 1].transpose(1, 2, 0))
     if mode.min(initial=n) < half:

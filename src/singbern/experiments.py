@@ -365,7 +365,15 @@ def _lemma4(_, c):
 
     def row(n, xs, moments):
         with _powers_of(f"gamma = {c.gamma!r}", moments):
-            return {"n": n, "ratio": float(np.max(moments / (n ** (c.gamma / 2.0) * phi(xs) ** c.gamma)))}
+            phis = phi(xs)
+            majorant = n ** (c.gamma / 2.0) * phis ** c.gamma
+            # phi^gamma underflows near 0 and 1, where the ratio itself may be finite
+            under = (majorant == 0.0) & (moments > 0.0)
+            ratio = np.divide(moments, majorant, out=np.empty(moments.shape), where=~under)
+            if under.any():
+                ratio[under] = np.exp(np.log(moments[under]) - c.gamma / 2.0 * math.log(n)
+                                      - c.gamma * np.log(phis[under]))
+            return {"n": n, "ratio": float(np.max(ratio))}
 
     return row, _trend_report("lemma4", {"gamma": c.gamma, "grid": c.g.key()})
 
@@ -551,7 +559,14 @@ def check_lemma5(w: SingularWeight, n_values=DEFAULT_N_VALUES, g: GridSpec = Gri
     def row(n):
         with _powers_of(f"alpha = {w.alpha!r}"):
             a_max = float(np.max(w(xs) * _window_sums(n, w.xi, xs)))
-            return {"n": n, "max_weighted_mass": a_max, "scaled": a_max * n ** (w.alpha / 2.0)}
+            try:
+                scaled = a_max * n ** (w.alpha / 2.0)
+            except OverflowError:
+                # n^(alpha/2) alone overflows; the scaled mass may not
+                if a_max == 0.0:
+                    raise
+                scaled = math.exp(math.log(a_max) + w.alpha / 2.0 * math.log(n))
+            return {"n": n, "max_weighted_mass": a_max, "scaled": scaled}
 
     params = {"xi": w.xi, "alpha": w.alpha, "grid": g.key()}
     return _check("lemma5", params, n_values, row, w.xi, partial(_ratio_trend, key="scaled", min_slope=-0.3))

@@ -616,6 +616,21 @@ def test_arithmetic_overflow_exits_3(capsys, argv):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, code",
+    [(("lemma5", "--alpha", "300", *SMALL_SWEEP), 1), (("lemma4", "--gamma", "100"), 0)],
+    ids=["lemma5-alpha-300", "lemma4-gamma-100"],
+)
+def test_a_power_that_alone_leaves_double_range_returns_a_verdict(capsys, argv, code):
+    # lemma5's n^(alpha/2) overflows at n = 128 and 256, and lemma4's phi^gamma
+    # underflows at the grid points nearest 0 and 1, though the scaled masses
+    # and the ratios are finite: a verdict, not exit 3
+    got, out, err = run_cli(capsys, "check", "--which", *argv)
+    assert (got, err) == (code, "")
+    assert out.count(f"\n{argv[0]},,data,") == (3 if argv[0] == "lemma5" else 7)
+
+
+@pytest.mark.filterwarnings("error")
 def test_lemma6_at_beta_100_returns_a_verdict(capsys):
     # |k - nx|^100 overflows on rows far from xi, where the weights are 0
     # and so is every term: the ratios are finite and the trend fails

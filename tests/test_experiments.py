@@ -28,7 +28,8 @@ from singbern.experiments import (
 from singbern.moduli import ladder_moduli
 from singbern.operators import _join_rows, bbar_apply, bbar_second_derivative, build_surrogate, collocation_matrix
 from singbern.weight import (
-    EvaluationError, GridSpec, SingularWeight, TestFunction, corpus, corpus_member, grid_points, weighted_sup_norm,
+    EvaluationError, GridSpec, SingularWeight, TestFunction, corpus, corpus_member, grid_points, phi,
+    weighted_sup_norm,
 )
 
 from basis_oracle import basis_values
@@ -204,6 +205,36 @@ class TestLemmaCheckers:
                                   / (mpmath.mpf(n) ** ((beta - mpmath.mpf(w.alpha)) / 2)
                                      * mpmath.sqrt(X * (1 - X)) ** 100))
                 assert row["ratio"] == pytest.approx(float(max(ratios)), rel=1e-12, abs=0.0), n
+
+    @pytest.mark.filterwarnings("error")
+    def test_lemma5_at_alpha_300_against_mpmath(self):
+        # 128^150 and 256^150 overflow though the scaled masses (1.4e179 and
+        # 9.5e198) do not: there they are formed in log space; 64^150 is
+        # finite; 1e-12 relative (9e-14 seen)
+        mpmath = pytest.importorskip("mpmath")
+        r = check_lemma5(SingularWeight(0.5, 300.0), (64, 128, 256), GridSpec(count=65))
+        for row in r["rows"]:
+            exact = mpmath.mpf(row["max_weighted_mass"]) * mpmath.mpf(row["n"]) ** 150
+            assert row["scaled"] == pytest.approx(float(exact), rel=1e-12, abs=0.0), row["n"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_lemma4_at_gamma_100_against_mpmath(self):
+        # phi^100 underflows to 0 at the two grid points nearest 0 and 1, where
+        # the ratios are largest (1.2e297 at n = 64) and finite: there they are
+        # formed in log space; 1e-12 relative (4.4e-14 seen)
+        mpmath = pytest.importorskip("mpmath")
+        r = band_report("lemma4", n_values=DEFAULT_N_VALUES, g=GridSpec(), gamma=100.0)
+        degree = _interior_degree(SimpleNamespace(g=GridSpec(), gamma=100.0))
+        for row in r["rows"][:3]:
+            n = row["n"]
+            xs, [moments] = degree(n, ["lemma4"])
+            under = np.flatnonzero(phi(xs) ** 100 == 0.0)
+            assert under.size == 2
+            with mpmath.workdps(30):
+                exact = [mpmath.mpf(m) / (mpmath.mpf(n) ** 50 * mpmath.sqrt(X * (1 - X)) ** 100)
+                         for X, m in zip(map(mpmath.mpf, xs.tolist()), moments.tolist())]
+            assert exact.index(max(exact)) in under
+            assert row["ratio"] == pytest.approx(float(max(exact)), rel=1e-12, abs=0.0), n
 
     def test_window_terms_whose_power_alone_overflows_against_mpmath(self):
         # at n = 16384 |k - nx|^100 overflows on every window index for x = 0.4

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from singbern.basis import _PASS_ENTRIES, ksum
+from singbern.basis import _PASS_ENTRIES, _pass_rows, ksum
 from singbern.bridge import InvalidNodesError, chord, compute_nodes, surrogate_eval
 from singbern.operators import (
     _join_rows,
@@ -17,6 +17,7 @@ from singbern.operators import (
     collocation_matrix,
 )
 from singbern.experiments import ROUNDING
+from test_basis import calls_of
 from test_experiments import band_report
 from singbern.weight import (
     EvaluationError, GridSpec, SingularWeight, TestFunction, corpus_member, grid_points, weighted_sup_norm,
@@ -192,6 +193,42 @@ class TestStreamedApply:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20, peak / 2**20
+
+    def test_pass_memory_at_degree_16384(self):
+        # one apply holds a pass of lanes and block, one anchor batch's walk and
+        # its anchors: 2016 KiB traced (xi = 0.37); lanes for a whole anchor
+        # batch instead of a pass take 2529 KiB
+        import tracemalloc
+
+        n, w = 16384, SingularWeight(0.37, 1.0)
+        values = build_surrogate(corpus_member("abs_beta_1.0", w), n, w)
+        xs = grid_points(GridSpec(), w.xi)
+        tracemalloc.start()
+        try:
+            bernstein_apply(values, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2250 * 2**10, peak / 2**10
+
+    @pytest.mark.parametrize("edge, extra", [("pass", -1), ("pass", 1), ("batch", -1), ("batch", 1)])
+    def test_one_walk_per_anchor_batch(self, monkeypatch, edge, extra):
+        # the row at 1/2 walks the whole band, so every grid here has the same
+        # batch; each batch is walked in one call and laid a pass at a time
+        n = 16384
+        rows = _pass_rows(collocation_matrix(n, np.array([0.5]))[1].shape[1])
+
+        def grid(size):
+            return np.concatenate([[0.5], np.linspace(0.3, 0.7, size - 1)])
+
+        batch = calls_of(monkeypatch, "_anchors", n, grid(1000))[0][1].size
+        assert batch % rows == 0 and batch > rows
+        size = (rows if edge == "pass" else batch) + extra
+        xs = grid(size)
+        walks = [args[2].size for args in calls_of(monkeypatch, "_walk", n, xs)]
+        assert walks == [min(batch, size - first) for first in range(0, size, batch)]
+        passes = [args[3].size for args in calls_of(monkeypatch, "_lay", n, xs)]
+        assert passes == [min(rows, size - first) for first in range(0, size, rows)]
 
     @pytest.mark.parametrize("grid", [np.full((2, 3), 0.5), np.float64(0.5)], ids=["2-d", "0-d"])
     def test_grid_must_be_one_dimensional(self, grid):
