@@ -39,20 +39,26 @@ with the log-space weight (the broadcast evaluator of the tests,
 unity and the first moment k/n to 8 eps (4 eps seen).  The walk is cut
 past the kept indices: the factor into the first index past either end
 is 0, so every entry that a block reads outside them is +0.0.  Each
-walked row lies in a buffer between ``width`` zeros on either side, so a
-block row is the start-aligned window of its walk, with no mask; where a
-batch of rows walks less far than the batch before, the ring of the
-buffer that it no longer writes is cleared.  The rows come in passes of
-a fixed budget of entries, sized so that a pass's temporaries stay in
-cache; the k-only and x-only parts of log b are computed once per call,
-the anchors about _ANCHOR_BATCH at a time, and the powers of the ratio's
-x-part once per chunk of whole anchor batches, about _PASS_ENTRIES /
-(4 S) rows.  The walk's products run once per anchor batch, in one
-step-major buffer, and are laid into the rows' lanes a pass at a time;
-the call makes that scratch and reuses it, and no scratch is shared
-between calls.  The passes come one at a time in one reused buffer, so a
-caller that reduces each pass as it comes never holds the block;
-``basis_matrix`` copies each into the whole block.
+walked row lies in a buffer between runs of zeros as long as a window
+reaches past the walk, so a block row is the start-aligned window of its
+walk, with no mask; where a batch of rows walks less far than the batch
+before, the ring of the buffer that it no longer writes is cleared.  The
+rows come in passes of a fixed budget of entries, sized so that a pass's
+temporaries stay in cache; the k-only and x-only parts of log b are
+computed once per call, the anchors in batches of whole passes, at most
+_ANCHOR_BATCH anchors and _PASS_ENTRIES / (4 S) rows, and the powers of
+the ratio's x-part once per chunk of whole anchor batches, at most that
+many rows.  The walk's
+products run once per anchor batch, in one step-major buffer, and are
+laid into the rows' lanes a pass at a time.  The call keeps that scratch
+in one arena: the anchor stage's rows (its workspace and the k and
+moments it gathers), and over them the walk's products and the pass
+buffer, which takes the walk's denominators until the walk is laid.  No
+stage outlives the next batch's anchors, so they share the memory; each
+call makes its own arena, and no scratch is shared between calls.  The
+passes come one at a time in the reused pass buffer, so a caller that
+reduces each pass as it comes never holds the block; ``basis_matrix``
+copies each into the whole block.
 
 Every basis-weighted sum, sum_k c(k, x) b(n, k, x), is summed 64 columns
 at a time: each block of terms is summed pairwise and the block sums are
@@ -88,17 +94,25 @@ _LN_2PI = math.log(2.0 * math.pi)
 # 0.46/0.48/0.46/0.42 s at 31.9/32.2/33.1/34.9 MiB; the times are within
 # their noise, the memory is not.
 _PASS_ENTRIES = 16384
-# Scratch rows of ``_log_b``: five for ``_bd0``, then log b and n - k.
-_LOG_B_ROWS = 7
+# Scratch rows of the log-space weights: five for ``_bd0``, then log b,
+# n - k, k as a float and its k-table entries (``_log_b``), then the
+# anchors' k and their rows' four moments (``_anchors``).
+_LOG_B_ROWS = 14
 # Band entries from one log-space anchor to the next along a row; the
 # entries between are walked from the anchor by the neighbour ratio.  At 32
 # or 64 the band's row sums were off by up to 6 or 8.5 eps at n = 16384 on
 # the default grid (4 eps at 16, as in log space), and no faster: the
 # running product takes one step per entry of a segment.
 _ANCHOR_STEP = 16
-# Anchors per ``_values`` call of the band passes: one call serves several
-# passes, and its workspace of _LOG_B_ROWS rows holds a quarter of a pass.
-_ANCHOR_BATCH = 4096
+# Anchors per ``_anchors`` call of the band passes, whole passes of rows: one
+# call serves several passes.  Measured on a 2-vCPU Intel Xeon (AVX-512) VM
+# with the arena of ``_band_passes``, ``eval --f abs_beta_1.0 --xi 0.37
+# --alpha 1 --n 16384`` (13-row passes): batches of 3/5/6 passes
+# (4096/6144/7168 anchors) took 71/63/59 ms of warm in-process CPU time, its
+# apply's traced peak read 1734/1953/2141 KiB, and one cold eval in a fresh
+# interpreter took 73 ms at 5 passes and 72 at 6; at 6 a default ``sweep
+# --functions all`` peaked 0.11 MiB higher (VmHWM) than at 5.
+_ANCHOR_BATCH = 6144
 
 # stirlerr(n) = log(n!) - (0.5*log(2*pi*n) + n*log(n) - n), n = 1..15.
 # Index 0 is a placeholder; the decomposition never uses stirlerr(0).
@@ -266,16 +280,20 @@ def _workspace(rows: int, *shape: int) -> tuple:
 
 
 def _log_b(n: int, k: np.ndarray, const: np.ndarray, moments, ws: tuple) -> np.ndarray:
-    """log b(n, k, x) from the k-only ``const`` and the x-only ``_split_moments``.
+    """log b(n, k, x) for integer 0 < k < n from the k-table ``const`` and the x-only ``_split_moments``.
 
-    Works in the first len(k) entries of the first _LOG_B_ROWS rows of
-    workspace ``ws`` and returns row 5 there.
+    Works in the first len(k) entries of the first nine rows of workspace
+    ``ws``, k's float copy and table entries in rows 7 and 8, and returns
+    row 5 there.
     """
     nx, nx_lo, n1x, n1x_lo = moments
     ws = ws[0][:, :k.size], ws[1][:k.size]
-    out, nk = ws[0][5], ws[0][6]
-    np.subtract(const, _bd0(k, nx, nx_lo, ws), out=out)
-    np.subtract(n, k, out=nk)
+    out, nk, kf, c = ws[0][5:9]
+    # no index is clipped: "clip" only spares the checked copy that "raise" makes of ``out``
+    np.take(const, np.subtract(k, 1, out=kf.view(np.int64)), out=c, mode="clip")
+    np.copyto(kf, k)
+    np.subtract(c, _bd0(kf, nx, nx_lo, ws), out=out)
+    np.subtract(n, kf, out=nk)
     return np.subtract(out, _bd0(nk, n1x, n1x_lo, ws), out=out)
 
 
@@ -284,18 +302,17 @@ def _values(n: int, x: np.ndarray, k: np.ndarray, moments, const: np.ndarray, ws
 
     ``moments`` is ``_split_moments(n, x)`` and ``const`` the k-table
     ``_log_const_table(n)``; the caller computes both once.  ``ws`` is a
-    workspace of at least _LOG_B_ROWS rows and len(x) entries; the result
-    may be one of its rows.  The closed forms for k in {0, n} and x in
-    {0, 1} live here alone.
+    workspace of at least nine rows and len(x) entries; the result may be
+    one of its rows.  The closed forms for k in {0, n} and x in {0, 1}
+    live here alone.
     """
     inside = (x > 0.0) & (x < 1.0)
     mid = inside & (k > 0) & (k < n)
     if mid.all():
-        r = _log_b(n, k.astype(float), const[k - 1], moments, ws)
+        r = _log_b(n, k, const, moments, ws)
         return np.exp(r, out=r)
     out = np.zeros(x.shape)
-    km = k[mid]
-    r = _log_b(n, km.astype(float), const[km - 1], [m[mid] for m in moments], ws)
+    r = _log_b(n, k[mid], const, [m[mid] for m in moments], ws)
     out[mid] = np.exp(r, out=r)
     out[((x == 0.0) & (k == 0)) | ((x == 1.0) & (k == n))] = 1.0
     first = inside & (k == 0)
@@ -390,18 +407,24 @@ def _band_passes(n: int, xs: np.ndarray, width: int, bounds: tuple):
     where lo[i] <= k <= hi[i], with start[i] <= lo[i] and hi[i] < start[i]
     + width, and +0.0 elsewhere.  Yields (rows, block) for consecutive
     slices ``rows`` of ``_pass_rows`` grid points, block holding their
-    rows in one buffer that every pass reuses.
+    rows in one buffer that every pass reuses and the next anchor batch
+    overwrites: a block holds until the next pass is asked for.
 
     Each row is walked outward from its mode round(n x), clipped into
     lo..hi, by the neighbour ratio from log-space anchors (``_anchors``),
-    those of about _ANCHOR_BATCH rows in one call, and the ratio's x-part
-    (``_powers``) is made once per chunk of about _PASS_ENTRIES /
-    (4 _ANCHOR_STEP) rows, whole anchor batches.  One ``_walk`` call runs
-    the products of a whole anchor batch, and ``_lay`` copies them into the
-    pass-sized lanes a pass at a time.  The walk is cut past lo..hi, so
-    its entries there are +0.0, and each walked row lies between ``width``
-    zeros: a block row is its start-aligned window of the walked row, with
-    no mask.
+    those of a batch of whole passes in one call: at most _ANCHOR_BATCH
+    anchors and _PASS_ENTRIES / (4 _ANCHOR_STEP) rows, but one pass at
+    least.  The ratio's x-part (``_powers``) is made once per chunk of
+    whole anchor batches, at most that many rows, so its table of 2
+    _ANCHOR_STEP entries a row fills at most half a pass.  One ``_walk``
+    call runs the products of a whole anchor batch, and ``_lay`` copies
+    them into the pass-sized lanes a pass at a time.  The anchor stage's
+    rows, the walk's products and the pass buffer share one arena, a
+    ``_workspace`` sized for the larger of the two stages, and the pass
+    buffer takes the walk's denominators.  The walk is cut past lo..hi, so
+    its entries there are +0.0, and each walked row lies between runs of
+    zeros that no window reads past: a block row is its start-aligned
+    window of the walked row, with no mask.
     """
     start, lo, hi = bounds
     mode = np.clip(np.floor(n * xs + 0.5).astype(np.int64), lo, hi)
@@ -412,20 +435,27 @@ def _band_passes(n: int, xs: np.ndarray, width: int, bounds: tuple):
     # every kept entry lies within ``reach`` of its row's mode
     reach = int(np.maximum(hi - mode, mode - lo).max(initial=0))
     most = 2 * (reach // _ANCHOR_STEP) + 3  # anchors per row, at most
-    batch = rows * max(1, _ANCHOR_BATCH // (rows * most))
-    # rows per ``_powers`` call, whole batches: its table of 2 S entries a row fills
-    # half a pass (a whole pass raised the peak of a default sweep by 0.5 MiB)
+    # anchors per batch, whole passes: at most _ANCHOR_BATCH, and past one pass no more
+    # rows than a chunk may hold
+    batch = rows * max(1, min(_ANCHOR_BATCH // (rows * most), _PASS_ENTRIES // (4 * _ANCHOR_STEP * rows)))
+    # rows per ``_powers`` call, whole batches: its table of 2 S entries a row fills at
+    # most half a pass (a whole pass raised the peak of a default sweep by 0.5 MiB)
     chunk = batch * max(1, _PASS_ENTRIES // (4 * _ANCHOR_STEP * batch))
-    ws = _workspace(_LOG_B_ROWS, min(batch, xs.size) * most)
     half = (reach // _ANCHOR_STEP + 1) * _ANCHOR_STEP
-    products = np.empty(2 * min(batch, xs.size) * half)
+    # one arena: the anchor workspace's rows, and over them the walk's products,
+    # then the pass buffer; each is done with before the next batch's anchors
+    walk = 2 * min(batch, xs.size) * half  # entries of a batch's products
+    ws = _workspace(_LOG_B_ROWS, max(min(batch, xs.size) * most, -(-(walk + size * width) // _LOG_B_ROWS)))
+    arena = ws[0].reshape(-1)
+    products, buf = arena[:walk], arena[walk:walk + size * width].reshape(size, width)
     # row i walks in lanes[i, :2 half - 1], its mode at column half - 1; ``width``
-    # zeros lie before row 0 and after every row, so no window reads another row
-    lane = 2 * half - 1 + width
+    # zeros lie before row 0 and width - half after every row: a window, which
+    # starts at most width - 1 before its mode, reaches at most width - half past
+    # its row's walk, so no window reads another row
+    lane = 2 * half - 1 + max(width - half, 0)
     walked = np.zeros(width + size * lane)
     lanes = walked[width:].reshape(size, lane)
     windows = sliding_window_view(walked, width)
-    buf = np.empty((size, width))
     prev = 0  # lanes are 0 outside their columns half - prev .. half + prev - 2
     for first in range(0, xs.size, batch):
         bs = slice(first, min(first + batch, xs.size))
@@ -439,9 +469,9 @@ def _band_passes(n: int, xs: np.ndarray, width: int, bounds: tuple):
             lanes[:, half + hb - 1:half + prev - 1] = 0.0
         prev = hb
         anchors = _anchors(n, xs[bs], mode[bs], lo[bs], hi[bs], steps, [m[bs] for m in moments], const, ws)
-        # the anchors are copied out of ``ws``, so the walk may use it for its denominators
+        # the pass buffer is free until the walk is laid, so it takes the walk's denominators
         v = _walk(n, anchors, mode[bs], lo[bs], hi[bs], powers[..., first - cs.start:bs.stop - cs.start],
-                  products, ws[0])
+                  products, buf)
         for p in range(bs.start, bs.stop, rows):
             sl = slice(p, min(p + rows, bs.stop))
             r = sl.stop - p
@@ -477,7 +507,9 @@ def _powers(x: np.ndarray, mode: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> 
     p, e = _two_prod(sigma, x)
     dsigma = np.divide((s - p) - e + c, s, out=np.zeros(x.shape), where=sigma > 0.0)
     t = np.arange(float(_ANCHOR_STEP))[:, None, None]
-    out = np.power(np.stack([rho, sigma]), t)
+    out = np.empty((_ANCHOR_STEP, 2, x.size))
+    out[0], out[1, 0], out[1, 1] = 1.0, rho, sigma  # pow(r, 0) = 1 and pow(r, 1) = r exactly
+    np.power(out[1], t[2:], out=out[2:])
     fix = t * np.stack([drho, dsigma])  # one (S, 2, len(x)) temporary, not two
     fix *= out
     out += fix
@@ -491,20 +523,36 @@ def _anchors(n, x, mode, lo, hi, steps, moments, const, ws) -> np.ndarray:
     S = _ANCHOR_STEP, and the last two columns b(n, 0, x) and b(n, n, x).
     An anchor outside its row's kept indices lo..hi is 0.  ``moments``
     are the rows' ``_split_moments`` and ``const`` the call's k-table;
-    ``ws`` is a workspace of at least as many entries as the result.
+    ``ws`` is a workspace of _LOG_B_ROWS rows, each of at least as many
+    entries as the result.  Every k, and the k and moments gathered for
+    the anchors inside 0 < k < n of x inside (0, 1), lie in its rows; only
+    a batch whose rows keep k = 0 or n runs ``_values`` on copies of its
+    other anchors, for their closed forms.
     """
-    k = np.empty((x.size, 2 * steps + 3), dtype=np.int64)
+    cols = 2 * steps + 3
+    rows = ws[0][:, :x.size * cols].view(np.int64)  # int rows in the memory of the float rows
+    k = rows[0].reshape(x.size, cols)
     np.add(mode[:, None], _ANCHOR_STEP * np.arange(-steps, steps + 1), out=k[:, :-2])
     k[:, -2], k[:, -1] = 0, n
-    kept = (k >= lo[:, None]) & (k <= hi[:, None])
-    row = np.nonzero(kept)[0]
+    inside = (x > 0.0) & (x < 1.0)
+    mid = (k >= np.maximum(lo, 1)[:, None]) & (k <= np.where(inside, np.minimum(hi, n - 1), 0)[:, None])
+    at = np.flatnonzero(mid)
+    got = ws[0][9:, :at.size]  # rows 0-8 are _log_b's
+    row = np.floor_divide(at, cols, out=rows[1, :at.size])
+    km = np.take(k, at, out=got[0].view(np.int64), mode="clip")  # "clip" as in ``_log_b``
+    gathered = [np.take(m, row, out=g, mode="clip") for m, g in zip(moments, got[1:])]
     out = np.zeros(k.shape)
-    out[kept] = _values(n, x[row], k[kept], [m[row] for m in moments], const, ws)
+    if lo.min(initial=n) == 0 or hi.max(initial=0) == n:
+        # the closed forms, which leave the workspace as it is
+        i, j = np.nonzero((k >= lo[:, None]) & (k <= hi[:, None]) & ~mid)
+        out[i, j] = _values(n, x[i], k[i, j], [m[i] for m in moments], const, ws)
+    r = _log_b(n, km, const, gathered, ws)
+    out.reshape(-1)[at] = np.exp(r, out=r)
     return out
 
 
 def _walk(n: int, anchors: np.ndarray, mode: np.ndarray, lo: np.ndarray, hi: np.ndarray, powers: np.ndarray,
-          products: np.ndarray, ws: np.ndarray) -> np.ndarray:
+          products: np.ndarray, spare: np.ndarray) -> np.ndarray:
     """Walk the rows outward from their ``_anchors`` by the neighbour ratio, segment by segment.
 
     Returns v, shape (S, 2, rows, steps + 1) with S = _ANCHOR_STEP, in
@@ -523,8 +571,9 @@ def _walk(n: int, anchors: np.ndarray, mode: np.ndarray, lo: np.ndarray, hi: np.
     past both.  Segments run down axis 0, so each product step is one
     operation over every segment of the rows: the caller walks a whole
     anchor batch in one call.  ``products`` holds at least 2 rows
-    (steps + 1) S entries, and ``ws``, of at least 2 rows (steps + 1),
-    takes the factors' denominators a few t at a time.
+    (steps + 1) S entries, and ``spare``, a contiguous buffer of at least
+    2 rows (steps + 1) entries that the walk may overwrite (the caller's
+    pass buffer), takes the factors' denominators a few t at a time.
     """
     step, rows = _ANCHOR_STEP, mode.size
     steps = (anchors.shape[1] - 3) // 2
@@ -536,9 +585,9 @@ def _walk(n: int, anchors: np.ndarray, mode: np.ndarray, lo: np.ndarray, hi: np.
     factors = v[1:].reshape(step - 1, 2 * segs)
     np.subtract(np.concatenate([(n + 1.0) - up, down + 1.0]), t, out=factors)
     base = np.concatenate([up, n - down])
-    per = ws.size // (2 * segs)  # the denominators of ``per`` t fit in ws
+    per = spare.size // (2 * segs)  # the denominators of ``per`` t fit in spare
     for a in range(0, step - 1, per):
-        den = ws.reshape(-1)[:2 * segs * min(per, step - 1 - a)].reshape(-1, 2 * segs)
+        den = spare.reshape(-1)[:2 * segs * min(per, step - 1 - a)].reshape(-1, 2 * segs)
         factors[a:a + per] /= np.add(base, t[a:a + per], out=den)
     for side, past in enumerate((hi - mode + 1, mode - lo + 1)):  # offsets of hi + 1 and lo - 1
         i = np.flatnonzero(past % step)

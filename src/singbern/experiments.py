@@ -580,11 +580,26 @@ def check_lemma6(w: SingularWeight, beta: float = 2.0, n_values=DEFAULT_N_VALUES
 
     def row(n):
         with _powers_of(f"beta = {beta!r}"):
-            moments = w(xs) * _window_sums(n, w.xi, xs, beta)
-        # the ratio is (n^(1/2) |x - xi|)^alpha S / (n^(beta/2) phi^beta): where the
-        # majorant underflows, that power of alpha overflows or cannot be formed
+            sums = _window_sums(n, w.xi, xs, beta)
+            moments = w(xs) * sums
+        # the ratio is (n^(1/2) |x - xi|)^alpha S / (n^(beta/2) phi^beta): where
+        # n^((beta - alpha)/2) or phi^beta alone leaves the normal range, the weight
+        # may have underflowed too, and the ratio is formed in log space from S
         with _powers_of(f"alpha = {w.alpha!r}, beta = {beta!r}"):
-            return {"n": n, "ratio": float(np.max(moments / (n ** ((beta - w.alpha) / 2.0) * phi(xs) ** beta)))}
+            phis = phi(xs)
+            try:
+                scale = n ** ((beta - w.alpha) / 2.0)
+            except OverflowError:
+                scale = math.inf
+            with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN
+                majorant = scale * phis ** beta
+            logs = ~((majorant >= np.finfo(float).tiny) & (majorant < math.inf))
+            ratio = np.divide(moments, majorant, out=np.zeros(moments.shape), where=~logs)
+            logs &= (sums > 0.0) & (xs != w.xi)  # at xi the weight, and so the ratio, is 0
+            if logs.any():
+                ratio[logs] = np.exp(w.alpha * np.log(math.sqrt(n) * np.abs(xs[logs] - w.xi)) + np.log(sums[logs])
+                                     - beta / 2.0 * math.log(n) - beta * np.log(phis[logs]))
+            return {"n": n, "ratio": float(np.max(ratio))}
 
     params = {"xi": w.xi, "alpha": w.alpha, "beta": beta, "grid": g.key()}
     return _check("lemma6", params, n_values, row, w.xi)

@@ -500,7 +500,11 @@ def old_band_passes(n, xs, width, bounds):
     The oracle of the streamed band: the same anchors, one ``_powers``
     call per anchor batch, the row walks laid end to end (so a window may
     read into the next row's walk), and every block entry outside
-    lo..hi set to 0 by a whole-block mask.
+    lo..hi set to 0 by a whole-block mask.  The batches are those of
+    ``_band_passes``: NumPy's ``power`` rounds the t = 2 row of a
+    ``_powers`` table of 1366 rows or more as r * r, and of fewer rows
+    otherwise (1 ulp apart at a few percent of its entries), so a batch
+    longer than its chunk there would change bits here.
     """
     start, lo, hi = bounds
     mode = np.clip(np.floor(n * xs + 0.5).astype(np.int64), lo, hi)
@@ -510,7 +514,7 @@ def old_band_passes(n, xs, width, bounds):
     size = min(rows, xs.size)
     reach = int(np.maximum(hi - mode, mode - lo).max(initial=0))
     most = 2 * (reach // _ANCHOR_STEP) + 3
-    batch = rows * max(1, _ANCHOR_BATCH // (rows * most))
+    batch = rows * max(1, min(_ANCHOR_BATCH // (rows * most), _PASS_ENTRIES // (4 * _ANCHOR_STEP * rows)))
     ws = _workspace(_LOG_B_ROWS, min(batch, xs.size) * most)
     half = (reach // _ANCHOR_STEP + 1) * _ANCHOR_STEP
     walked = np.zeros(2 * (width + size * half))

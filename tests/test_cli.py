@@ -631,6 +631,15 @@ def test_a_power_that_alone_leaves_double_range_returns_a_verdict(capsys, argv, 
 
 
 @pytest.mark.filterwarnings("error")
+def test_lemma6_where_the_majorant_alone_leaves_double_range_returns_a_verdict(capsys):
+    # n^((beta - alpha)/2) is subnormal at n = 128 and 0 at 256, and the weight
+    # underflows near xi, though the ratios are finite: a verdict, not exit 3
+    code, out, err = run_cli(capsys, "check", "--which", "lemma6", "--alpha", "300", *SMALL_SWEEP)
+    assert (code, err) == (1, "")
+    assert out.count("\nlemma6,,data,") == 3
+
+
+@pytest.mark.filterwarnings("error")
 def test_lemma6_at_beta_100_returns_a_verdict(capsys):
     # |k - nx|^100 overflows on rows far from xi, where the weights are 0
     # and so is every term: the ratios are finite and the trend fails

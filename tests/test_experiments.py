@@ -218,6 +218,27 @@ class TestLemmaCheckers:
             assert row["scaled"] == pytest.approx(float(exact), rel=1e-12, abs=0.0), row["n"]
 
     @pytest.mark.filterwarnings("error")
+    def test_lemma6_at_alpha_300_against_mpmath(self):
+        # n^((2 - 300)/2) is 2^-894 at n = 64, subnormal at 128 and 0 at 256,
+        # though the ratios (1.9e155, 3.2e181, 2.5e201) are finite: there they
+        # are formed in log space; 1e-12 relative
+        mpmath = pytest.importorskip("mpmath")
+        w, beta, g = SingularWeight(0.5, 300.0), 2.0, GridSpec(count=65)
+        r = check_lemma6(w, beta, (64, 128, 256), g)
+        xs = [float(x) for x in grid_points(g, w.xi)[1:-1]]
+        with mpmath.workdps(40):
+            for row in r["rows"]:
+                n = row["n"]
+                win = [k for k in range(n + 1) if abs(k - n * w.xi) <= math.sqrt(n)]
+                ratios = []
+                for x in xs:
+                    X = mpmath.mpf(x)
+                    moment = mpmath.fsum(abs(k - n * X) ** 2 * mpmath.binomial(n, k) * X**k * (1 - X) ** (n - k)
+                                         for k in win)
+                    ratios.append(abs(X - w.xi) ** 300 * moment / (mpmath.mpf(n) ** -149 * (X * (1 - X))))
+                assert row["ratio"] == pytest.approx(float(max(ratios)), rel=1e-12, abs=0.0), n
+
+    @pytest.mark.filterwarnings("error")
     def test_lemma4_at_gamma_100_against_mpmath(self):
         # phi^100 underflows to 0 at the two grid points nearest 0 and 1, where
         # the ratios are largest (1.2e297 at n = 64) and finite: there they are

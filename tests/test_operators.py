@@ -195,9 +195,10 @@ class TestStreamedApply:
         assert peak <= 8 * 2**20, peak / 2**20
 
     def test_pass_memory_at_degree_16384(self):
-        # one apply holds a pass of lanes and block, one anchor batch's walk and
-        # its anchors: 2016 KiB traced (xi = 0.37); lanes for a whole anchor
-        # batch instead of a pass take 2529 KiB
+        # one apply holds a pass of lanes, one anchor batch's arena (its anchor
+        # workspace over its walk and the pass buffer) and its anchors: 1953 KiB
+        # traced (xi = 0.37) with batches of 5 passes, 2141 KiB with 6; lanes for
+        # a whole anchor batch instead of a pass took 2529 KiB with 3
         import tracemalloc
 
         n, w = 16384, SingularWeight(0.37, 1.0)
@@ -210,6 +211,31 @@ class TestStreamedApply:
         finally:
             tracemalloc.stop()
         assert peak < 2250 * 2**10, peak / 2**10
+
+    def test_stacked_apply_memory_at_the_default_sweep_degrees(self):
+        # a sweep's 4-member apply on its 4101-point node grid: 2071-2618 KiB
+        # traced over n = 64..4096 (2563-2749 KiB before the batches shared one
+        # arena), bound at 2880 KiB, about 5% over the latter; twice the anchors
+        # per batch read up to 3201 KiB
+        import tracemalloc
+
+        from singbern.experiments import DEFAULT_N_VALUES
+
+        members = [corpus_member(name, W) for name in ("linear", "abs_beta_1.0", "abs_beta_1.5", "square")]
+        peaks = {}
+        for n in DEFAULT_N_VALUES:
+            nd = compute_nodes(n, W.xi)
+            xs = grid_points(GridSpec(), W.xi, extra=(nd.x1, nd.x2, nd.x3, nd.x4))
+            xs = xs[xs != W.xi]
+            assert xs.size == 4101
+            values = np.stack([build_surrogate(f, n, W) for f in members])
+            tracemalloc.start()
+            try:
+                bernstein_apply(values, xs)
+                peaks[n] = tracemalloc.get_traced_memory()[1] / 2**10
+            finally:
+                tracemalloc.stop()
+        assert max(peaks.values()) < 2880, peaks
 
     @pytest.mark.parametrize("edge, extra", [("pass", -1), ("pass", 1), ("batch", -1), ("batch", 1)])
     def test_one_walk_per_anchor_batch(self, monkeypatch, edge, extra):
